@@ -1,7 +1,11 @@
 """Shared domain types, seeded randomness, and dataset integrity checks.
 
-Datasets are stored as plain text: one JSON header line followed by one line
-per transition, so files can be diffed, inspected, and reloaded bit-exactly.
+A ``Dataset`` is one set of read-only numpy columns (states, actions, rewards,
+next_states, dones, trajectory starts; see its docstring for shapes and
+dtypes) from rollout to learner. On disk it is plain text: one JSON header
+line followed by one line per transition, so files can be diffed, inspected,
+and reloaded bit-exactly. ``load_dataset`` rejects a malformed or invalid
+file with a ``ValueError`` naming the path and line.
 """
 
 from __future__ import annotations
@@ -10,16 +14,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterator, Sequence
 
 import numpy as np
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
-
-# Tabular states are ints; continuous states are tuples of floats.
-StateKey = Any
-
 
 class EnvId(str, Enum):
     TOY_MMDP = "toy_mmdp"
@@ -71,15 +70,6 @@ class EnvSpec:
 
 
 @dataclass(frozen=True)
-class Transition:
-    state: StateKey
-    joint_action: tuple
-    reward: float
-    next_state: StateKey
-    done: bool
-
-
-@dataclass(frozen=True)
 class DatasetHeader:
     spec: EnvSpec
     tier: Tier
@@ -89,31 +79,52 @@ class DatasetHeader:
     format_version: int = FORMAT_VERSION
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Persisted offline experience with provenance header.
+    """Persisted offline experience with provenance header, stored by column.
 
-    ``trajectory_boundaries`` holds the start index of every trajectory; the
-    k-th trajectory is ``transitions[b_k : b_{k+1}]``.
+    Row k of every per-transition column is transition k:
+
+    - ``states``, ``next_states``: (N,) int64 state ids for discrete specs,
+      (N, n_agents) float64 positions for vector specs
+    - ``actions``: (N, n_agents) int64 joint actions
+    - ``rewards``: (N,) float64
+    - ``dones``: (N,) bool
+
+    Trajectories are contiguous runs of rows: ``starts`` is the (K,) int64
+    array of their first rows, and trajectory k ends where k + 1 starts (the
+    last one at row N).
+
+    The constructor copies each column to its dtype and makes the copy
+    read-only, so a dataset never aliases, or changes with, the arrays it was
+    built from. It checks neither shapes nor contents; ``validate_dataset``
+    reports every violation. ``==`` is identity (``eq=False``): compare
+    columns by dtype, shape and bytes.
     """
 
     header: DatasetHeader
-    transitions: tuple
-    trajectory_boundaries: tuple
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self):
+        state_dtype = np.float64 if self.header.spec.state_kind == "vector" else np.int64
+        dtypes = {"states": state_dtype, "actions": np.int64, "rewards": np.float64,
+                  "next_states": state_dtype, "dones": np.bool_, "starts": np.int64}
+        for name, dtype in dtypes.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.transitions)
-
-    def trajectory_slices(self) -> list:
-        bounds = list(self.trajectory_boundaries) + [len(self.transitions)]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(self.trajectory_boundaries))]
+        return len(self.rewards)
 
     def trajectory_returns(self) -> np.ndarray:
-        rewards = np.array([t.reward for t in self.transitions], dtype=np.float64)
-        return np.array([rewards[a:b].sum() for a, b in self.trajectory_slices()])
-
-    def actions_array(self) -> np.ndarray:
-        return np.array([t.joint_action for t in self.transitions], dtype=np.int64)
+        bounds = np.append(self.starts, len(self)).tolist()
+        return np.array([self.rewards[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
 
 
 @dataclass(frozen=True)
@@ -163,7 +174,7 @@ class FactoredPolicy:
     n_actions: int
     table: dict = field(default_factory=dict)
 
-    def probs(self, state: StateKey) -> np.ndarray:
+    def probs(self, state) -> np.ndarray:
         row = self.table.get(state)
         if row is None:
             return np.full((self.n_agents, self.n_actions), 1.0 / self.n_actions)
@@ -175,18 +186,6 @@ class FactoredPolicy:
         for s, row in self.table.items():
             out[:, s, :] = row
         return out
-
-    def probs_batch(self, states: Sequence[StateKey]) -> np.ndarray:
-        return np.stack([self.probs(s) for s in states])
-
-    def greedy_batch(self, states: Sequence[StateKey]) -> np.ndarray:
-        return np.stack([np.argmax(self.probs(s), axis=1) for s in states])
-
-    def sample_batch(self, states: Sequence[StateKey], rng: np.random.Generator) -> np.ndarray:
-        probs = self.probs_batch(states)  # (m, n, A)
-        u = rng.random(probs.shape[:2])
-        cdf = np.cumsum(probs, axis=2)
-        return (u[:, :, None] > cdf).sum(axis=2)
 
     def validate(self, atol: float = 1e-9) -> list:
         problems = []
@@ -205,18 +204,17 @@ def uniform_policy(n_agents: int, n_actions: int) -> FactoredPolicy:
     return FactoredPolicy(n_agents, n_actions, {})
 
 
-def greedy_policy_from_actions(action_map: dict, n_agents: int, n_actions: int) -> FactoredPolicy:
-    """One-hot FactoredPolicy from a map state -> per-agent action indices."""
-    table = {}
-    for s, acts in action_map.items():
-        row = np.zeros((n_agents, n_actions))
-        row[np.arange(n_agents), np.asarray(acts, dtype=np.int64)] = 1.0
-        table[s] = row
-    return FactoredPolicy(n_agents, n_actions, table)
+def greedy_policy_from_actions(actions: np.ndarray, n_actions: int) -> FactoredPolicy:
+    """One-hot FactoredPolicy over states 0..S-1 from their (S, n) actions."""
+    actions = np.asarray(actions, dtype=np.int64)
+    n_states, n_agents = actions.shape
+    onehot = np.zeros((n_states, n_agents, n_actions))
+    onehot[np.arange(n_states)[:, None], np.arange(n_agents), actions] = 1.0
+    return FactoredPolicy(n_agents, n_actions, dict(enumerate(onehot)))
 
 
 def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
-    """Report every Transition/Dataset invariant violation and spec mismatch."""
+    """Report every Dataset invariant violation and spec mismatch."""
     violations = []
     header = dataset.header
     if header.spec.env_id != spec.env_id:
@@ -226,32 +224,33 @@ def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
     if header.spec.n_actions != spec.n_actions:
         violations.append(f"header n_actions {header.spec.n_actions} != spec {spec.n_actions}")
 
-    for idx, t in enumerate(dataset.transitions):
-        if len(t.joint_action) != spec.n_agents:
-            violations.append(f"transition {idx}: joint action has {len(t.joint_action)} entries")
-            continue
-        for i, a in enumerate(t.joint_action):
-            if not 0 <= a < spec.n_actions:
-                violations.append(
-                    f"transition {idx}: agent {i} action {a} outside [0, {spec.n_actions})"
-                )
-        if abs(t.reward) > spec.r_max + 1e-9:
-            violations.append(
-                f"transition {idx}: |reward| {abs(t.reward):.6g} exceeds r_max {spec.r_max:.6g}"
-            )
+    n = len(dataset)
+    state_shape = (n, spec.n_agents) if spec.state_kind == "vector" else (n,)
+    shapes = {"states": state_shape, "actions": (n, spec.n_agents), "rewards": (n,),
+              "next_states": state_shape, "dones": (n,), "starts": (len(dataset.starts),)}
+    bad_shapes = [f"{name} shape {getattr(dataset, name).shape} != {shape}"
+                  for name, shape in shapes.items() if getattr(dataset, name).shape != shape]
+    if bad_shapes:  # the checks below index the columns by these shapes
+        return ValidationReport(tuple(violations + bad_shapes))
 
-    bounds = dataset.trajectory_boundaries
-    n = len(dataset.transitions)
-    if n and (not bounds or bounds[0] != 0):
+    for idx, agent in np.argwhere((dataset.actions < 0) | (dataset.actions >= spec.n_actions)):
+        violations.append(f"transition {idx}: agent {agent} action "
+                          f"{dataset.actions[idx, agent]} outside [0, {spec.n_actions})")
+    magnitude = np.abs(dataset.rewards)
+    for idx in np.flatnonzero(~(magnitude <= spec.r_max + 1e-9)):
+        violations.append(f"transition {idx}: |reward| {magnitude[idx]:.6g} "
+                          f"exceeds r_max {spec.r_max:.6g}")
+
+    starts = dataset.starts
+    if n and (not len(starts) or starts[0] != 0):
         violations.append("trajectory boundaries do not start at 0")
-    for k in range(1, len(bounds)):
-        if bounds[k] <= bounds[k - 1]:
-            violations.append(f"trajectory boundaries overlap at index {k}")
-    if bounds and bounds[-1] >= n and n > 0:
+    for k in np.flatnonzero(np.diff(starts) <= 0) + 1:
+        violations.append(f"trajectory boundaries overlap at index {k}")
+    if len(starts) and starts[-1] >= n and n > 0:
         violations.append("trajectory boundary beyond last transition")
-    if header.n_trajectories != len(bounds):
+    if header.n_trajectories != len(starts):
         violations.append(
-            f"header n_trajectories {header.n_trajectories} != {len(bounds)} partitions"
+            f"header n_trajectories {header.n_trajectories} != {len(starts)} partitions"
         )
     return ValidationReport(tuple(violations))
 
@@ -260,44 +259,38 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
     """Counting estimate of the per-agent behavior policy.
 
     beta_i(a|s) = (count(s, a_i=a) + smoothing) / (count(s) + smoothing * |A|);
-    states absent from the dataset map to the uniform distribution.
+    states absent from the dataset map to the uniform distribution. Table
+    keys are state ids, or tuples of floats for vector states.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
-    if not dataset.transitions:
+    if not len(dataset):
         raise ValueError("empty dataset")
     spec = dataset.header.spec
     n, n_act = spec.n_agents, spec.n_actions
-    counts: dict = {}
-    for t in dataset.transitions:
-        row = counts.get(t.state)
-        if row is None:
-            row = np.zeros((n, n_act))
-            counts[t.state] = row
-        row[np.arange(n), np.asarray(t.joint_action, dtype=np.int64)] += 1.0
-    table = {}
-    for s, row in counts.items():
-        denom = row.sum(axis=1, keepdims=True) + smoothing * n_act
-        table[s] = (row + smoothing) / denom
-    return FactoredPolicy(n, n_act, table)
+    keys, state_index = np.unique(dataset.states, axis=0, return_inverse=True)
+    cells = (state_index.reshape(-1, 1) * n + np.arange(n)) * n_act + dataset.actions
+    counts = np.bincount(cells.ravel(), minlength=len(keys) * n * n_act)
+    counts = counts.reshape(len(keys), n, n_act).astype(np.float64)
+    probs = (counts + smoothing) / (counts.sum(axis=2, keepdims=True) + smoothing * n_act)
+    keys = map(tuple, keys.tolist()) if keys.ndim == 2 else keys.tolist()
+    return FactoredPolicy(n, n_act, dict(zip(keys, probs)))
 
 
 # ---------------------------------------------------------------------------
-# Dataset file format: JSON header line + one CSV-ish record per transition.
-# Floats are written with repr() so reloads are bit-exact.
+# Dataset file format: JSON header line + one CSV-ish record per transition,
+#   state,actions,reward,next_state,done,trajectory
+# with vector states as ";"-joined floats and actions space-joined. Floats
+# are written with repr() so reloads are bit-exact.
 # ---------------------------------------------------------------------------
 
-
-def _encode_state(state: StateKey) -> str:
-    if isinstance(state, (int, np.integer)):
-        return str(int(state))
-    return ";".join(repr(float(x)) for x in state)
+_N_FIELDS = 6
 
 
-def _decode_state(text: str, state_kind: str) -> StateKey:
-    if state_kind == "discrete":
-        return int(text)
-    return tuple(float(x) for x in text.split(";"))
+def _state_text(states: np.ndarray) -> list:
+    if states.ndim == 1:
+        return list(map(str, states.tolist()))
+    return [";".join(map(repr, row)) for row in states.tolist()]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -318,57 +311,92 @@ def save_dataset(dataset: Dataset, path) -> None:
         "state_kind": spec.state_kind,
         "state_codec": spec.state_codec,
     }
-    traj_ids = np.zeros(len(dataset.transitions), dtype=np.int64)
-    for k, (a, b) in enumerate(dataset.trajectory_slices()):
-        traj_ids[a:b] = k
+    lengths = np.diff(np.append(dataset.starts, len(dataset)))
+    traj_ids = np.repeat(np.arange(len(lengths)), lengths)
+    records = zip(
+        _state_text(dataset.states),
+        [" ".join(map(str, row)) for row in dataset.actions.tolist()],
+        map(repr, dataset.rewards.tolist()),
+        _state_text(dataset.next_states),
+        np.where(dataset.dones, "1", "0").tolist(),
+        map(str, traj_ids.tolist()),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for idx, t in enumerate(dataset.transitions):
-            fields = [
-                _encode_state(t.state),
-                " ".join(str(int(a)) for a in t.joint_action),
-                repr(float(t.reward)),
-                _encode_state(t.next_state),
-                "1" if t.done else "0",
-                str(int(traj_ids[idx])),
-            ]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(fields) + "\n" for fields in records)
+
+
+def _parse(texts, dtype, path, what: str, per_line: int = 1) -> np.ndarray:
+    """Parse numbers, ``per_line`` to a record; the error names the first bad line."""
+    try:
+        return np.array(texts, dtype=dtype)
+    except ValueError:
+        for k, text in enumerate(texts):
+            try:
+                np.array(text, dtype=dtype)
+            except ValueError:
+                kind = "an integer" if dtype is np.int64 else "a number"
+                raise ValueError(f"{path}: line {k // per_line + 2}: {what} entry {text!r} "
+                                 f"is not {kind}") from None
+        raise
+
+
+def _parse_rows(column, sep: str, width: int, dtype, path, what: str) -> np.ndarray:
+    """Parse ``sep``-joined rows of ``width`` numbers into an (N, width) array."""
+    for k, text in enumerate(column):
+        if text.count(sep) != width - 1:
+            raise ValueError(f"{path}: line {k + 2}: {what} {text!r} does not have "
+                             f"{width} {sep!r}-separated entries")
+    parts = sep.join(column).split(sep) if column else []
+    return _parse(parts, dtype, path, what, width).reshape(len(column), width)
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file; a malformed or invalid file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.loads(fh.readline())
-        spec = EnvSpec(
-            env_id=EnvId(meta["env_id"]),
-            n_agents=meta["n_agents"],
-            n_actions=meta["n_actions"],
-            gamma=meta["gamma"],
-            r_max=meta["r_max"],
-            episode_limit=meta["episode_limit"],
-            state_kind=meta["state_kind"],
-            state_codec=meta["state_codec"],
-        )
-        transitions = []
-        boundaries = []
-        last_traj = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            state_s, actions_s, reward_s, next_s, done_s, traj_s = line.split(",")
-            traj = int(traj_s)
-            if traj != last_traj:
-                boundaries.append(len(transitions))
-                last_traj = traj
-            transitions.append(
-                Transition(
-                    state=_decode_state(state_s, meta["state_kind"]),
-                    joint_action=tuple(int(a) for a in actions_s.split(" ")),
-                    reward=float(reward_s),
-                    next_state=_decode_state(next_s, meta["state_kind"]),
-                    done=done_s == "1",
-                )
-            )
+        lines = fh.read().splitlines()
+    if meta.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"{path}: line 1: unknown format_version "
+                         f"{meta.get('format_version')!r} (expected {FORMAT_VERSION})")
+    spec = EnvSpec(
+        env_id=EnvId(meta["env_id"]),
+        n_agents=meta["n_agents"],
+        n_actions=meta["n_actions"],
+        gamma=meta["gamma"],
+        r_max=meta["r_max"],
+        episode_limit=meta["episode_limit"],
+        state_kind=meta["state_kind"],
+        state_codec=meta["state_codec"],
+    )
+    records = [line.split(",") for line in lines]
+    for k, fields in enumerate(records):
+        if len(fields) != _N_FIELDS:
+            raise ValueError(f"{path}: line {k + 2}: expected {_N_FIELDS} comma-separated "
+                             f"fields, got {len(fields)}")
+    columns = list(zip(*records)) or [()] * _N_FIELDS
+    state_col, action_col, reward_col, next_col, done_col, traj_col = columns
+
+    def states_of(column, what):
+        if spec.state_kind == "vector":
+            return _parse_rows(column, ";", spec.n_agents, np.float64, path, what)
+        return _parse(column, np.int64, path, what)
+
+    dones = _parse(done_col, np.int64, path, "done flag")
+    not_flag = np.flatnonzero((dones != 0) & (dones != 1))
+    if len(not_flag):
+        k = int(not_flag[0])
+        raise ValueError(f"{path}: line {k + 2}: done flag {done_col[k]!r} is not 0 or 1")
+    traj = _parse(traj_col, np.int64, path, "trajectory id")
+    starts = np.flatnonzero(np.diff(traj, prepend=traj[:1] - 1))
+    _, first_runs = np.unique(traj[starts], return_index=True)
+    if len(first_runs) != len(starts):
+        k = int(starts[np.setdiff1d(np.arange(len(starts)), first_runs)[0]])
+        raise ValueError(f"{path}: line {k + 2}: trajectory id {traj[k]} reappears "
+                         "after its run ended")
+    if meta["n_trajectories"] != len(starts):
+        raise ValueError(f"{path}: line 1: n_trajectories {meta['n_trajectories']} != "
+                         f"{len(starts)} trajectories in the records")
     header = DatasetHeader(
         spec=spec,
         tier=Tier(meta["tier"]),
@@ -377,4 +405,16 @@ def load_dataset(path) -> Dataset:
         generator_version=meta["generator_version"],
         format_version=meta["format_version"],
     )
-    return Dataset(header, tuple(transitions), tuple(boundaries))
+    dataset = Dataset(
+        header,
+        states=states_of(state_col, "state"),
+        actions=_parse_rows(action_col, " ", spec.n_agents, np.int64, path, "joint action"),
+        rewards=_parse(reward_col, np.float64, path, "reward"),
+        next_states=states_of(next_col, "next state"),
+        dones=dones.astype(bool),
+        starts=starts,
+    )
+    report = validate_dataset(dataset, spec)
+    if not report.ok:
+        raise ValueError(f"{path}: invalid dataset:\n{report}")
+    return dataset

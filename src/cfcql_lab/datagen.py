@@ -18,15 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .core import (
-    Dataset,
-    DatasetHeader,
-    EnvSpec,
-    RngStream,
-    Tier,
-    Transition,
-    validate_dataset,
-)
+from .core import Dataset, DatasetHeader, EnvSpec, RngStream, Tier, validate_dataset
 from .learner import Batch, FactoredQ, cfcql_loss, make_greedy_actor
 from .neural import Adam
 from .rollouts import QValuesActor, RandomActor, evaluate_actor, rollout_episodes
@@ -199,33 +191,42 @@ def train_online(env, budget: int, rng: RngStream,
 # ---------------------------------------------------------------------------
 
 
-def _to_transitions(env, spec, states, actions, rewards, next_states, dones):
-    discrete = spec.state_kind == "discrete"
-    out = []
-    if discrete:
-        enc = env.encode_batch(states)
-        enc_next = env.encode_batch(next_states)
-    for k in range(len(actions)):
-        if discrete:
-            s, s2 = int(enc[k]), int(enc_next[k])
-        else:
-            s = tuple(float(x) for x in states[k])
-            s2 = tuple(float(x) for x in next_states[k])
-        out.append(Transition(
-            state=s, joint_action=tuple(int(a) for a in actions[k]),
-            reward=float(rewards[k]), next_state=s2, done=bool(dones[k]),
-        ))
-    return out
-
-
-def _dataset(spec, tier, seed, transitions, boundaries) -> Dataset:
-    header = DatasetHeader(spec=spec, tier=tier, seed=seed,
-                           n_trajectories=len(boundaries))
-    d = Dataset(header, tuple(transitions), tuple(boundaries))
+def _dataset(spec, tier, seed, columns, starts) -> Dataset:
+    """Validated Dataset from its states, actions, rewards, next_states, dones."""
+    header = DatasetHeader(spec=spec, tier=tier, seed=seed, n_trajectories=len(starts))
+    d = Dataset(header, *columns, starts=starts)
     report = validate_dataset(d, spec)
     if not report.ok:
         raise AssertionError(f"generated dataset failed validation:\n{report}")
     return d
+
+
+def _dataset_columns(env, states, actions, rewards, next_states, dones) -> list:
+    """Dataset columns from raw rollout rows: discrete states become ids."""
+    if env.spec().state_kind == "discrete":
+        states, next_states = env.encode_batch(states), env.encode_batch(next_states)
+    return [states, actions, rewards, next_states, dones]
+
+
+def _collect(spec, tier, seed, chunks, lengths) -> Dataset:
+    """One Dataset from per-chunk columns and trajectory lengths."""
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    return _dataset(spec, tier, seed, columns, _starts(np.concatenate(lengths)))
+
+
+def _episode_major(column: np.ndarray) -> np.ndarray:
+    """(T, m, ...) rollout steps to (m * T, ...) rows, episode by episode."""
+    return np.swapaxes(column, 0, 1).reshape(-1, *column.shape[2:])
+
+
+def _run_rows(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Row indices of the runs [first_k, first_k + lengths_k), concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(first - _starts(lengths), lengths)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """First row of each of a sequence of runs of the given lengths."""
+    return np.cumsum(lengths) - lengths
 
 
 def checkpoint_actor(env, checkpoint: BehaviorCheckpoint) -> QValuesActor:
@@ -252,67 +253,53 @@ def sample_dataset(env, checkpoint, n_traj: int, rng: RngStream,
     gen = rng.child("sample").generator()
     horizon = env.episode_limit
 
+    chunks, lengths = [], []  # columns and trajectory lengths per rollout chunk
     if reward_filter is None:
-        transitions, boundaries = [], []
         chunk = 500
         remaining = n_traj
         while remaining > 0:
             m = min(chunk, remaining)
             roll = rollout_episodes(env, actor, m, gen, epsilon=epsilon)
-            dones = np.zeros(horizon, dtype=bool)
+            dones = np.zeros((horizon, m), dtype=bool)
             dones[-1] = True
-            for w in range(m):
-                boundaries.append(len(transitions))
-                transitions.extend(_to_transitions(
-                    env, spec, roll.states[:, w], roll.actions[:, w],
-                    roll.rewards[:, w], roll.next_states[:, w], dones,
-                ))
+            chunks.append(_dataset_columns(env, *map(_episode_major, (
+                roll.states, roll.actions, roll.rewards, roll.next_states, dones))))
+            lengths.append(np.full(m, horizon))
             remaining -= m
-        return _dataset(spec, tier, rng.seed, transitions, boundaries)
+        return _collect(spec, tier, rng.seed, chunks, lengths)
 
     threshold = reward_filter * spec.r_max
     wanted = n_traj  # sample count under a filter
     attempt_budget = max(200_000, int(np.ceil(wanted / min_acceptance)))
     generated = 0
-    kept, boundaries = [], []
+    kept = 0
     chunk = 200
-    while len(kept) < wanted and generated < attempt_budget:
+    while kept < wanted and generated < attempt_budget:
         roll = rollout_episodes(env, actor, chunk, gen, epsilon=epsilon)
         generated += chunk * horizon
-        keep = roll.rewards > threshold  # (T, m)
-        for w in range(chunk):
-            col = keep[:, w]
-            if not col.any():
-                continue
-            run_start = None
-            for t in range(horizon):
-                if col[t] and run_start is None:
-                    run_start = t
-                ends_run = run_start is not None and (t == horizon - 1 or not col[t + 1])
-                if col[t] and ends_run:
-                    take = min(t - run_start + 1, wanted - len(kept))
-                    sl = slice(run_start, run_start + take)
-                    dones = np.zeros(take, dtype=bool)
-                    dones[-1] = (sl.stop == horizon)
-                    boundaries.append(len(kept))
-                    kept.extend(_to_transitions(
-                        env, spec, roll.states[sl, w], roll.actions[sl, w],
-                        roll.rewards[sl, w], roll.next_states[sl, w], dones,
-                    ))
-                    run_start = None
-                    if len(kept) >= wanted:
-                        break
-                elif not col[t]:
-                    run_start = None
-            if len(kept) >= wanted:
-                break
-    if len(kept) < wanted:
-        rate = len(kept) / max(generated, 1)
+        keep = np.swapaxes(roll.rewards > threshold, 0, 1)  # (m, T)
+        # runs of kept steps, episode by episode: +1 where one starts, -1 after it ends
+        edges = np.diff(np.pad(keep, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+        episode, first = np.nonzero(edges == 1)
+        run_len = np.nonzero(edges == -1)[1] - first
+        # runs in episode order until the wanted count, the last one cut short
+        take = np.clip(wanted - kept - _starts(run_len), 0, run_len)
+        episode, first, take = episode[take > 0], first[take > 0], take[take > 0]
+        steps = _run_rows(first, take)
+        workers = np.repeat(episode, take)
+        dones = np.zeros(len(steps), dtype=bool)
+        dones[np.cumsum(take) - 1] = first + take == horizon
+        chunks.append(_dataset_columns(env, *(c[steps, workers] for c in (
+            roll.states, roll.actions, roll.rewards, roll.next_states)), dones))
+        lengths.append(take)
+        kept += int(take.sum())
+    if kept < wanted:
+        rate = kept / max(generated, 1)
         raise RuntimeError(
             f"reward filter acceptance rate {rate:.2e} below {min_acceptance:.0e} "
             f"after {generated} generated transitions"
         )
-    return _dataset(spec, tier, rng.seed, kept, boundaries)
+    return _collect(spec, tier, rng.seed, chunks, lengths)
 
 
 def make_replay_dataset(env, result: OnlineResult) -> Dataset:
@@ -320,16 +307,12 @@ def make_replay_dataset(env, result: OnlineResult) -> Dataset:
     cutoff = result.medium.buffer_len
     if cutoff == 0:
         raise ValueError("medium checkpoint precedes any collected data")
-    spec = result.spec
-    starts = result.episode_starts[result.episode_starts < cutoff]
     dones = np.zeros(cutoff, dtype=bool)
     dones[result.horizon - 1 :: result.horizon] = True
-    transitions = _to_transitions(
-        env, spec, result.states[:cutoff], result.actions[:cutoff],
-        result.rewards[:cutoff], result.next_states[:cutoff], dones,
-    )
-    return _dataset(spec, Tier.MEDIUM_REPLAY, result.seed, transitions,
-                    [int(s) for s in starts])
+    columns = _dataset_columns(env, result.states[:cutoff], result.actions[:cutoff],
+                               result.rewards[:cutoff], result.next_states[:cutoff], dones)
+    return _dataset(result.spec, Tier.MEDIUM_REPLAY, result.seed, columns,
+                    result.episode_starts[result.episode_starts < cutoff])
 
 
 def random_dataset(env, n_traj: int, rng: RngStream) -> Dataset:
@@ -344,12 +327,12 @@ def mix(a: Dataset, b: Dataset, rng: RngStream) -> Dataset:
         raise ValueError("datasets come from different environment specs")
     gen = rng.child("mix").generator()
     k = min(a.header.n_trajectories, b.header.n_trajectories)
-    transitions, boundaries = [], []
+    chunks, lengths = [], []
     for d in (a, b):
-        slices = d.trajectory_slices()
-        pick = sorted(gen.choice(len(slices), size=k, replace=False))
-        for idx in pick:
-            lo, hi = slices[idx]
-            boundaries.append(len(transitions))
-            transitions.extend(d.transitions[lo:hi])
-    return _dataset(a.header.spec, Tier.MIXED, rng.seed, transitions, boundaries)
+        pick = np.sort(gen.choice(len(d.starts), size=k, replace=False))
+        picked = np.diff(np.append(d.starts, len(d)))[pick]
+        rows = _run_rows(d.starts[pick], picked)
+        chunks.append([d.states[rows], d.actions[rows], d.rewards[rows],
+                       d.next_states[rows], d.dones[rows]])
+        lengths.append(picked)
+    return _collect(a.header.spec, Tier.MIXED, rng.seed, chunks, lengths)

@@ -7,7 +7,7 @@ pure-transition API so rollouts and dataset generation can be vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def all_joint_actions(n_agents: int, n_actions: int) -> np.ndarray:
 class MMDPModel:
     """Tabular transition/reward tensors for exact solving.
 
-    Transitions are stored sparsely: row (s, a) places probability
+    The transition function is stored sparsely: row (s, a) places probability
     ``next_probs[s, a, k]`` on state ``next_states[s, a, k]``.
     """
 
@@ -102,11 +102,6 @@ _TOY_DELTA = np.array([0, 1, -1], dtype=np.int64)
 TOY_MAX_AGENTS_EXACT = 8
 
 
-@dataclass(frozen=True)
-class ToyMMDPState:
-    cells: tuple  # one cell in {0, 1, 2} per agent
-
-
 class ToyMMDP:
     """Deterministic chain of three cells per agent.
 
@@ -122,8 +117,6 @@ class ToyMMDP:
         self.n_actions = TOY_N_CELLS
         self.episode_limit = episode_limit
         self.gamma = gamma
-        self._state: Optional[np.ndarray] = None
-        self._t = 0
 
     def spec(self) -> EnvSpec:
         return EnvSpec(
@@ -146,22 +139,6 @@ class ToyMMDP:
         nxt = np.clip(cells + _TOY_DELTA[actions], 0, TOY_N_CELLS - 1)
         rewards = (nxt == TOY_TARGET_CELL).mean(axis=-1)
         return nxt, rewards
-
-    # -- stateful single-episode interface ------------------------------------
-
-    def reset(self, rng: np.random.Generator) -> ToyMMDPState:
-        self._state = self.reset_batch(rng, 1)[0]
-        self._t = 0
-        return ToyMMDPState(tuple(int(c) for c in self._state))
-
-    def step(self, actions: Sequence[int]) -> Tuple[ToyMMDPState, float, bool]:
-        if self._state is None:
-            raise RuntimeError("call reset() before step()")
-        nxt, reward = self.step_batch(self._state[None, :], np.asarray(actions)[None, :])
-        self._state = nxt[0]
-        self._t += 1
-        done = self._t >= self.episode_limit
-        return ToyMMDPState(tuple(int(c) for c in self._state)), float(reward[0]), done
 
     # -- state codec -----------------------------------------------------------
 
@@ -186,13 +163,11 @@ class ToyMMDP:
         m, n = cells.shape
         onehot = np.zeros((m, n, TOY_N_CELLS))
         onehot[np.arange(m)[:, None], np.arange(n)[None, :], cells] = 1.0
-        flat = onehot.reshape(m, n * TOY_N_CELLS)
         feats = np.empty((m, n, n * TOY_N_CELLS))
         for i in range(n):
             others = np.delete(np.arange(n), i)
             order = np.concatenate(([i], others))
             feats[:, i, :] = onehot[:, order, :].reshape(m, n * TOY_N_CELLS)
-        del flat
         return feats
 
     def exact_model(self) -> MMDPModel:
@@ -241,12 +216,6 @@ LINE_N_ACTIONS = len(LINE_DISPLACEMENTS)
 LINE_INIT_HIGH = 2.0
 
 
-@dataclass(frozen=True)
-class EqualLineState:
-    positions: tuple
-    prev_min_dis: float
-
-
 def min_pairwise_distance(positions: np.ndarray) -> np.ndarray:
     """Minimum pairwise gap; equals the min adjacent gap after sorting."""
     srt = np.sort(positions, axis=-1)
@@ -272,8 +241,6 @@ class EqualLine:
         # Two agents of the binding pair can each move 1.0 apart in one step,
         # so the min gap moves by at most 2 per step.
         self.r_max = 10.0 * (n_agents - 1) * 2.0 / self.line_length
-        self._positions: Optional[np.ndarray] = None
-        self._t = 0
 
     def spec(self) -> EnvSpec:
         return EnvSpec(
@@ -298,29 +265,6 @@ class EqualLine:
         cur = min_pairwise_distance(nxt)
         rewards = 10.0 * (self.n_agents - 1) * (cur - prev) / self.line_length
         return nxt, rewards
-
-    # -- stateful single-episode interface ------------------------------------
-
-    def reset(self, rng: np.random.Generator) -> EqualLineState:
-        self._positions = self.reset_batch(rng, 1)[0]
-        self._t = 0
-        return EqualLineState(
-            tuple(float(p) for p in self._positions),
-            float(min_pairwise_distance(self._positions[None, :])[0]),
-        )
-
-    def step(self, actions: Sequence[int]) -> Tuple[EqualLineState, float, bool]:
-        if self._positions is None:
-            raise RuntimeError("call reset() before step()")
-        nxt, reward = self.step_batch(self._positions[None, :], np.asarray(actions)[None, :])
-        self._positions = nxt[0]
-        self._t += 1
-        done = self._t >= self.episode_limit
-        state = EqualLineState(
-            tuple(float(p) for p in self._positions),
-            float(min_pairwise_distance(nxt)[0]),
-        )
-        return state, float(reward[0]), done
 
     # -- state codec -----------------------------------------------------------
 

@@ -18,7 +18,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import Dataset, EnvSpec, FactoredPolicy, RngStream, empirical_behavior
+from .core import (
+    Dataset,
+    FactoredPolicy,
+    RngStream,
+    empirical_behavior,
+    greedy_policy_from_actions,
+)
 from .divergence import onehot_from_scores, softmax_from_scores
 from .envs import all_joint_actions, make_env
 from .neural import Adam, GroupedMlp, softmax, train_bc
@@ -281,7 +287,8 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np
             raise ValueError("cf_other_samples > 1 needs an rng")
         u = rng.random(batch.beta_probs.shape[:2])
         cdf = np.cumsum(batch.beta_probs, axis=2)
-        action_sets.append((u[:, :, None] > cdf).sum(axis=2))
+        # rounding can leave cdf[-1] just below 1 and u above it
+        action_sets.append(np.minimum((u[:, :, None] > cdf).sum(axis=2), q.n_actions - 1))
     lse_terms = []
     for actions in action_sets:
         rows = [counterfactual_rows(q, values, actions, i) for i in range(q.n_agents)]
@@ -400,30 +407,14 @@ def evaluate_policy(env, actor, episodes: int, rng: np.random.Generator,
     return EvalResult(mean, std, normalized_score(mean, refs))
 
 
-def _dataset_arrays(dataset: Dataset, env, mode: str):
-    states = [t.state for t in dataset.transitions]
-    next_states = [t.next_state for t in dataset.transitions]
-    if mode == "tabular":
-        inputs = np.asarray(states, dtype=np.int64)
-        next_inputs = np.asarray(next_states, dtype=np.int64)
-        raw = None
-    else:
-        raw = np.asarray(states, dtype=np.float64)
-        inputs = env.per_agent_features(raw)
-        next_inputs = env.per_agent_features(np.asarray(next_states, dtype=np.float64))
-    actions = dataset.actions_array()
-    rewards = np.array([t.reward for t in dataset.transitions])
-    dones = np.array([float(t.done) for t in dataset.transitions])
-    return inputs, actions, rewards, next_inputs, dones, raw
-
-
-def _behavior_probs(dataset: Dataset, env, mode: str, inputs, actions,
+def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
                     config: TrainConfig, rng_stream: RngStream) -> np.ndarray:
+    """(N, n, A) estimated behavior probabilities at every data state."""
     spec = dataset.header.spec
     if mode == "tabular":
         beta = empirical_behavior(dataset, smoothing=config.behavior_smoothing)
-        return beta.probs_batch([t.state for t in dataset.transitions])
-    bc = train_bc(inputs, actions, spec.n_actions, rng_stream.generator(),
+        return np.swapaxes(beta.dense(env.n_states)[:, dataset.states], 0, 1)
+    bc = train_bc(inputs, dataset.actions, spec.n_actions, rng_stream.generator(),
                   hidden=config.hidden, steps=config.bc_steps)
     return bc.probs(inputs)
 
@@ -447,15 +438,19 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     # coincide mathematically (e.g. single-agent) must coincide bit-for-bit
     root = RngStream(config.seed, "offline-train")
 
-    inputs, actions, rewards, next_inputs, dones, _ = _dataset_arrays(dataset, env, mode)
-    if config.bootstrap_timeouts:
-        dones = np.zeros_like(dones)
-    n_transitions = len(actions)
+    if mode == "tabular":
+        inputs, next_inputs = dataset.states, dataset.next_states
+    else:
+        inputs = env.per_agent_features(dataset.states)
+        next_inputs = env.per_agent_features(dataset.next_states)
+    actions, rewards = dataset.actions, dataset.rewards
+    dones = np.zeros(len(dataset)) if config.bootstrap_timeouts else dataset.dones.astype(float)
+    n_transitions = len(dataset)
     needs_beta = method == "cfcql" and (
         config.lambda_mode != "uniform" or config.cf_other_samples > 1
     )
     beta_probs = (
-        _behavior_probs(dataset, env, mode, inputs, actions, config, root.child("bc"))
+        _behavior_probs(dataset, env, mode, inputs, config, root.child("bc"))
         if needs_beta else None
     )
 
@@ -513,14 +508,8 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     actor = make_greedy_actor(q, env, mode)
     policy = None
     if mode == "tabular":
-        ids = np.arange(env.n_states)
-        greedy = q.greedy_actions_np(ids)
-        table = {}
-        for s in range(env.n_states):
-            row = np.zeros((spec.n_agents, spec.n_actions))
-            row[np.arange(spec.n_agents), greedy[s]] = 1.0
-            table[s] = row
-        policy = FactoredPolicy(spec.n_agents, spec.n_actions, table)
+        policy = greedy_policy_from_actions(q.greedy_actions_np(np.arange(env.n_states)),
+                                            spec.n_actions)
     return TrainResult(q=q, actor=actor, metrics=metrics, policy=policy, losses=losses)
 
 

@@ -225,14 +225,10 @@ def train_bc(features: np.ndarray, actions: np.ndarray, n_actions: int,
         logits = net.forward(x)  # (B, n, A)
         lse = ad.logsumexp_t(logits, axis=-1)  # (B, n)
         chosen = ad.gather_last(logits, a[:, :, None])  # (B, n, 1)
-        nll = tmean_all(lse - ad.reshape(chosen, a.shape))
+        nll = ad.tmean(lse - ad.reshape(chosen, a.shape))
         ad.backward(nll)
         opt.step()
     return BcModel(net)
-
-
-def tmean_all(t: Tensor) -> Tensor:
-    return ad.mul(ad.tsum(t), 1.0 / t.data.size)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +255,17 @@ def load_params(path):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode("utf-8"))
         flat = np.frombuffer(fh.read(), dtype=np.float64)
-    if header["kind"] == "grouped":
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unknown checkpoint version {header.get('version')!r} "
+                         f"(expected {CHECKPOINT_VERSION})")
+    if header.get("dtype") != "float64":
+        raise ValueError(f"{path}: parameter dtype {header.get('dtype')!r} is not float64")
+    if header.get("kind") == "grouped":
         model = GroupedMlp(header["n_groups"], header["sizes"])
-    else:
+    elif header.get("kind") == "mlp":
         model = Mlp(header["sizes"])
+    else:
+        raise ValueError(f"{path}: unknown model kind {header.get('kind')!r}")
     offset = 0
     for p in model.parameters():
         size = p.data.size

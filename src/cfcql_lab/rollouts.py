@@ -12,8 +12,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Transition
-
 
 class RandomActor:
     def __init__(self, n_agents: int, n_actions: int):
@@ -22,24 +20,6 @@ class RandomActor:
 
     def act(self, raw_states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return rng.integers(0, self.n_actions, size=(raw_states.shape[0], self.n_agents))
-
-
-class FactoredPolicyActor:
-    """Acts with a tabular FactoredPolicy over encoded states."""
-
-    def __init__(self, policy, encode_batch: Callable[[np.ndarray], np.ndarray],
-                 mode: str = "greedy"):
-        if mode not in ("greedy", "sample"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.policy = policy
-        self.encode_batch = encode_batch
-        self.mode = mode
-
-    def act(self, raw_states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        ids = list(self.encode_batch(raw_states))
-        if self.mode == "greedy":
-            return self.policy.greedy_batch(ids)
-        return self.policy.sample_batch(ids, rng)
 
 
 class QValuesActor:
@@ -95,34 +75,6 @@ def rollout_episodes(env, actor, n_episodes: int, rng: np.random.Generator,
         rewards=np.stack(rewards),
         next_states=np.stack(next_states),
     )
-
-
-def batch_to_transitions(env, batch: RolloutBatch) -> list:
-    """Episode-major Transition list; each episode is one trajectory."""
-    spec = env.spec()
-    discrete = spec.state_kind == "discrete"
-    out = []
-    horizon, m = batch.n_steps, batch.n_episodes
-    if discrete:
-        enc = env.encode_batch(batch.states.reshape(horizon * m, -1)).reshape(horizon, m)
-        enc_next = env.encode_batch(batch.next_states.reshape(horizon * m, -1)).reshape(horizon, m)
-    for e in range(m):
-        for t in range(horizon):
-            if discrete:
-                s, s2 = int(enc[t, e]), int(enc_next[t, e])
-            else:
-                s = tuple(float(x) for x in batch.states[t, e])
-                s2 = tuple(float(x) for x in batch.next_states[t, e])
-            out.append(
-                Transition(
-                    state=s,
-                    joint_action=tuple(int(a) for a in batch.actions[t, e]),
-                    reward=float(batch.rewards[t, e]),
-                    next_state=s2,
-                    done=t == horizon - 1,
-                )
-            )
-    return out
 
 
 def evaluate_actor(env, actor, n_episodes: int, rng: np.random.Generator,

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Dataset, EnvId, EnvSpec, FactoredPolicy
+from .core import Dataset, EnvId, EnvSpec, FactoredPolicy, greedy_policy_from_actions
 from .divergence import LambdaWeights, SupportError
 from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
@@ -167,12 +167,7 @@ def greedy_policy_from_q(model: MMDPModel, q: JointQTable) -> FactoredPolicy:
     """One-hot factored policy from the joint argmax of a JointQTable."""
     best_joint = np.argmax(q.values, axis=1)
     actions = decode_joint(best_joint, model.n_agents, model.n_actions)
-    table = {}
-    for s in range(model.n_states):
-        row = np.zeros((model.n_agents, model.n_actions))
-        row[np.arange(model.n_agents), actions[s]] = 1.0
-        table[s] = row
-    return FactoredPolicy(model.n_agents, model.n_actions, table)
+    return greedy_policy_from_actions(actions, model.n_actions)
 
 
 def empirical_model(dataset: Dataset, spec: EnvSpec,
@@ -193,39 +188,30 @@ def empirical_model(dataset: Dataset, spec: EnvSpec,
     if n_states * n_joint > MAX_TABLE_CELLS:
         raise ValueError(f"table of {n_states} x {n_joint} cells exceeds capacity")
 
-    weights = spec.n_actions ** np.arange(spec.n_agents, dtype=np.int64)
-    next_counts: dict = {}
-    reward_sum = np.zeros((n_states, n_joint))
-    visit = np.zeros((n_states, n_joint), dtype=np.int64)
-    for t in dataset.transitions:
-        a = int(np.asarray(t.joint_action, dtype=np.int64) @ weights)
-        s, s2 = int(t.state), int(t.next_state)
-        visit[s, a] += 1
-        reward_sum[s, a] += t.reward
-        key = (s, a)
-        row = next_counts.setdefault(key, {})
-        row[s2] = row.get(s2, 0) + 1
+    cell = dataset.states * n_joint + encode_joint(dataset.actions, spec.n_actions)
+    visit = np.bincount(cell, minlength=n_states * n_joint)
+    # bincount adds the weights in row order, as a loop over the rows would
+    reward_sum = np.bincount(cell, weights=dataset.rewards, minlength=n_states * n_joint)
 
-    k_max = max((len(r) for r in next_counts.values()), default=1)
-    next_states = np.tile(np.arange(n_states, dtype=np.int64)[:, None, None], (1, n_joint, k_max))
-    next_probs = np.zeros((n_states, n_joint, k_max))
-    next_probs[:, :, 0] = 1.0  # self-loop default
-    for (s, a), row in next_counts.items():
-        items = sorted(row.items())
-        total = sum(c for _, c in items)
-        for k, (s2, c) in enumerate(items):
-            next_states[s, a, k] = s2
-            next_probs[s, a, k] = c / total
-        for k in range(len(items), k_max):
-            next_probs[s, a, k] = 0.0
-            next_states[s, a, k] = items[0][0]
+    # next-state counts per (s, a): distinct (cell, s') pairs in sorted order
+    pairs, pair_counts = np.unique(cell * n_states + dataset.next_states, return_counts=True)
+    pair_cell, pair_next = np.divmod(pairs, n_states)
+    firsts = np.flatnonzero(np.diff(pair_cell, prepend=-1))
+    widths = np.diff(np.append(firsts, len(pairs)))
+    k_max = int(widths.max(initial=1))
+    rank = np.arange(len(pairs)) - np.repeat(firsts, widths)
+    next_states = np.repeat(np.arange(n_states, dtype=np.int64), n_joint)  # self loops
+    next_states = np.repeat(next_states[:, None], k_max, axis=1)
+    next_states[pair_cell[firsts]] = pair_next[firsts, None]  # padding: first successor
+    next_states[pair_cell, rank] = pair_next
+    next_probs = np.zeros((n_states * n_joint, k_max))
+    next_probs[:, 0] = visit == 0
+    next_probs[pair_cell, rank] = pair_counts / visit[pair_cell]
 
     seen = visit > 0
     rewards = np.where(seen, reward_sum / np.maximum(visit, 1), 0.0)
 
-    starts = np.zeros(n_states)
-    for a, _ in dataset.trajectory_slices():
-        starts[int(dataset.transitions[a].state)] += 1.0
+    starts = np.bincount(dataset.states[dataset.starts], minlength=n_states).astype(np.float64)
     if starts.sum() > 0:
         starts /= starts.sum()
     else:
@@ -237,11 +223,11 @@ def empirical_model(dataset: Dataset, spec: EnvSpec,
         n_actions=spec.n_actions,
         gamma=spec.gamma,
         r_max=spec.r_max,
-        next_states=next_states,
-        next_probs=next_probs,
-        rewards=rewards,
+        next_states=next_states.reshape(n_states, n_joint, k_max),
+        next_probs=next_probs.reshape(n_states, n_joint, k_max),
+        rewards=rewards.reshape(n_states, n_joint),
         initial_distribution=starts,
-        unseen_mask=~seen,
+        unseen_mask=~seen.reshape(n_states, n_joint),
     )
 
 
@@ -278,9 +264,8 @@ def learner_fixed_point(dataset: Dataset, alpha: float, tol: float = DEFAULT_TOL
     model = empirical_model(dataset, spec)
     n, n_act = spec.n_agents, spec.n_actions
     width = n * n_act
-    states = np.array([t.state for t in dataset.transitions], dtype=np.int64)
     counts = np.zeros((model.n_states, model.n_joint_actions))
-    np.add.at(counts, (states, encode_joint(dataset.actions_array(), n_act)), 1.0)
+    np.add.at(counts, (dataset.states, encode_joint(dataset.actions, n_act)), 1.0)
     # design[a] picks the per-agent entries that sum to Q_tot(s, a)
     design = np.zeros((model.n_joint_actions, width))
     design[np.arange(model.n_joint_actions)[:, None],

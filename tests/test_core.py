@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from cfcql_lab.core import (
     EnvSpec,
     RngStream,
     Tier,
-    Transition,
     empirical_behavior,
     load_dataset,
     save_dataset,
@@ -41,8 +42,17 @@ def test_rng_stream_determinism():
     assert np.array_equal(child1, child2)
 
 
+COLUMNS = ("states", "actions", "rewards", "next_states", "dones", "starts")
+
+
 def _transition(s, actions, r, s2, done=False):
-    return Transition(s, tuple(actions), r, s2, done)
+    return (s, actions, r, s2, done)
+
+
+def assert_same_columns(a, b):
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def test_validate_dataset_accepts_well_formed(rng):
@@ -60,7 +70,7 @@ def test_validate_dataset_flags_action_out_of_range():
 
 def test_validate_dataset_flags_overlapping_boundaries():
     ts = [_transition(0, (0, 0), 0.5, 1, False) for _ in range(4)]
-    d = make_dataset(ts, TOY_SPEC, boundaries=(0, 2, 2))
+    d = make_dataset(ts, TOY_SPEC, starts=(0, 2, 2))
     report = validate_dataset(d, TOY_SPEC)
     assert any("overlap" in v for v in report.violations)
 
@@ -90,7 +100,7 @@ def test_empirical_behavior_laplace_smoothing():
 
 def test_empirical_behavior_empty_dataset():
     with pytest.raises(ValueError, match="empty dataset"):
-        empirical_behavior(make_dataset([], TOY_SPEC, boundaries=()))
+        empirical_behavior(make_dataset([], TOY_SPEC, starts=()))
 
 
 def test_empirical_behavior_matches_bruteforce_count(rng):
@@ -99,9 +109,9 @@ def test_empirical_behavior_matches_bruteforce_count(rng):
     beta = empirical_behavior(d, smoothing=0.5)
     # independent counting pass
     counts = {}
-    for t in d.transitions:
-        row = counts.setdefault(t.state, np.zeros((spec.n_agents, spec.n_actions)))
-        for i, a in enumerate(t.joint_action):
+    for state, joint_action in zip(d.states.tolist(), d.actions.tolist()):
+        row = counts.setdefault(state, np.zeros((spec.n_agents, spec.n_actions)))
+        for i, a in enumerate(joint_action):
             row[i, a] += 1
     for s, row in counts.items():
         expect = (row + 0.5) / (row.sum(axis=1, keepdims=True) + 0.5 * spec.n_actions)
@@ -128,8 +138,7 @@ def test_dataset_roundtrip_discrete(tmp_path, rng):
     save_dataset(d, path)
     loaded = load_dataset(path)
     assert loaded.header == d.header
-    assert loaded.trajectory_boundaries == d.trajectory_boundaries
-    assert loaded.transitions == d.transitions
+    assert_same_columns(loaded, d)
 
 
 @settings(max_examples=25, deadline=None)
@@ -147,13 +156,60 @@ def test_dataset_roundtrip_discrete(tmp_path, rng):
 )
 def test_dataset_roundtrip_vector_states(tmp_path_factory, rows):
     spec = EnvSpec(EnvId.EQUAL_LINE, 2, 11, 0.99, 2.0, 50, "vector", "positions")
-    ts = [
-        Transition((x, x + 1.0), (a0, a1), r, (x + 0.5, x), False)
-        for (r, x, a0, a1) in rows
-    ]
+    ts = [((x, x + 1.0), (a0, a1), r, (x + 0.5, x), False) for (r, x, a0, a1) in rows]
     d = make_dataset(ts, spec, tier=Tier.RANDOM)
     path = tmp_path_factory.mktemp("ds") / "line.dat"
     save_dataset(d, path)
     loaded = load_dataset(path)
-    assert loaded.transitions == d.transitions
+    assert_same_columns(loaded, d)
     assert loaded.header.spec == spec
+
+
+# -- the file format -------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, state_dtype, state_shape, n", [
+    ("toy_n2.txt", np.int64, (15,), 15),
+    ("line_n2.txt", np.float64, (10, 2), 10),
+])
+def test_golden_file_roundtrips_byte_for_byte(tmp_path, name, state_dtype, state_shape, n):
+    d = load_dataset(DATA / name)
+    expected = {"states": (state_dtype, state_shape), "actions": (np.int64, (n, 2)),
+                "rewards": (np.float64, (n,)), "next_states": (state_dtype, state_shape),
+                "dones": (np.bool_, (n,)), "starts": (np.int64, (d.header.n_trajectories,))}
+    for column, (dtype, shape) in expected.items():
+        array = getattr(d, column)
+        assert (array.dtype, array.shape) == (np.dtype(dtype), shape), column
+        assert not array.flags.writeable, column
+    save_dataset(d, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def _edit_golden(tmp_path, line_no, old, new):
+    lines = (DATA / "toy_n2.txt").read_text().splitlines(keepends=True)
+    assert old in lines[line_no - 1]
+    lines[line_no - 1] = lines[line_no - 1].replace(old, new)
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("line_no, old, new, message", [
+    (1, '"format_version": 1', '"format_version": 2', "line 1: unknown format_version 2"),
+    (3, ",0,0\n", ",0\n", "line 3: expected 6 comma-separated fields, got 5"),
+    (2, ",1 1,", ",1 1 0,", "line 2: joint action '1 1 0' does not have 2"),
+    (4, ",0.5,", ",abc,", "line 4: reward entry 'abc' is not a number"),
+    (5, "5,0 1,", "5.5,0 1,", "line 5: state entry '5.5' is not an integer"),
+    (7, ",1 2,", ",1 x,", "line 7: joint action entry 'x' is not an integer"),
+    (12, ",0,2\n", ",0,0\n", "line 12: trajectory id 0 reappears"),
+    (1, '"n_trajectories": 3', '"n_trajectories": 4', "line 1: n_trajectories 4 != 3"),
+    (6, "8,1 1,", "8,1 5,", "invalid dataset:\ntransition 4: agent 1 action 5 outside"),
+], ids=["format_version", "field_count", "action_count", "non_numeric", "non_integer",
+        "non_integer_action", "trajectory_ids", "n_trajectories", "validation"])
+def test_load_dataset_rejects_bad_file(tmp_path, line_no, old, new, message):
+    path = _edit_golden(tmp_path, line_no, old, new)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}: {message}")

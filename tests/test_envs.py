@@ -13,6 +13,7 @@ from cfcql_lab.envs import (
     encode_joint,
     min_pairwise_distance,
 )
+from cfcql_lab.rollouts import RandomActor, rollout_episodes
 
 
 def test_joint_action_encoding_roundtrip():
@@ -28,9 +29,9 @@ def test_joint_action_encoding_roundtrip():
 
 def test_toy_reset_deterministic():
     env = ToyMMDP(5)
-    a = env.reset(np.random.default_rng(11))
-    b = env.reset(np.random.default_rng(11))
-    assert a == b
+    a = env.reset_batch(np.random.default_rng(11), 4)
+    b = env.reset_batch(np.random.default_rng(11), 4)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_toy_reset_uniform_cells():
@@ -42,8 +43,7 @@ def test_toy_reset_uniform_cells():
 
 def test_toy_reset_single_agent_shape():
     env = ToyMMDP(1)
-    state = env.reset(np.random.default_rng(3))
-    assert len(state.cells) == 1
+    assert env.reset_batch(np.random.default_rng(3), 2).shape == (2, 1)
 
 
 def test_toy_step_rewards():
@@ -70,9 +70,8 @@ def test_toy_step_saturates_at_ends():
 
 def test_toy_episode_limit():
     env = ToyMMDP(2, episode_limit=3)
-    env.reset(np.random.default_rng(0))
-    dones = [env.step((0, 0))[2] for _ in range(3)]
-    assert dones == [False, False, True]
+    batch = rollout_episodes(env, RandomActor(2, 3), 4, np.random.default_rng(0))
+    assert batch.n_steps == 3 and batch.n_episodes == 4
 
 
 def test_toy_exact_model_matches_single_steps():
@@ -122,13 +121,11 @@ def test_line_requires_two_agents():
 
 def test_line_reset_bounds_and_determinism():
     env = EqualLine(4)
-    s1 = env.reset(np.random.default_rng(9))
-    s2 = env.reset(np.random.default_rng(9))
-    assert s1 == s2
-    assert all(0.0 <= p <= 2.0 for p in s1.positions)
-    assert s1.prev_min_dis == pytest.approx(
-        min_pairwise_distance(np.array([s1.positions]))[0]
-    )
+    s1 = env.reset_batch(np.random.default_rng(9), 50)
+    s2 = env.reset_batch(np.random.default_rng(9), 50)
+    np.testing.assert_array_equal(s1, s2)
+    assert s1.shape == (50, 4)
+    assert np.all((0.0 <= s1) & (s1 <= 2.0))
 
 
 def test_line_reset_mean_position():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfcql_lab import autodiff as ad
-from cfcql_lab.core import RngStream, Tier, Transition
+from cfcql_lab.core import RngStream, Tier
 from cfcql_lab.envs import EqualLine, ToyMMDP, all_joint_actions
 from cfcql_lab.learner import (
     Batch,
@@ -45,15 +45,13 @@ def make_batch(ids, actions, rewards, next_ids, dones, beta=None):
 
 def full_batch(d):
     """Every transition of a tabular dataset, timeouts bootstrapped."""
-    return make_batch([t.state for t in d.transitions], d.actions_array(),
-                      [t.reward for t in d.transitions],
-                      [t.next_state for t in d.transitions], np.zeros(len(d)))
+    return make_batch(d.states, d.actions, d.rewards, d.next_states, np.zeros(len(d)))
 
 
 def data_and_greedy_q(table, d):
     """Mean Q_tot of the data's and of the greedy joint actions (additive mixer)."""
-    values = table[[t.state for t in d.transitions]]
-    chosen = np.take_along_axis(values, d.actions_array()[:, :, None], axis=2)[:, :, 0]
+    values = table[d.states]
+    chosen = np.take_along_axis(values, d.actions[:, :, None], axis=2)[:, :, 0]
     return chosen.sum(axis=1).mean(), values.max(axis=2).sum(axis=1).mean()
 
 
@@ -282,6 +280,31 @@ def test_cf_multi_sample_option_runs(rng):
     assert np.isfinite(loss1.data)
 
 
+class _TopOfUnitInterval:
+    """Generator stub whose uniform draws are all the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_cfcql_loss_sampler_clamps_when_beta_sums_below_one(rng):
+    # the last cumulative sum lands below the draw, which would index past A
+    short = np.array([0.3, 0.3, 0.4 - 1e-9])
+    assert np.cumsum(short)[-1] < np.nextafter(1.0, 0.0)
+    q = tabular_q(2, 3, 4, values=rng.normal(size=(4, 6)))
+    batch = make_batch([0, 1, 2], [[0, 1], [2, 0], [1, 1]], [0.1, 0.2, 0.3], [1, 2, 3],
+                       np.zeros(3), beta=np.broadcast_to(short, (3, 2, 3)).copy())
+    loss, _ = cfcql_loss(batch, q, q.copy(), None, 1.0, 0.9,
+                         rng=_TopOfUnitInterval(), cf_other_samples=2)
+    assert np.isfinite(loss.data)
+    # the draw is past every cdf entry but the last, so the clamped action is A - 1
+    last = make_batch([0, 1, 2], [[0, 1], [2, 0], [1, 1]], [0.1, 0.2, 0.3], [1, 2, 3],
+                      np.zeros(3), beta=np.broadcast_to([0.0, 0.0, 1.0], (3, 2, 3)).copy())
+    expected, _ = cfcql_loss(last, q, q.copy(), None, 1.0, 0.9,
+                             rng=_TopOfUnitInterval(), cf_other_samples=2)
+    assert loss.data == expected.data
+
+
 # -- training loop ----------------------------------------------------------------
 
 
@@ -341,23 +364,15 @@ def test_cfcql_loss_gradient_vanishes_at_learner_fixed_point(alpha, rng):
 def test_train_offline_neural_smoke(rng):
     env = EqualLine(2, episode_limit=5)
     spec = env.spec()
-    transitions = []
+    rows = []
     pos = env.reset_batch(rng, 12)
     for t in range(5):
         acts = rng.integers(0, env.n_actions, size=(12, 2))
         nxt, rew = env.step_batch(pos, acts)
-        for e in range(12):
-            transitions.append(Transition(
-                state=tuple(float(x) for x in pos[e]),
-                joint_action=tuple(int(a) for a in acts[e]),
-                reward=float(rew[e]),
-                next_state=tuple(float(x) for x in nxt[e]),
-                done=t == 4,
-            ))
+        rows.extend(zip(pos, acts, rew, nxt, [t == 4] * 12))
         pos = nxt
     order = np.arange(60).reshape(5, 12).T.ravel()
-    transitions = [transitions[k] for k in order]
-    d = make_dataset(transitions, spec, boundaries=tuple(range(0, 60, 5)),
+    d = make_dataset([rows[k] for k in order], spec, starts=tuple(range(0, 60, 5)),
                      tier=Tier.RANDOM)
     cfg = TrainConfig(alpha=1.0, total_steps=60, batch_size=16, target_interval=20,
                       record_interval=30, eval_episodes=2, hidden=(16,), bc_steps=100,

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,3 +292,19 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         loaded = load_params(path)
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("version", 2, "unknown checkpoint version 2"),
+    ("dtype", "float32", "parameter dtype 'float32' is not float64"),
+    ("kind", "conv", "unknown model kind 'conv'"),
+])
+def test_load_params_rejects_bad_header(tmp_path, key, value, message):
+    path = tmp_path / "m.ckpt"
+    save_params(path, GroupedMlp(2, (3, 4, 2), np.random.default_rng(0)))
+    header, _, body = path.read_bytes().partition(b"\n")
+    fields = json.loads(header)
+    fields[key] = value
+    path.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_params(path)

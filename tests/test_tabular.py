@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfcql_lab.core import FactoredPolicy, Transition, empirical_behavior, uniform_policy
+from cfcql_lab.core import FactoredPolicy, empirical_behavior, uniform_policy
 from cfcql_lab.divergence import LambdaWeights, SupportError, lambda_uniform
 from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, encode_joint
 from cfcql_lab.neural import softmax
@@ -204,20 +204,12 @@ def test_empirical_model_recovers_deterministic_model():
     env = ToyMMDP(2, gamma=0.9)
     model = env.exact_model()
     spec = env.spec()
-    transitions = []
+    rows = []
     joint = all_joint_actions(2, 3)
     for s in range(model.n_states):
         for a in range(model.n_joint_actions):
-            transitions.append(
-                Transition(
-                    state=s,
-                    joint_action=tuple(int(x) for x in joint[a]),
-                    reward=float(model.rewards[s, a]),
-                    next_state=int(model.next_states[s, a, 0]),
-                    done=False,
-                )
-            )
-    d = make_dataset(transitions, spec, boundaries=(0,))
+            rows.append((s, joint[a], model.rewards[s, a], model.next_states[s, a, 0], False))
+    d = make_dataset(rows, spec, starts=(0,))
     hat = empirical_model(d, spec)
     assert not hat.unseen_mask.any()
     np.testing.assert_allclose(hat.rewards, model.rewards)
@@ -227,9 +219,7 @@ def test_empirical_model_recovers_deterministic_model():
 def test_empirical_model_flags_unseen_as_self_loop():
     env = ToyMMDP(2, gamma=0.9)
     spec = env.spec()
-    d = make_dataset(
-        [Transition(0, (1, 1), 1.0, 4, True)], spec, boundaries=(0,)
-    )
+    d = make_dataset([(0, (1, 1), 1.0, 4, True)], spec, starts=(0,))
     hat = empirical_model(d, spec)
     joint_idx = int(encode_joint(np.array([1, 1]), 3))
     assert not hat.unseen_mask[0, joint_idx]
@@ -259,16 +249,13 @@ def test_empirical_model_concentrates_on_truth(rng):
         initial_distribution=np.full(n_states, 0.25),
     )
     spec = ToyMMDP(1).spec()  # discrete single-agent spec shell
-    transitions = []
+    rows = []
     for _ in range(40_000):
         s = int(rng.integers(0, n_states))
         a = int(rng.integers(0, n_joint))
         k = int(rng.random() > model.next_probs[s, a, 0])
-        transitions.append(
-            Transition(s, (a,), float(model.rewards[s, a]),
-                       int(model.next_states[s, a, k]), False)
-        )
-    d = make_dataset(transitions, spec, boundaries=(0,))
+        rows.append((s, (a,), model.rewards[s, a], model.next_states[s, a, k], False))
+    d = make_dataset(rows, spec, starts=(0,))
     hat = empirical_model(d, spec, n_states=n_states)
     for s in range(n_states):
         for a in range(n_joint):
@@ -312,7 +299,7 @@ def test_learner_fixed_point_support_error_names_state_agent_action():
     spec = ToyMMDP(2).spec()
     # agent 0 never takes action 2 in state 4; agent 1 takes every action
     actions = [(0, 0), (1, 1), (0, 2), (1, 0)]
-    d = make_dataset([Transition(4, a, 0.5, 4, False) for a in actions], spec)
+    d = make_dataset([(4, a, 0.5, 4, False) for a in actions], spec)
     with pytest.raises(SupportError) as err:
         learner_fixed_point(d, 1.0)
     assert (err.value.state, err.value.agent, err.value.action) == (4, 0, 2)
@@ -323,7 +310,7 @@ def test_learner_fixed_point_support_error_names_state_agent_action():
 
 def test_learner_fixed_point_rejects_continuous_states():
     spec = EqualLine(2).spec()
-    d = make_dataset([Transition((0.0, 1.0), (0, 1), 0.0, (0.0, 1.0), False)], spec)
+    d = make_dataset([((0.0, 1.0), (0, 1), 0.0, (0.0, 1.0), False)], spec)
     with pytest.raises(ValueError, match="discrete"):
         learner_fixed_point(d, 1.0)
 
