@@ -3,13 +3,33 @@
 Only the handful of operations needed by the learner's loss graphs are
 implemented. Everything is float64; tapes are built eagerly and freed after
 ``backward``.
+
+Inside ``no_grad()`` (a context manager that also works as a decorator) every
+op result is a plain value: its ``parents`` is empty, its ``bwd`` is None and
+its ``requires_grad`` is False, so nothing it was computed from is kept alive.
+Leaves made with ``requires_grad=True`` stay trainable. The mode is one flag
+for the whole process, restored on exit from the block even when it raises.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import contextlib
+from typing import Optional, Sequence
 
 import numpy as np
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: forward values only."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -27,6 +47,8 @@ class Tensor:
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        if not _grad_enabled:
+            parents, bwd = (), None
         self.parents: tuple = tuple(parents)
         self.bwd = bwd
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
@@ -108,12 +130,11 @@ def matmul(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (x.data > 0),)
 
-    return Tensor(np.where(mask, x.data, 0.0), (x,), bwd)
+    return Tensor(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 def elu(x) -> Tensor:
@@ -237,15 +258,6 @@ def stack(tensors: Sequence, axis: int = 0) -> Tensor:
         return tuple(np.take(g, j, axis=axis) for j in range(len(tensors)))
 
     return Tensor(out_data, tuple(tensors), bwd)
-
-
-def broadcast_to(x, shape: tuple) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        return (_unbroadcast(g, x.data.shape),)
-
-    return Tensor(np.broadcast_to(x.data, shape).copy(), (x,), bwd)
 
 
 def reshape(x, shape: tuple) -> Tensor:

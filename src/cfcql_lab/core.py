@@ -354,21 +354,40 @@ def _parse_rows(column, sep: str, width: int, dtype, path, what: str) -> np.ndar
 def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed or invalid file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
+        first = fh.readline()
         lines = fh.read().splitlines()
+    try:
+        meta = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line 1: header is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: line 1: header is not a JSON object")
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: line 1: unknown format_version "
                          f"{meta.get('format_version')!r} (expected {FORMAT_VERSION})")
-    spec = EnvSpec(
-        env_id=EnvId(meta["env_id"]),
-        n_agents=meta["n_agents"],
-        n_actions=meta["n_actions"],
-        gamma=meta["gamma"],
-        r_max=meta["r_max"],
-        episode_limit=meta["episode_limit"],
-        state_kind=meta["state_kind"],
-        state_codec=meta["state_codec"],
-    )
+    try:
+        spec = EnvSpec(
+            env_id=EnvId(meta["env_id"]),
+            n_agents=meta["n_agents"],
+            n_actions=meta["n_actions"],
+            gamma=meta["gamma"],
+            r_max=meta["r_max"],
+            episode_limit=meta["episode_limit"],
+            state_kind=meta["state_kind"],
+            state_codec=meta["state_codec"],
+        )
+        header = DatasetHeader(
+            spec=spec,
+            tier=Tier(meta["tier"]),
+            seed=meta["seed"],
+            n_trajectories=meta["n_trajectories"],
+            generator_version=meta["generator_version"],
+            format_version=meta["format_version"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: line 1: header has no {exc.args[0]!r} key") from None
+    except ValueError as exc:  # unknown env id or tier, or a spec field out of range
+        raise ValueError(f"{path}: line 1: {exc}") from None
     records = [line.split(",") for line in lines]
     for k, fields in enumerate(records):
         if len(fields) != _N_FIELDS:
@@ -394,17 +413,9 @@ def load_dataset(path) -> Dataset:
         k = int(starts[np.setdiff1d(np.arange(len(starts)), first_runs)[0]])
         raise ValueError(f"{path}: line {k + 2}: trajectory id {traj[k]} reappears "
                          "after its run ended")
-    if meta["n_trajectories"] != len(starts):
-        raise ValueError(f"{path}: line 1: n_trajectories {meta['n_trajectories']} != "
+    if header.n_trajectories != len(starts):
+        raise ValueError(f"{path}: line 1: n_trajectories {header.n_trajectories} != "
                          f"{len(starts)} trajectories in the records")
-    header = DatasetHeader(
-        spec=spec,
-        tier=Tier(meta["tier"]),
-        seed=meta["seed"],
-        n_trajectories=meta["n_trajectories"],
-        generator_version=meta["generator_version"],
-        format_version=meta["format_version"],
-    )
     dataset = Dataset(
         header,
         states=states_of(state_col, "state"),

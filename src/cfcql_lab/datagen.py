@@ -12,7 +12,7 @@ whole trajectories in deterministic worker order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -34,20 +34,25 @@ def kl_categorical(p, q) -> float:
     """KL(p || q) for categorical distributions, with 0 * log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    _check_support(p[None], q[None])
     support = p > 0
-    if np.any(q[support] <= 0):
-        action = int(np.flatnonzero(support & (q <= 0))[0])
-        raise SupportError(agent=0, action=action)
     out = np.zeros_like(p)
     out[support] = p[support] * (np.log(p[support]) - np.log(q[support]))
     return float(out.sum())
 
 
 def _check_support(pi: np.ndarray, beta: np.ndarray, state=None) -> None:
+    """Raise SupportError at the first entry with pi > 0 and beta <= 0.
+
+    Takes (n, A) arrays, reporting ``state``, or (n, S, A) arrays, reporting
+    the offending state index.
+    """
     bad = (pi > 0) & (beta <= 0)
     if np.any(bad):
-        agent, action = np.argwhere(bad)[0]
-        raise SupportError(agent=int(agent), action=int(action), state=state)
+        where = np.argwhere(bad)[0]
+        if len(where) == 3:
+            state = int(where[1])
+        raise SupportError(agent=int(where[0]), action=int(where[-1]), state=state)
 
 
 def log_ratio_factors(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarray:

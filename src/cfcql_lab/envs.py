@@ -268,9 +268,6 @@ class EqualLine:
 
     # -- state codec -----------------------------------------------------------
 
-    def encode_state(self, positions) -> tuple:
-        return tuple(float(p) for p in positions)
-
     def discretize(self, positions, bins: int = 20) -> tuple:
         """Uniform-bin index per position on [0, L]; L lands in the last bin."""
         if bins < 2:

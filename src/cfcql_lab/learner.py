@@ -11,7 +11,7 @@ so the joint greedy action is the tuple of per-agent argmaxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -82,8 +82,6 @@ class MonotonicMixer:
     """
 
     def __init__(self, n_agents: int, hidden: int = 16, rng: Optional[np.random.Generator] = None):
-        self.n_agents = n_agents
-        self.hidden = hidden
         scale = 1.0 / np.sqrt(n_agents)
         if rng is None:
             w1 = np.full((n_agents, hidden), scale)
@@ -103,17 +101,6 @@ class MonotonicMixer:
         h = ad.elu(ad.matmul(chosen, ad.absolute(self.w1)) + self.b1)
         out = ad.matmul(h, ad.absolute(self.w2)) + self.b2
         return ad.reshape(out, out.shape[:-1])
-
-    def mix_np(self, chosen: np.ndarray) -> np.ndarray:
-        h = chosen @ np.abs(self.w1.data) + self.b1.data
-        h = np.where(h > 0, h, np.exp(np.minimum(h, 0.0)) - 1.0)
-        return (h @ np.abs(self.w2.data) + self.b2.data)[..., 0]
-
-    def copy(self) -> "MonotonicMixer":
-        clone = MonotonicMixer(self.n_agents, self.hidden)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst.data = src.data.copy()
-        return clone
 
 
 class FactoredQ:
@@ -160,29 +147,14 @@ class FactoredQ:
             return ad.reshape(rows, (len(inputs), self.n_agents, self.n_actions))
         return self.net.forward(inputs)
 
-    def values_np(self, inputs) -> np.ndarray:
-        if self.mode == "tabular":
-            return self.table.data[np.asarray(inputs, dtype=np.int64)].reshape(
-                len(inputs), self.n_agents, self.n_actions
-            )
-        return self.net.forward_np(inputs)
-
     def mix(self, chosen: Tensor) -> Tensor:
         if self.mixer is None:
             return ad.tsum(chosen, axis=-1)
         return self.mixer.mix(chosen)
 
-    def mix_np(self, chosen: np.ndarray) -> np.ndarray:
-        if self.mixer is None:
-            return chosen.sum(axis=-1)
-        return self.mixer.mix_np(chosen)
-
     def q_tot_data(self, values: Tensor, actions: np.ndarray) -> Tensor:
         chosen = ad.gather_last(values, actions[:, :, None])
         return self.mix(ad.reshape(chosen, actions.shape))
-
-    def greedy_actions_np(self, inputs) -> np.ndarray:
-        return np.argmax(self.values_np(inputs), axis=2)
 
     def copy(self) -> "FactoredQ":
         clone = FactoredQ(
@@ -190,13 +162,8 @@ class FactoredQ:
             n_states=self.n_states, feature_dim=self.feature_dim,
             hidden=self.hidden, mixer=self.mixer_kind,
         )
-        if self.mode == "tabular":
-            clone.table.data = self.table.data.copy()
-        else:
-            for dst, src in zip(clone.net.parameters(), self.net.parameters()):
-                dst.data = src.data.copy()
-        if self.mixer is not None:
-            clone.mixer = self.mixer.copy()
+        for dst, src in zip(clone.parameters(), self.parameters()):
+            dst.data = src.data.copy()
         return clone
 
 
@@ -218,47 +185,27 @@ class Batch:
         return len(self.actions)
 
 
+@ad.no_grad()
 def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
     """Optimality backup through the target network (no gradient)."""
-    next_values = q_target.values_np(batch.next_inputs)
-    next_tot = q_target.mix_np(next_values.max(axis=2))
+    next_values = q_target.values(batch.next_inputs).data
+    next_tot = q_target.mix(next_values.max(axis=2)).data
     return batch.rewards + gamma * (1.0 - batch.dones) * next_tot
 
 
-def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray,
-                        agent: int) -> Tensor:
-    """(B, A) Q_tot rows varying one agent's action, the others at the data's."""
+def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Tensor:
+    """(B, n, A) Q_tot rows: row (b, i) varies agent i's action, the others
+    held at ``actions``."""
     b, n = actions.shape
-    own = ad.select(values, agent, axis=1)  # (B, A)
     chosen = ad.reshape(ad.gather_last(values, actions[:, :, None]), actions.shape)
     if q.mixer is None:
-        total = ad.tsum(chosen, axis=1, keepdims=True)  # (B, 1)
-        others = total - ad.reshape(ad.select(chosen, agent, axis=1), (b, 1))
-        return own + others
-    columns = []
-    for j in range(n):
-        if j == agent:
-            columns.append(own)
-        else:
-            col = ad.reshape(ad.select(chosen, j, axis=1), (b, 1))
-            columns.append(ad.broadcast_to(col, (b, q.n_actions)))
-    return q.mixer.mix(ad.stack(columns, axis=2))
-
-
-def counterfactual_rows_np(q: FactoredQ, values: np.ndarray,
-                           actions: np.ndarray) -> np.ndarray:
-    """(B, n, A) counterfactual Q_tot rows for every agent, no gradient."""
-    b, n = actions.shape
-    chosen = np.take_along_axis(values, actions[:, :, None], axis=2)[:, :, 0]
-    if q.mixer is None:
-        others = chosen.sum(axis=1, keepdims=True) - chosen  # (B, n)
-        return values + others[:, :, None]
-    out = np.empty((b, n, q.n_actions))
-    for i in range(n):
-        stacked = np.tile(chosen[:, None, :], (1, q.n_actions, 1))
-        stacked[:, :, i] = values[:, i, :]
-        out[:, i, :] = q.mixer.mix_np(stacked)
-    return out
+        others = ad.tsum(chosen, axis=1, keepdims=True) - chosen  # (B, n)
+        return values + ad.reshape(others, (b, n, 1))
+    # input[b, i, a, j] = values[b, i, a] if j == i else chosen[b, j]
+    own = np.eye(n)[None, :, None, :]
+    joint = (ad.reshape(values, (b, n, q.n_actions, 1)) * own
+             + ad.reshape(chosen, (b, 1, 1, n)) * (1.0 - own))
+    return q.mixer.mix(joint)
 
 
 def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np.ndarray],
@@ -289,10 +236,8 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np
         cdf = np.cumsum(batch.beta_probs, axis=2)
         # rounding can leave cdf[-1] just below 1 and u above it
         action_sets.append(np.minimum((u[:, :, None] > cdf).sum(axis=2), q.n_actions - 1))
-    lse_terms = []
-    for actions in action_sets:
-        rows = [counterfactual_rows(q, values, actions, i) for i in range(q.n_agents)]
-        lse_terms.append(ad.stack([ad.logsumexp_t(r, axis=-1) for r in rows], axis=1))
+    lse_terms = [ad.logsumexp_t(counterfactual_rows(q, values, actions), axis=-1)
+                 for actions in action_sets]  # each (B, n)
     lse = lse_terms[0]
     for extra in lse_terms[1:]:
         lse = lse + extra
@@ -352,11 +297,12 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
 # ---------------------------------------------------------------------------
 
 
+@ad.no_grad()
 def batch_lambda(q: FactoredQ, batch: Batch, mode: str, tau: float,
                  form: str = "kl") -> np.ndarray:
     if mode == "uniform" or q.n_agents == 1:
         return np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
-    rows = counterfactual_rows_np(q, q.values_np(batch.inputs), batch.actions)
+    rows = counterfactual_rows(q, q.values(batch.inputs), batch.actions).data
     pi = softmax(rows, axis=-1)  # Boltzmann policy per agent, temperature 1
     beta = np.clip(batch.beta_probs, 1e-12, None)
     if mode == "onehot" or form == "ratio":
@@ -420,9 +366,12 @@ def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
 
 
 def make_greedy_actor(q: FactoredQ, env, mode: str) -> QValuesActor:
-    if mode == "tabular":
-        return QValuesActor(lambda raw: q.values_np(env.encode_batch(raw)))
-    return QValuesActor(lambda raw: q.values_np(env.per_agent_features(raw)))
+    @ad.no_grad()
+    def values(raw):
+        inputs = env.encode_batch(raw) if mode == "tabular" else env.per_agent_features(raw)
+        return q.values(inputs).data
+
+    return QValuesActor(values)
 
 
 def train_offline(config: TrainConfig, dataset: Dataset, method: str,
@@ -508,17 +457,19 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     actor = make_greedy_actor(q, env, mode)
     policy = None
     if mode == "tabular":
-        policy = greedy_policy_from_actions(q.greedy_actions_np(np.arange(env.n_states)),
-                                            spec.n_actions)
+        with ad.no_grad():
+            greedy = q.values(np.arange(env.n_states)).data.argmax(axis=2)
+        policy = greedy_policy_from_actions(greedy, spec.n_actions)
     return TrainResult(q=q, actor=actor, metrics=metrics, policy=policy, losses=losses)
 
 
+@ad.no_grad()
 def _record_metrics(q, env, mode, inputs, actions, probe, step, loss_value,
                     config, root, refs):
-    values = q.values_np(inputs[probe])
+    values = q.values(inputs[probe]).data
     chosen = np.take_along_axis(values, actions[probe][:, :, None], axis=2)[:, :, 0]
-    mean_data_q = float(q.mix_np(chosen).mean())
-    mean_policy_q = float(q.mix_np(values.max(axis=2)).mean())
+    mean_data_q = float(q.mix(chosen).data.mean())
+    mean_policy_q = float(q.mix(values.max(axis=2)).data.mean())
     actor = make_greedy_actor(q, env, mode)
     eval_rng = root.child(f"eval/{step}").generator()
     result = evaluate_policy(env, actor, config.eval_episodes, eval_rng, refs)

@@ -1,15 +1,16 @@
-"""Multilayer perceptrons, a first-order optimizer, stable logsumexp, and
+"""Grouped multilayer perceptrons, a first-order optimizer, softmax, and
 behavior cloning — the differentiable kit behind the practical learner.
 
 All parameters are float64. ``GroupedMlp`` stacks one independent network per
-agent so a whole team evaluates in a single batched matmul.
+agent so a whole team evaluates in a single batched matmul; one group is a
+plain network.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -17,18 +18,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 CHECKPOINT_VERSION = 1
-
-
-def logsumexp(v, axis: Optional[int] = None) -> float:
-    """Numerically stable log(sum(exp(v))); exact for constant vectors."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("logsumexp of an empty vector")
-    if axis is None:
-        m = arr.max()
-        return float(m + np.log(np.exp(arr - m).sum()))
-    m = arr.max(axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.exp(arr - m).sum(axis=axis))
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:
@@ -41,55 +30,16 @@ def _he_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
 
-class Mlp:
-    """Fully connected net: rectified-linear hidden layers, identity output."""
-
-    def __init__(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None):
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        self.sizes = tuple(int(s) for s in sizes)
-        self.weights: List[Tensor] = []
-        self.biases: List[Tensor] = []
-        for d_in, d_out in zip(self.sizes[:-1], self.sizes[1:]):
-            w = np.zeros((d_in, d_out)) if rng is None else _he_init(rng, d_in, (d_in, d_out))
-            self.weights.append(ad.parameter(w))
-            self.biases.append(ad.parameter(np.zeros(d_out)))
-
-    def parameters(self) -> List[Tensor]:
-        return self.weights + self.biases
-
-    def forward(self, x) -> Tensor:
-        h = ad.as_tensor(x)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w) + b
-            if k != last:
-                h = ad.relu(h)
-        return h
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if k != last:
-                h = np.maximum(h, 0.0)
-        return h
-
-    def copy(self) -> "Mlp":
-        clone = Mlp(self.sizes)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst.data = src.data.copy()
-        return clone
-
-
 class GroupedMlp:
     """n_groups independent MLPs with identical architecture, evaluated jointly.
 
-    forward maps (batch, n_groups, d_in) -> (batch, n_groups, d_out).
+    Rectified-linear hidden layers, identity output; forward maps
+    (batch, n_groups, d_in) -> (batch, n_groups, d_out).
     """
 
     def __init__(self, n_groups: int, sizes: Sequence[int], rng: Optional[np.random.Generator] = None):
+        if len(sizes) < 2:
+            raise ValueError("need at least input and output sizes")
         self.n_groups = int(n_groups)
         self.sizes = tuple(int(s) for s in sizes)
         self.weights: List[Tensor] = []
@@ -111,21 +61,6 @@ class GroupedMlp:
             if k != last:
                 h = ad.relu(h)
         return _swap_bg(h)
-
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        h = np.swapaxes(np.asarray(x, dtype=np.float64), 0, 1)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = np.matmul(h, w.data) + b.data
-            if k != last:
-                h = np.maximum(h, 0.0)
-        return np.swapaxes(h, 0, 1)
-
-    def copy(self) -> "GroupedMlp":
-        clone = GroupedMlp(self.n_groups, self.sizes)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst.data = src.data.copy()
-        return clone
 
 
 def _swap_bg(t: Tensor) -> Tensor:
@@ -175,13 +110,13 @@ class Adam:
             v=[np.zeros_like(p.data) for p in self.params],
         )
 
-    def step(self, grads: Optional[Sequence[np.ndarray]] = None) -> None:
+    def step(self) -> None:
         st = self.state
         st.step_count += 1
         b1c = 1.0 - st.beta1**st.step_count
         b2c = 1.0 - st.beta2**st.step_count
         for k, p in enumerate(self.params):
-            g = p.grad if grads is None else grads[k]
+            g = p.grad
             if g is None:
                 continue
             st.m[k] = st.beta1 * st.m[k] + (1.0 - st.beta1) * g
@@ -202,8 +137,9 @@ class BcModel:
     def __init__(self, net: GroupedMlp):
         self.net = net
 
+    @ad.no_grad()
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return self.net.forward_np(features)
+        return self.net.forward(features).data
 
     def probs(self, features: np.ndarray) -> np.ndarray:
         return softmax(self.logits(features), axis=-1)
@@ -236,41 +172,48 @@ def train_bc(features: np.ndarray, actions: np.ndarray, n_actions: int,
 # ---------------------------------------------------------------------------
 
 
-def save_params(path, model) -> None:
+def save_params(path, model: GroupedMlp) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
-        "kind": "grouped" if isinstance(model, GroupedMlp) else "mlp",
+        "kind": "grouped",
+        "n_groups": model.n_groups,
         "sizes": list(model.sizes),
         "dtype": "float64",
     }
-    if isinstance(model, GroupedMlp):
-        header["n_groups"] = model.n_groups
     flat = np.concatenate([p.data.ravel() for p in model.parameters()])
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         fh.write(flat.tobytes())
 
 
-def load_params(path):
+def load_params(path) -> GroupedMlp:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype=np.float64)
+        first = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(first.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unknown checkpoint version {header.get('version')!r} "
                          f"(expected {CHECKPOINT_VERSION})")
     if header.get("dtype") != "float64":
         raise ValueError(f"{path}: parameter dtype {header.get('dtype')!r} is not float64")
-    if header.get("kind") == "grouped":
-        model = GroupedMlp(header["n_groups"], header["sizes"])
-    elif header.get("kind") == "mlp":
-        model = Mlp(header["sizes"])
-    else:
+    if header.get("kind") != "grouped":
         raise ValueError(f"{path}: unknown model kind {header.get('kind')!r}")
+    model = GroupedMlp(header["n_groups"], header["sizes"])
+    params = model.parameters()
+    expected = 8 * sum(p.data.size for p in params)
+    if len(body) != expected:
+        raise ValueError(f"{path}: checkpoint has {len(body)} parameter bytes, expected "
+                         f"{expected} for {header['n_groups']} groups of sizes "
+                         f"{header['sizes']}")
+    flat = np.frombuffer(body, dtype=np.float64)
     offset = 0
-    for p in model.parameters():
+    for p in params:
         size = p.data.size
         p.data = flat[offset:offset + size].reshape(p.data.shape).copy()
         offset += size
-    if offset != flat.size:
-        raise ValueError("checkpoint parameter count mismatch")
     return model

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import Dataset, EnvId, EnvSpec, FactoredPolicy, greedy_policy_from_actions
-from .divergence import LambdaWeights, SupportError
+from .divergence import LambdaWeights, SupportError, _check_support
 from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
 
@@ -69,10 +69,7 @@ def joint_policy_matrix(per_agent: np.ndarray) -> np.ndarray:
 
 def _support_checked_ratios(pi_d: np.ndarray, beta_d: np.ndarray) -> np.ndarray:
     """Per-agent pi/beta tables with the 0/0 := 0 convention, (n, S, A)."""
-    bad = (pi_d > 0) & (beta_d <= 0)
-    if np.any(bad):
-        agent, state, action = np.argwhere(bad)[0]
-        raise SupportError(agent=int(agent), action=int(action), state=int(state))
+    _check_support(pi_d, beta_d)
     safe_beta = np.where(beta_d > 0, beta_d, 1.0)
     return np.where(pi_d > 0, pi_d / safe_beta, 0.0)
 

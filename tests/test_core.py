@@ -206,8 +206,12 @@ def _edit_golden(tmp_path, line_no, old, new):
     (12, ",0,2\n", ",0,0\n", "line 12: trajectory id 0 reappears"),
     (1, '"n_trajectories": 3', '"n_trajectories": 4', "line 1: n_trajectories 4 != 3"),
     (6, "8,1 1,", "8,1 5,", "invalid dataset:\ntransition 4: agent 1 action 5 outside"),
+    (1, '{"env_id"', '{env_id', "line 1: header is not JSON: Expecting property name"),
+    (1, '"gamma": 0.9, ', "", "line 1: header has no 'gamma' key"),
+    (1, '"toy_mmdp"', '"chess"', "line 1: 'chess' is not a valid EnvId"),
 ], ids=["format_version", "field_count", "action_count", "non_numeric", "non_integer",
-        "non_integer_action", "trajectory_ids", "n_trajectories", "validation"])
+        "non_integer_action", "trajectory_ids", "n_trajectories", "validation",
+        "header_not_json", "header_key_missing", "unknown_env_id"])
 def test_load_dataset_rejects_bad_file(tmp_path, line_no, old, new, message):
     path = _edit_golden(tmp_path, line_no, old, new)
     with pytest.raises(ValueError) as err:

@@ -11,6 +11,7 @@ from cfcql_lab.learner import (
     TrainConfig,
     batch_lambda,
     cfcql_loss,
+    counterfactual_rows,
     evaluate_policy,
     macql_loss,
     normalized_score,
@@ -84,7 +85,7 @@ def test_alpha_zero_is_pure_td(rng):
                        rng.integers(0, 9, size=16), np.zeros(16))
     loss, _ = cfcql_loss(batch, q, target, None, 0.0, 0.95)
     y = td_targets(target, batch, 0.95)
-    vals = q.values_np(batch.inputs)
+    vals = q.values(batch.inputs).data
     q_data = np.take_along_axis(vals, batch.actions[:, :, None], 2)[:, :, 0].sum(1)
     assert loss.data == pytest.approx(0.5 * ((q_data - y) ** 2).mean(), abs=1e-12)
 
@@ -98,7 +99,7 @@ def test_macql_exhaustive_matches_joint_enumeration(rng):
                        rng.integers(0, 5, size=8), np.zeros(8))
     loss, _ = macql_loss(batch, q, target, 1.3, 9, None, 0.9)
 
-    vals = q.values_np(batch.inputs)
+    vals = q.values(batch.inputs).data
     joints = all_joint_actions(n_agents, n_actions)
     q_rows = np.stack(
         [vals[:, 0, joints[:, 0]][k] + vals[:, 1, joints[:, 1]][k] for k in range(8)]
@@ -226,13 +227,55 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
 @pytest.mark.parametrize("mixer", ["additive", "monotonic"])
 def test_igm_greedy_matches_joint_argmax(mixer, rng):
     q = tabular_q(3, 3, 2, values=rng.normal(size=(2, 9)), mixer=mixer, rng=rng)
-    vals = q.values_np(np.array([0, 1]))
+    vals = q.values(np.array([0, 1])).data
     joints = all_joint_actions(3, 3)
     per_state_best = []
     for s in range(2):
-        q_tot = q.mix_np(np.stack([vals[s, i, joints[:, i]] for i in range(3)], axis=1))
+        q_tot = q.mix(np.stack([vals[s, i, joints[:, i]] for i in range(3)], axis=1)).data
         per_state_best.append(joints[np.argmax(q_tot)])
-    np.testing.assert_array_equal(q.greedy_actions_np(np.array([0, 1])), per_state_best)
+    np.testing.assert_array_equal(vals.argmax(axis=2), per_state_best)
+
+
+def neural_q(mixer, rng):
+    return FactoredQ(3, 4, "neural", feature_dim=5, hidden=(6,), mixer=mixer, rng=rng)
+
+
+@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+def test_values_and_mix_are_the_same_bytes_under_no_grad(mixer, rng):
+    for q, inputs in ((tabular_q(3, 4, 7, values=rng.normal(size=(7, 12)), mixer=mixer,
+                                 rng=rng), rng.integers(0, 7, size=9)),
+                      (neural_q(mixer, rng), rng.normal(size=(9, 3, 5)))):
+        values = q.values(inputs)
+        mixed = q.mix(values.data.max(axis=2))
+        with ad.no_grad():
+            values_ng = q.values(inputs)
+            mixed_ng = q.mix(values_ng.data.max(axis=2))
+        assert values.requires_grad and not values_ng.requires_grad
+        assert values.data.tobytes() == values_ng.data.tobytes()
+        assert mixed.data.tobytes() == mixed_ng.data.tobytes()
+
+
+@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+def test_counterfactual_rows_match_bruteforce(mixer, rng):
+    b, n, n_actions, n_states = 6, 3, 4, 5
+    # quarter-integer values: the additive sums are exact in any order
+    q = tabular_q(n, n_actions, n_states, mixer=mixer, rng=rng,
+                  values=rng.integers(-40, 40, size=(n_states, n * n_actions)) / 4.0)
+    values = q.values(rng.integers(0, n_states, size=b))
+    actions = rng.integers(0, n_actions, size=(b, n))
+    expected = np.empty((b, n, n_actions))
+    for i in range(n):
+        for a in range(n_actions):
+            joint = actions.copy()
+            joint[:, i] = a
+            chosen = np.take_along_axis(values.data, joint[:, :, None], axis=2)[:, :, 0]
+            expected[:, i, a] = q.mix(chosen).data
+    rows = counterfactual_rows(q, values, actions)
+    assert rows.requires_grad
+    if mixer == "additive":
+        np.testing.assert_array_equal(rows.data, expected)
+    else:
+        np.testing.assert_allclose(rows.data, expected, rtol=0, atol=1e-12)
 
 
 def test_lambda_mode_changes_penalty_not_td(rng):

@@ -10,10 +10,8 @@ from cfcql_lab import autodiff as ad
 from cfcql_lab.neural import (
     Adam,
     GroupedMlp,
-    Mlp,
     grad,
     load_params,
-    logsumexp,
     save_params,
     softmax,
     train_bc,
@@ -45,48 +43,110 @@ def assert_grads_close(analytic, numeric, rel=1e-4):
         assert np.max(np.abs(a - n) / denom) < rel
 
 
-# -- forward -----------------------------------------------------------------
+# -- no-grad mode --------------------------------------------------------------
+
+
+def test_no_grad_records_no_graph():
+    w = ad.parameter(np.ones((3, 2)))
+    with ad.no_grad():
+        h = ad.relu(ad.matmul(np.ones((4, 3)), w) + 1.0)
+        out = ad.logsumexp_t(h, axis=-1)
+        fresh = ad.parameter(np.zeros(2))
+    for t in (h, out):
+        assert t.parents == () and t.bwd is None and not t.requires_grad
+    assert fresh.requires_grad  # leaves made inside stay trainable
+    traced = ad.tsum(ad.matmul(np.ones((4, 3)), w))
+    assert traced.parents and traced.requires_grad
+
+
+def test_no_grad_restores_mode_after_exception():
+    w = ad.parameter(np.arange(3.0))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    loss = ad.tsum(ad.square(w))
+    ad.backward(loss)
+    np.testing.assert_array_equal(w.grad, 2.0 * np.arange(3.0))
+
+    @ad.no_grad()
+    def untraced(x):
+        return ad.tsum(x * 2.0)
+
+    assert untraced(w).parents == ()
+    assert ad.tsum(w).parents == (w,)
+
+
+# -- forward -------------------------------------------------------------------
+
+GROUPS = (1, 3)
+
+
+def reference_forward(net, x):
+    """Loop over groups and layers, numpy only: rectifier hidden, identity out."""
+    out = []
+    for g in range(net.n_groups):
+        h = x[:, g, :]
+        for k in range(len(net.weights)):
+            h = h @ net.weights[k].data[g] + net.biases[k].data[g, 0]
+            if k < len(net.weights) - 1:
+                h = np.maximum(h, 0.0)
+        out.append(h)
+    return np.stack(out, axis=1)
 
 
 def test_forward_zero_net_is_zero():
-    net = Mlp((4, 8, 2))
-    out = net.forward_np(np.ones((3, 4)))
-    np.testing.assert_array_equal(out, 0.0)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (4, 8, 2))
+        out = net.forward(np.ones((3, groups, 4))).data
+        assert out.shape == (3, groups, 2)
+        np.testing.assert_array_equal(out, 0.0)
 
 
 def test_forward_identity_linear_layer():
-    net = Mlp((3, 3))
-    net.weights[0].data = np.eye(3)
-    x = np.random.default_rng(0).normal(size=(5, 3))
-    np.testing.assert_allclose(net.forward_np(x), x)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (3, 3))
+        net.weights[0].data = np.tile(np.eye(3), (groups, 1, 1))
+        x = np.random.default_rng(0).normal(size=(5, groups, 3))
+        np.testing.assert_allclose(net.forward(x).data, x)
 
 
 def test_forward_matches_independent_reimplementation():
     rng = np.random.default_rng(42)
-    net = Mlp((5, 7, 6, 2), rng)
-    x = rng.normal(size=(4, 5))
-    # straightforward loop-based forward pass
-    h = x.copy()
-    for k in range(3):
-        h = h @ net.weights[k].data + net.biases[k].data
-        if k < 2:
-            h = np.maximum(h, 0.0)
-    np.testing.assert_allclose(net.forward_np(x), h, atol=1e-12)
-    np.testing.assert_allclose(net.forward(x).data, h, atol=1e-12)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (5, 7, 6, 2), rng)
+        x = rng.normal(size=(4, groups, 5))
+        np.testing.assert_allclose(net.forward(x).data, reference_forward(net, x), atol=1e-12)
+
+
+def test_forward_is_the_same_bytes_under_no_grad():
+    rng = np.random.default_rng(11)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (5, 7, 6, 2), rng)
+        x = rng.normal(size=(9, groups, 5))
+        traced = net.forward(x)
+        with ad.no_grad():
+            untraced = net.forward(x)
+        assert traced.requires_grad and not untraced.requires_grad
+        assert traced.data.tobytes() == untraced.data.tobytes()
 
 
 def test_grouped_mlp_matches_per_group_mlps():
     rng = np.random.default_rng(7)
     gnet = GroupedMlp(3, (4, 6, 2), rng)
     x = rng.normal(size=(5, 3, 4))
-    out = gnet.forward_np(x)
+    out = gnet.forward(x).data
     for g in range(3):
-        solo = Mlp((4, 6, 2))
+        solo = GroupedMlp(1, (4, 6, 2))
         for k in range(2):
-            solo.weights[k].data = gnet.weights[k].data[g]
-            solo.biases[k].data = gnet.biases[k].data[g, 0]
-        np.testing.assert_allclose(out[:, g, :], solo.forward_np(x[:, g, :]), atol=1e-12)
-    np.testing.assert_allclose(gnet.forward(x).data, out, atol=1e-13)
+            solo.weights[k].data = gnet.weights[k].data[g:g + 1]
+            solo.biases[k].data = gnet.biases[k].data[g:g + 1]
+        np.testing.assert_allclose(out[:, g, :], solo.forward(x[:, g:g + 1, :]).data[:, 0],
+                                   atol=1e-12)
+    # a change to one group's weights leaves the other groups' outputs alone
+    gnet.weights[0].data[1] += 1.0
+    moved = gnet.forward(x).data
+    np.testing.assert_array_equal(moved[:, [0, 2]], out[:, [0, 2]])
+    assert not np.allclose(moved[:, 1], out[:, 1])
 
 
 # -- gradients ---------------------------------------------------------------
@@ -94,38 +154,42 @@ def test_grouped_mlp_matches_per_group_mlps():
 
 def test_grad_linear_quadratic_analytic():
     rng = np.random.default_rng(1)
-    net = Mlp((3, 1))
-    net.weights[0].data = rng.normal(size=(3, 1))
-    x = rng.normal(size=(8, 3))
-    target = rng.normal(size=(8, 1))
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (3, 1))
+        net.weights[0].data = rng.normal(size=(groups, 3, 1))
+        x = rng.normal(size=(8, groups, 3))
+        target = rng.normal(size=(8, groups, 1))
 
-    def loss_fn(out):
-        return ad.tmean(ad.square(out - target))
+        def loss_fn(out):
+            return ad.tmean(ad.square(out - target))
 
-    grads = grad(net, x, loss_fn)
-    pred = net.forward_np(x)
-    expect_w = 2 * x.T @ (pred - target) / 8
-    expect_b = 2 * (pred - target).mean(axis=0)
-    np.testing.assert_allclose(grads[0], expect_w, atol=1e-10)
-    np.testing.assert_allclose(grads[1], expect_b, atol=1e-10)
+        grads = grad(net, x, loss_fn)
+        err = net.forward(x).data - target
+        for g in range(groups):
+            expect_w = 2 * x[:, g].T @ err[:, g] / (8 * groups)
+            expect_b = 2 * err[:, g].sum(axis=0) / (8 * groups)
+            np.testing.assert_allclose(grads[0][g], expect_w, atol=1e-10)
+            np.testing.assert_allclose(grads[1][g, 0], expect_b, atol=1e-10)
 
 
 def test_grad_constant_loss_is_zero():
-    net = Mlp((3, 2), np.random.default_rng(0))
-    grads = grad(net, np.ones((2, 3)), lambda out: ad.tsum(out * 0.0))
-    for g in grads:
-        np.testing.assert_array_equal(g, 0.0)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (3, 2), np.random.default_rng(0))
+        grads = grad(net, np.ones((2, groups, 3)), lambda out: ad.tsum(out * 0.0))
+        for g in grads:
+            np.testing.assert_array_equal(g, 0.0)
 
 
 def test_grad_non_finite_loss_raises():
-    net = Mlp((2, 1), np.random.default_rng(0))
-    with pytest.raises(FloatingPointError):
-        grad(net, np.ones((1, 2)), lambda out: out * np.inf)
+    for groups in GROUPS:
+        net = GroupedMlp(groups, (2, 1), np.random.default_rng(0))
+        with pytest.raises(FloatingPointError):
+            grad(net, np.ones((1, groups, 2)), lambda out: ad.tsum(out) * np.inf)
 
 
 def _preactivation_margin(net, x):
     """Distance of every hidden pre-activation from the rectifier kink."""
-    h = np.asarray(x, dtype=np.float64)
+    h = np.swapaxes(np.asarray(x, dtype=np.float64), 0, 1)  # (groups, batch, d)
     margin = np.inf
     for k in range(len(net.weights) - 1):
         h = h @ net.weights[k].data + net.biases[k].data
@@ -138,12 +202,13 @@ def _preactivation_margin(net, x):
 @given(st.integers(0, 2**32 - 1))
 def test_grad_matches_finite_differences_random_nets(seed):
     rng = np.random.default_rng(seed)
+    groups = int(rng.integers(1, 4))
     sizes = (3, rng.integers(2, 6), rng.integers(2, 6), 2)
-    net = Mlp(tuple(int(s) for s in sizes), rng)
-    x = rng.normal(size=(4, 3))
+    net = GroupedMlp(groups, tuple(int(s) for s in sizes), rng)
+    x = rng.normal(size=(4, groups, 3))
     while _preactivation_margin(net, x) < 1e-3:  # finite differences break at kinks
-        x = rng.normal(size=(4, 3))
-    w = rng.normal(size=(4, 2))
+        x = rng.normal(size=(4, groups, 3))
+    w = rng.normal(size=(4, groups, 2))
 
     def loss_fn(out):
         return ad.tmean(ad.square(out - w)) + ad.tmean(ad.logsumexp_t(out, axis=-1))
@@ -151,9 +216,9 @@ def test_grad_matches_finite_differences_random_nets(seed):
     analytic = grad(net, x, loss_fn)
 
     def loss_value():
-        pred = net.forward_np(x)
+        pred = reference_forward(net, x)
         lse = pred.max(axis=-1)
-        lse = lse + np.log(np.exp(pred - lse[:, None]).sum(axis=-1))
+        lse = lse + np.log(np.exp(pred - lse[..., None]).sum(axis=-1))
         return ((pred - w) ** 2).mean() + lse.mean()
 
     numeric = finite_difference(loss_value, net.parameters())
@@ -168,7 +233,7 @@ def test_gather_stack_broadcast_gradients():
     def build():
         g = ad.gather_last(x, idx)
         st_ = ad.stack([g, g * 2.0], axis=0)
-        b = ad.broadcast_to(ad.tsum(st_, axis=0), (4, 3))
+        b = ad.tsum(st_, axis=0) + ad.tsum(x, axis=1, keepdims=True)  # (4, 3) + (4, 1)
         return ad.tsum(ad.square(b))
 
     loss = build()
@@ -178,7 +243,7 @@ def test_gather_stack_broadcast_gradients():
 
     def loss_value():
         g = np.take_along_axis(x.data, idx, axis=-1)
-        s = g + g * 2.0
+        s = g + g * 2.0 + x.data.sum(axis=1, keepdims=True)
         return (s**2).sum()
 
     numeric = finite_difference(loss_value, [x])
@@ -204,14 +269,13 @@ def test_elu_abs_gradients():
 # -- logsumexp ---------------------------------------------------------------
 
 
+def logsumexp(values) -> float:
+    return ad.logsumexp_t(np.asarray(values, dtype=np.float64)).item()
+
+
 def test_logsumexp_pairs():
     assert logsumexp([0.0, 0.0]) == pytest.approx(np.log(2.0))
     assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2.0))
-
-
-def test_logsumexp_empty_errors():
-    with pytest.raises(ValueError):
-        logsumexp([])
 
 
 @settings(max_examples=50, deadline=None)
@@ -286,7 +350,7 @@ def test_train_bc_deterministic_behavior_and_seeding():
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(2)
-    for model in (Mlp((3, 5, 2), rng), GroupedMlp(4, (3, 8, 2), rng)):
+    for model in (GroupedMlp(1, (3, 5, 2), rng), GroupedMlp(4, (3, 8, 2), rng)):
         path = tmp_path / "m.ckpt"
         save_params(path, model)
         loaded = load_params(path)
@@ -294,17 +358,33 @@ def test_checkpoint_roundtrip_exact(tmp_path):
             np.testing.assert_array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("version", 2, "unknown checkpoint version 2"),
-    ("dtype", "float32", "parameter dtype 'float32' is not float64"),
-    ("kind", "conv", "unknown model kind 'conv'"),
-])
-def test_load_params_rejects_bad_header(tmp_path, key, value, message):
+def _set(key, value):
+    def edit(header, body):
+        fields = json.loads(header)
+        fields[key] = value
+        return json.dumps(fields).encode("utf-8"), body
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("version", 2), "unknown checkpoint version 2"),
+    (_set("dtype", "float32"), "parameter dtype 'float32' is not float64"),
+    (_set("kind", "conv"), "unknown model kind 'conv'"),
+    (_set("kind", "mlp"), "unknown model kind 'mlp'"),
+    (lambda header, body: (b"{oops", body), "checkpoint header is not JSON: Expecting"),
+    (lambda header, body: (header, body[:-8]),
+     "checkpoint has 408 parameter bytes, expected 416 for 2 groups of sizes [3, 4, 2]"),
+    (lambda header, body: (header, body + bytes(8)),
+     "checkpoint has 424 parameter bytes, expected 416 for 2 groups of sizes [3, 4, 2]"),
+], ids=["version-2-unknown checkpoint version 2",
+        "dtype-float32-parameter dtype 'float32' is not float64",
+        "kind-conv-unknown model kind 'conv'", "kind-mlp", "not_json", "truncated",
+        "extra_bytes"])
+def test_load_params_rejects_bad_header(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     save_params(path, GroupedMlp(2, (3, 4, 2), np.random.default_rng(0)))
     header, _, body = path.read_bytes().partition(b"\n")
-    fields = json.loads(header)
-    fields[key] = value
-    path.write_bytes(json.dumps(fields).encode("utf-8") + b"\n" + body)
+    header, body = edit(header, body)
+    path.write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
         load_params(path)
