@@ -135,10 +135,6 @@ def d_cf_cql(pi: FactoredPolicy, beta: FactoredPolicy, lam: "LambdaWeights", sta
     return d_cf_cql_probs(pi.probs(state), beta.probs(state), lam.weights(state), state)
 
 
-def check_ratio_bound(pi: FactoredPolicy, beta: FactoredPolicy, state) -> RatioBoundReport:
-    return check_ratio_bound_probs(pi.probs(state), beta.probs(state), state)
-
-
 # ---------------------------------------------------------------------------
 # Lambda weights: a per-state simplex over agents.
 # ---------------------------------------------------------------------------

@@ -62,10 +62,13 @@ class MMDPModel:
     def n_joint_actions(self) -> int:
         return self.n_actions**self.n_agents
 
-    def transition_row(self, s: int, a: int) -> np.ndarray:
-        row = np.zeros(self.n_states)
-        np.add.at(row, self.next_states[s, a], self.next_probs[s, a])
-        return row
+    def transition_matrix(self, joint_pi: np.ndarray) -> np.ndarray:
+        """(S, S) state-to-state matrix sum_a joint_pi[s, a] * T(s'|s, a)."""
+        n = self.n_states
+        cells = np.arange(n)[:, None, None] * n + self.next_states
+        weights = joint_pi[:, :, None] * self.next_probs
+        return np.bincount(cells.ravel(), weights=weights.ravel(),
+                           minlength=n * n).reshape(n, n)
 
     def expected_next_values(self, values: np.ndarray) -> np.ndarray:
         """E_{s'~T(.|s,a)}[values(s')] for every (s, a), shape (S, A_joint)."""
@@ -142,16 +145,9 @@ class ToyMMDP:
 
     # -- state codec -----------------------------------------------------------
 
-    def encode_state(self, cells) -> int:
-        cells = np.asarray(cells, dtype=np.int64)
-        return int(cells @ (TOY_N_CELLS ** np.arange(self.n_agents, dtype=np.int64)))
-
     def encode_batch(self, cells: np.ndarray) -> np.ndarray:
         w = TOY_N_CELLS ** np.arange(self.n_agents, dtype=np.int64)
         return np.asarray(cells, dtype=np.int64) @ w
-
-    def decode_state(self, index: int) -> np.ndarray:
-        return decode_joint(index, self.n_agents, TOY_N_CELLS)
 
     @property
     def n_states(self) -> int:
@@ -265,20 +261,6 @@ class EqualLine:
         cur = min_pairwise_distance(nxt)
         rewards = 10.0 * (self.n_agents - 1) * (cur - prev) / self.line_length
         return nxt, rewards
-
-    # -- state codec -----------------------------------------------------------
-
-    def discretize(self, positions, bins: int = 20) -> tuple:
-        """Uniform-bin index per position on [0, L]; L lands in the last bin."""
-        if bins < 2:
-            raise ValueError("bins must be >= 2")
-        pos = np.asarray(positions, dtype=np.float64)
-        idx = np.minimum((pos / self.line_length * bins).astype(np.int64), bins - 1)
-        return tuple(int(i) for i in idx)
-
-    def bin_centers(self, indices, bins: int = 20) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.float64)
-        return (idx + 0.5) * self.line_length / bins
 
     def per_agent_features(self, positions: np.ndarray) -> np.ndarray:
         """(m, n_agents, n_agents + 3) features per agent, all scaled by 1/L:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -71,20 +71,6 @@ def _swap_bg(t: Tensor) -> Tensor:
         return (np.swapaxes(g, 0, 1),)
 
     return Tensor(data, (t,), bwd)
-
-
-def grad(model, x, loss_fn: Callable[[Tensor], Tensor]) -> List[np.ndarray]:
-    """Reverse-mode gradients of a scalar loss of the model outputs."""
-    for p in model.parameters():
-        p.zero_grad()
-    out = model.forward(x)
-    loss = loss_fn(out)
-    if loss.data.size != 1:
-        raise ValueError("loss closure must produce a scalar")
-    if not np.all(np.isfinite(loss.data)):
-        raise FloatingPointError(f"non-finite loss: {loss.data.item()}")
-    ad.backward(loss)
-    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in model.parameters()]
 
 
 @dataclass

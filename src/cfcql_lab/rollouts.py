@@ -39,14 +39,6 @@ class RolloutBatch:
     rewards: np.ndarray  # (T, m)
     next_states: np.ndarray  # (T, m, state...)
 
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def n_episodes(self) -> int:
-        return self.states.shape[1]
-
     def returns(self) -> np.ndarray:
         return self.rewards.sum(axis=0)
 

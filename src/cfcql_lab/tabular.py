@@ -1,8 +1,11 @@
 """Exact enumeration-based policy evaluation and conservative fixed points.
 
-These solvers are the ground-truth engine: they iterate the penalized Bellman
-recursions on a tabular model to sup-norm residual <= 1e-10, far below every
-tolerance asserted elsewhere.
+These solvers are the ground-truth engine. The three policy evaluators
+(``exact_policy_eval``, ``cfcql_fixed_point``, ``macql_fixed_point``) solve
+the linear system (I - gamma * P_pi) V = r_pi of their Bellman recursion
+directly; ``value_iteration`` and ``learner_fixed_point`` iterate to a sup-norm
+change <= ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted
+elsewhere.
 
 ``learner_fixed_point`` is the oracle for the practical learner itself: the
 exact stationary point of the objective that ``learner.train_offline``
@@ -42,7 +45,6 @@ class SolveReport:
     iterations: int
     residual: float
     converged: bool
-    residual_history: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -74,41 +76,35 @@ def _support_checked_ratios(pi_d: np.ndarray, beta_d: np.ndarray) -> np.ndarray:
     return np.where(pi_d > 0, pi_d / safe_beta, 0.0)
 
 
-def _iterate(model: MMDPModel, joint_pi: np.ndarray, base: np.ndarray,
-             tol: float, max_iter: int, track_history: bool) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Fixed point of Q = base + gamma * E[V(s')], V = E_pi[Q]."""
-    q = np.zeros_like(base)
-    history = [] if track_history else None
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        v = (joint_pi * q).sum(axis=1)
-        q_new = base + model.gamma * model.expected_next_values(v)
-        residual = float(np.max(np.abs(q_new - q)))
-        q = q_new
-        if history is not None:
-            history.append(residual)
-        if residual <= tol:
-            report = SolveReport(it, residual, True,
-                                 tuple(history) if history is not None else None)
-            v_final = (joint_pi * q).sum(axis=1)
-            return q, v_final, report
-    raise ConvergenceError(max_iter, residual)
+def _evaluate(model: MMDPModel, joint_pi: np.ndarray,
+              base: np.ndarray) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Solution of Q = base + gamma * E[V(s')], V = E_pi[Q].
+
+    V solves (I - gamma * P_pi) V = E_pi[base]; the report's residual is the
+    sup-norm Bellman residual of the returned Q.
+    """
+    system = model.transition_matrix(joint_pi)
+    system *= -model.gamma
+    system.flat[::model.n_states + 1] += 1.0
+    v = np.linalg.solve(system, (joint_pi * base).sum(axis=1))
+    q = base + model.gamma * model.expected_next_values(v)
+    v = (joint_pi * q).sum(axis=1)
+    residual = float(np.max(np.abs(base + model.gamma * model.expected_next_values(v) - q)))
+    return q, v, SolveReport(1, residual, True)
 
 
-def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER, track_history: bool = False):
+def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy):
     """Unpenalized policy evaluation: the true-value oracle."""
     joint_pi = joint_policy_matrix(_policy_dense(model, pi))
-    q, v, report = _iterate(model, joint_pi, model.rewards.copy(), tol, max_iter, track_history)
+    q, v, report = _evaluate(model, joint_pi, model.rewards)
     return JointQTable(q), v, report
 
 
 def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
-                      lam: LambdaWeights, alpha: float, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER, track_history: bool = False):
+                      lam: LambdaWeights, alpha: float):
     """Penalized evaluation with the per-agent counterfactual ratio penalty.
 
-    Each sweep applies Q <- T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1).
+    The fixed point of Q = T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -122,13 +118,12 @@ def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
         penalty += lam_dense[:, i:i + 1] * ratios[i][:, digits[:, i]]
     joint_pi = joint_policy_matrix(pi_d)
     base = model.rewards - alpha * penalty
-    q, v, report = _iterate(model, joint_pi, base, tol, max_iter, track_history)
+    q, v, report = _evaluate(model, joint_pi, base)
     return JointQTable(q), v, report
 
 
 def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
-                      alpha: float, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER, track_history: bool = False):
+                      alpha: float):
     """Penalized evaluation with the joint-ratio penalty pi(a|s)/beta(a|s) - 1."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
@@ -141,7 +136,7 @@ def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
         joint_ratio *= ratios[i][:, digits[:, i]]
     joint_pi = joint_policy_matrix(pi_d)
     base = model.rewards - alpha * (joint_ratio - 1.0)
-    q, v, report = _iterate(model, joint_pi, base, tol, max_iter, track_history)
+    q, v, report = _evaluate(model, joint_pi, base)
     return JointQTable(q), v, report
 
 

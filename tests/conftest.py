@@ -35,8 +35,8 @@ def random_toy_dataset(rng, n_agents=2, n_transitions=100, episodes=5):
         for t in range(per_ep):
             actions = rng.integers(0, env.n_actions, size=n_agents)
             nxt, reward = env.step_batch(cells[None, :], actions[None, :])
-            rows.append((env.encode_state(cells), actions, reward[0],
-                         env.encode_state(nxt[0]), t == per_ep - 1))
+            rows.append((env.encode_batch(cells[None, :])[0], actions, reward[0],
+                         env.encode_batch(nxt)[0], t == per_ep - 1))
             cells = nxt[0]
     return make_dataset(rows, env.spec(), starts)
 

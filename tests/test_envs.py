@@ -71,7 +71,7 @@ def test_toy_step_saturates_at_ends():
 def test_toy_episode_limit():
     env = ToyMMDP(2, episode_limit=3)
     batch = rollout_episodes(env, RandomActor(2, 3), 4, np.random.default_rng(0))
-    assert batch.n_steps == 3 and batch.n_episodes == 4
+    assert batch.states.shape[:2] == (3, 4)
 
 
 def test_toy_exact_model_matches_single_steps():
@@ -81,7 +81,7 @@ def test_toy_exact_model_matches_single_steps():
     for s in range(3):
         for a in range(3):
             nxt, r = env.step_batch(np.array([[s]]), np.array([[a]]))
-            assert model.next_states[s, a, 0] == env.encode_state(nxt[0])
+            assert model.next_states[s, a, 0] == env.encode_batch(nxt)[0]
             assert model.rewards[s, a] == pytest.approx(r[0])
 
 
@@ -156,22 +156,6 @@ def test_line_step_clips_to_zero():
     minus = int(np.flatnonzero(LINE_DISPLACEMENTS == -0.01)[0])
     nxt, _ = env.step_batch(np.array([[0.005, 1.0]]), np.array([[minus, 0]]))
     assert nxt[0, 0] == pytest.approx(0.0)
-
-
-def test_line_discretize():
-    env = EqualLine(2)  # L = 10
-    assert env.discretize([3.7, 0.0], bins=10) == (3, 0)
-    assert env.discretize([10.0, 9.999], bins=10) == (9, 9)
-    with pytest.raises(ValueError):
-        env.discretize([1.0, 2.0], bins=1)
-
-
-def test_line_discretize_decode_within_half_bin(rng):
-    env = EqualLine(3)
-    pos = rng.uniform(0, env.line_length, size=9)
-    idx = env.discretize(pos, bins=20)
-    centers = env.bin_centers(idx, bins=20)
-    assert np.all(np.abs(centers - pos) <= env.line_length / 20 / 2 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,6 @@ from cfcql_lab import autodiff as ad
 from cfcql_lab.neural import (
     Adam,
     GroupedMlp,
-    grad,
     load_params,
     save_params,
     softmax,
@@ -160,31 +159,26 @@ def test_grad_linear_quadratic_analytic():
         x = rng.normal(size=(8, groups, 3))
         target = rng.normal(size=(8, groups, 1))
 
-        def loss_fn(out):
-            return ad.tmean(ad.square(out - target))
-
-        grads = grad(net, x, loss_fn)
-        err = net.forward(x).data - target
+        for p in net.parameters():
+            p.zero_grad()
+        out = net.forward(x)
+        ad.backward(ad.tmean(ad.square(out - target)))
+        err = out.data - target
         for g in range(groups):
             expect_w = 2 * x[:, g].T @ err[:, g] / (8 * groups)
             expect_b = 2 * err[:, g].sum(axis=0) / (8 * groups)
-            np.testing.assert_allclose(grads[0][g], expect_w, atol=1e-10)
-            np.testing.assert_allclose(grads[1][g, 0], expect_b, atol=1e-10)
+            np.testing.assert_allclose(net.weights[0].grad[g], expect_w, atol=1e-10)
+            np.testing.assert_allclose(net.biases[0].grad[g, 0], expect_b, atol=1e-10)
 
 
 def test_grad_constant_loss_is_zero():
     for groups in GROUPS:
         net = GroupedMlp(groups, (3, 2), np.random.default_rng(0))
-        grads = grad(net, np.ones((2, groups, 3)), lambda out: ad.tsum(out * 0.0))
-        for g in grads:
-            np.testing.assert_array_equal(g, 0.0)
-
-
-def test_grad_non_finite_loss_raises():
-    for groups in GROUPS:
-        net = GroupedMlp(groups, (2, 1), np.random.default_rng(0))
-        with pytest.raises(FloatingPointError):
-            grad(net, np.ones((1, groups, 2)), lambda out: ad.tsum(out) * np.inf)
+        for p in net.parameters():
+            p.zero_grad()
+        ad.backward(ad.tsum(net.forward(np.ones((2, groups, 3))) * 0.0))
+        for p in net.parameters():
+            np.testing.assert_array_equal(p.grad, 0.0)
 
 
 def _preactivation_margin(net, x):
@@ -210,10 +204,11 @@ def test_grad_matches_finite_differences_random_nets(seed):
         x = rng.normal(size=(4, groups, 3))
     w = rng.normal(size=(4, groups, 2))
 
-    def loss_fn(out):
-        return ad.tmean(ad.square(out - w)) + ad.tmean(ad.logsumexp_t(out, axis=-1))
-
-    analytic = grad(net, x, loss_fn)
+    for p in net.parameters():
+        p.zero_grad()
+    out = net.forward(x)
+    ad.backward(ad.tmean(ad.square(out - w)) + ad.tmean(ad.logsumexp_t(out, axis=-1)))
+    analytic = [p.grad.copy() for p in net.parameters()]
 
     def loss_value():
         pred = reference_forward(net, x)

@@ -43,6 +43,38 @@ def single_state_model(reward=1.0, gamma=0.9):
     )
 
 
+def two_successor_model(rng, n_states=4, n_joint=3):
+    """Single-agent model whose every (s, a) row has two random successors."""
+    next_states = np.stack(
+        [rng.integers(0, n_states, size=(n_states, n_joint)) for _ in range(2)], axis=2
+    )
+    p = rng.uniform(0.2, 0.8, size=(n_states, n_joint))
+    return MMDPModel(
+        n_states=n_states,
+        n_agents=1,
+        n_actions=n_joint,
+        gamma=0.9,
+        r_max=1.0,
+        next_states=next_states,
+        next_probs=np.stack([p, 1 - p], axis=2),
+        rewards=rng.uniform(-1, 1, size=(n_states, n_joint)),
+        initial_distribution=np.full(n_states, 1.0 / n_states),
+    )
+
+
+def reference_sweeps(model, joint_pi, base):
+    """Q <- base + gamma * E[E_pi Q(s')] from zero until a sweep changes Q by
+    at most 1e-13 * max(1, max|Q|)."""
+    q = np.zeros_like(base)
+    for _ in range(100_000):
+        q_new = base + model.gamma * model.expected_next_values((joint_pi * q).sum(axis=1))
+        done = np.max(np.abs(q_new - q)) <= 1e-13 * max(1.0, np.max(np.abs(q_new)))
+        q = q_new
+        if done:
+            return q
+    raise AssertionError("reference sweeps did not converge")
+
+
 def test_zero_reward_model_gives_zero_q():
     model = single_state_model(reward=0.0)
     q, v, report = exact_policy_eval(model, uniform_policy(1, 2))
@@ -162,20 +194,40 @@ def test_penalty_monotone_in_alpha(rng):
     assert np.all(values[1] <= values[0] + 1e-9)
 
 
-def test_contraction_of_residuals(rng):
-    env = ToyMMDP(2, gamma=0.9)
-    model = env.exact_model()
-    pi = random_factored_policy(rng, 2, 9, 3)
-    beta = random_factored_policy(rng, 2, 9, 3, floor=1e-2)
-    _, _, report = cfcql_fixed_point(
-        model, pi, beta, lambda_uniform(2), alpha=0.5, track_history=True
-    )
-    hist = np.array(report.residual_history)
-    # compare successive residuals while they are far above rounding noise
-    clean = hist[1:][hist[1:] > 1e-6]
-    ratios = clean[1:] / clean[:-1]
-    assert len(ratios) > 10
-    assert np.all(ratios <= model.gamma + 1e-6)
+@pytest.mark.parametrize("case", ["toy_n3", "two_successor"])
+def test_evaluators_match_reference_sweeps(case, rng):
+    model = ToyMMDP(3, gamma=0.9).exact_model() if case == "toy_n3" else two_successor_model(rng)
+    n, n_states = model.n_agents, model.n_states
+    pi = random_factored_policy(rng, n, n_states, model.n_actions)
+    beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
+    lam = lambda_uniform(n)
+    alpha = 0.5
+    pi_d, beta_d = pi.dense(n_states), beta.dense(n_states)
+    joint_pi = np.ones((n_states, model.n_joint_actions))
+    cf_penalty = np.full((n_states, model.n_joint_actions), -1.0)
+    joint_ratio = np.ones((n_states, model.n_joint_actions))
+    for a, digits in enumerate(all_joint_actions(n, model.n_actions)):
+        for i, b in enumerate(digits):
+            ratio = pi_d[i, :, b] / beta_d[i, :, b]
+            joint_pi[:, a] *= pi_d[i, :, b]
+            cf_penalty[:, a] += lam.default[i] * ratio
+            joint_ratio[:, a] *= ratio
+    cases = [
+        (exact_policy_eval(model, pi), model.rewards),
+        (cfcql_fixed_point(model, pi, beta, lam, alpha), model.rewards - alpha * cf_penalty),
+        (macql_fixed_point(model, pi, beta, alpha), model.rewards - alpha * (joint_ratio - 1.0)),
+    ]
+    for (q, v, report), base in cases:
+        expected = reference_sweeps(model, joint_pi, base)
+        scale = max(1.0, np.max(np.abs(expected)))
+        np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-11 * scale)
+        np.testing.assert_allclose(v, (joint_pi * expected).sum(axis=1), rtol=0,
+                                   atol=1e-11 * scale)
+        bellman = base + model.gamma * model.expected_next_values(
+            (joint_pi * q.values).sum(axis=1)) - q.values
+        assert report.iterations == 1 and report.converged
+        assert report.residual == pytest.approx(np.max(np.abs(bellman)), rel=0,
+                                                abs=1e-14 * scale)
 
 
 def test_support_error_identifies_agent_state_action():
@@ -194,7 +246,7 @@ def test_support_error_identifies_agent_state_action():
 def test_nonconvergence_raises():
     model = single_state_model(reward=1.0, gamma=0.9)
     with pytest.raises(ConvergenceError):
-        exact_policy_eval(model, uniform_policy(1, 2), max_iter=3)
+        value_iteration(model, max_iter=3)
 
 
 # -- empirical model -----------------------------------------------------------
@@ -230,24 +282,8 @@ def test_empirical_model_flags_unseen_as_self_loop():
 
 
 def test_empirical_model_concentrates_on_truth(rng):
-    # stochastic ground truth: random two-outcome transitions
-    n_states, n_joint = 4, 3
-    next_states = np.stack(
-        [rng.integers(0, n_states, size=(n_states, n_joint)) for _ in range(2)], axis=2
-    )
-    p = rng.uniform(0.2, 0.8, size=(n_states, n_joint))
-    next_probs = np.stack([p, 1 - p], axis=2)
-    model = MMDPModel(
-        n_states=n_states,
-        n_agents=1,
-        n_actions=n_joint,
-        gamma=0.9,
-        r_max=1.0,
-        next_states=next_states,
-        next_probs=next_probs,
-        rewards=rng.uniform(-1, 1, size=(n_states, n_joint)),
-        initial_distribution=np.full(n_states, 0.25),
-    )
+    model = two_successor_model(rng)
+    n_states, n_joint = model.n_states, model.n_joint_actions
     spec = ToyMMDP(1).spec()  # discrete single-agent spec shell
     rows = []
     for _ in range(40_000):
@@ -257,12 +293,13 @@ def test_empirical_model_concentrates_on_truth(rng):
         rows.append((s, (a,), model.rewards[s, a], model.next_states[s, a, k], False))
     d = make_dataset(rows, spec, starts=(0,))
     hat = empirical_model(d, spec, n_states=n_states)
-    for s in range(n_states):
-        for a in range(n_joint):
-            row_true = model.transition_row(s, a)
-            row_hat = hat.transition_row(s, a)
-            tv = 0.5 * np.abs(row_true - row_hat).sum()
-            assert tv < 0.02
+    for a in range(n_joint):
+        onehot = np.zeros((n_states, n_joint))
+        onehot[:, a] = 1.0
+        rows_true = model.transition_matrix(onehot)
+        rows_hat = hat.transition_matrix(onehot)
+        tv = 0.5 * np.abs(rows_true - rows_hat).sum(axis=1)
+        assert np.all(tv < 0.02)
 
 
 # -- the learner's own fixed point ---------------------------------------------
