@@ -60,13 +60,12 @@ def log_ratio_factors(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarra
     pi = np.asarray(pi, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     _check_support(pi, beta, state)
-    out = np.empty(pi.shape[0])
-    for i in range(pi.shape[0]):
-        support = pi[i] > 0
-        logs = 2.0 * np.log(pi[i, support]) - np.log(beta[i, support])
-        m = logs.max()
-        out[i] = m + np.log(np.exp(logs - m).sum())
-    return out
+    # Off pi's support the log terms are -inf, so they add exp(-inf) = 0 to
+    # each agent's sum.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(pi > 0, 2.0 * np.log(pi) - np.log(beta), -np.inf)
+    m = logs.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.exp(logs - m).sum(axis=1))
 
 
 def ratio_scores(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarray:

@@ -3,9 +3,14 @@
 These solvers are the ground-truth engine. The three policy evaluators
 (``exact_policy_eval``, ``cfcql_fixed_point``, ``macql_fixed_point``) solve
 the linear system (I - gamma * P_pi) V = r_pi of their Bellman recursion
-directly; ``value_iteration`` and ``learner_fixed_point`` iterate to a sup-norm
-change <= ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted
-elsewhere.
+directly. ``value_iteration``, the optimal-value oracle, is Howard policy
+iteration on the same direct solve: it stops when the greedy policy stops
+changing. ``learner_fixed_point`` iterates to a sup-norm change <=
+``DEFAULT_TOL`` (1e-10), far below every tolerance asserted elsewhere.
+
+Greedy choices (``value_iteration``, ``greedy_policy_from_q``) take the lowest
+joint action within ``TIE_EPS`` * max(1, |row max|) of the row max, so that
+rounding does not pick among actions whose values are equal.
 
 ``learner_fixed_point`` is the oracle for the practical learner itself: the
 exact stationary point of the objective that ``learner.train_offline``
@@ -27,6 +32,7 @@ from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
 
 DEFAULT_TOL = 1e-10
+TIE_EPS = 1e-12  # relative margin within which two Q values count as tied
 DEFAULT_MAX_ITER = 100_000
 MAX_TABLE_CELLS = 50_000_000
 
@@ -140,25 +146,61 @@ def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
     return JointQTable(q), v, report
 
 
-def value_iteration(model: MMDPModel, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER):
-    """Optimal-value oracle: Q <- r + gamma * E[max_a' Q(s', a')]."""
-    q = np.zeros_like(model.rewards)
-    residual = np.inf
+def _tie_floor(q: np.ndarray) -> np.ndarray:
+    """Per row, the least value tied with the row max: row max minus
+    TIE_EPS * max(1, |row max|).
+
+    Entries that are equal in exact arithmetic differ by rounding alone, so
+    ``np.argmax`` would let rounding pick among them.
+    """
+    row_max = q.max(axis=1)
+    return row_max - TIE_EPS * np.maximum(1.0, np.abs(row_max))
+
+
+def _lowest_tied(q: np.ndarray) -> np.ndarray:
+    """Per row, the lowest column tied with the row max."""
+    return np.argmax(q >= _tie_floor(q)[:, None], axis=1)
+
+
+def _optimality_residual(model: MMDPModel, q: np.ndarray) -> float:
+    """Sup-norm Bellman-optimality residual of Q."""
+    target = model.rewards + model.gamma * model.expected_next_values(q.max(axis=1))
+    return float(np.max(np.abs(target - q)))
+
+
+def value_iteration(model: MMDPModel, max_iter: int = DEFAULT_MAX_ITER):
+    """Optimal-value oracle, solved by Howard policy iteration.
+
+    The name predates the method; it stays because the benchmark calls and
+    traces the function by it, and a rename waits for the next change to the
+    benchmark.
+
+    Starting from the reward-greedy joint policy, each step evaluates the
+    deterministic policy with one direct solve. A state then switches joint
+    action only if another one beats its current one by more than the tie
+    margin, and takes the lowest joint action tied with the row max. The loop
+    ends when no state switches. The report counts the evaluations and gives
+    the Bellman-optimality residual of the returned Q.
+    """
+    rows = np.arange(model.n_states)
+    actions = _lowest_tied(model.rewards)
+    joint_pi = np.zeros_like(model.rewards)
+    q = model.rewards
     for it in range(1, max_iter + 1):
-        v = q.max(axis=1)
-        q_new = model.rewards + model.gamma * model.expected_next_values(v)
-        residual = float(np.max(np.abs(q_new - q)))
-        q = q_new
-        if residual <= tol:
-            return JointQTable(q), q.max(axis=1), SolveReport(it, residual, True)
-    raise ConvergenceError(max_iter, residual)
+        joint_pi[:] = 0.0
+        joint_pi[rows, actions] = 1.0
+        q, v, _ = _evaluate(model, joint_pi, model.rewards)
+        switch = q[rows, actions] < _tie_floor(q)
+        if not switch.any():
+            return JointQTable(q), v, SolveReport(it, _optimality_residual(model, q), True)
+        actions = np.where(switch, _lowest_tied(q), actions)
+    raise ConvergenceError(max_iter, _optimality_residual(model, q))
 
 
 def greedy_policy_from_q(model: MMDPModel, q: JointQTable) -> FactoredPolicy:
-    """One-hot factored policy from the joint argmax of a JointQTable."""
-    best_joint = np.argmax(q.values, axis=1)
-    actions = decode_joint(best_joint, model.n_agents, model.n_actions)
+    """One-hot factored policy from the joint argmax of a JointQTable, ties
+    broken to the lowest joint index."""
+    actions = decode_joint(_lowest_tied(q.values), model.n_agents, model.n_actions)
     return greedy_policy_from_actions(actions, model.n_actions)
 
 

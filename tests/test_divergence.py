@@ -14,6 +14,7 @@ from cfcql_lab.divergence import (
     lambda_onehot,
     lambda_softmax,
     lambda_uniform,
+    log_ratio_factors,
     onehot_from_scores,
     ratio_scores,
     softmax_from_scores,
@@ -116,6 +117,38 @@ def test_d_cql_support_error_names_agent_action():
     with pytest.raises(SupportError) as err:
         d_cql_probs(pi, beta)
     assert err.value.agent == 1 and err.value.action == 0
+
+
+def per_agent_log_ratio_factors(pi, beta):
+    """Reference: one log-sum-exp per agent over that agent's support."""
+    out = np.empty(pi.shape[0])
+    for i in range(pi.shape[0]):
+        support = pi[i] > 0
+        logs = 2.0 * np.log(pi[i, support]) - np.log(beta[i, support])
+        m = logs.max()
+        out[i] = m + np.log(np.exp(logs - m).sum())
+    return out
+
+
+@pytest.mark.parametrize("n_actions", [1, 2, 3, 5, 7, 12])
+def test_log_ratio_factors_match_per_agent_loop(n_actions, rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        pi = random_simplexes(rng, n, n_actions)
+        beta = random_simplexes(rng, n, n_actions)
+        # zero-mass actions: off pi's support, and off both supports
+        pi[rng.random(pi.shape) < 0.3] = 0.0
+        pi[np.arange(n), rng.integers(0, n_actions, n)] += 0.1
+        pi /= pi.sum(axis=1, keepdims=True)
+        beta[(pi == 0) & (rng.random(pi.shape) < 0.5)] = 0.0
+        got = log_ratio_factors(pi, beta)
+        expected = per_agent_log_ratio_factors(pi, beta)
+        if n_actions < 8:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            # from 8 terms on numpy sums pairwise, and the zeros off the
+            # support move terms between its partial sums
+            np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
 
 def test_d_cf_zero_at_equal_policies(rng):

@@ -7,6 +7,7 @@ from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, enc
 from cfcql_lab.neural import softmax
 from cfcql_lab.tabular import (
     ConvergenceError,
+    JointQTable,
     cfcql_fixed_point,
     empirical_model,
     exact_policy_eval,
@@ -243,10 +244,77 @@ def test_support_error_identifies_agent_state_action():
     assert (err.value.agent, err.value.state, err.value.action) == (0, 4, 2)
 
 
+def detour_model(gamma=0.9):
+    """Single agent, three states. From state 0, action 0 pays 1 once and
+    ends in the zero-reward state 1; action 1 pays 0 and moves to state 2,
+    which pays 1 forever. The reward-greedy start picks action 0, so policy
+    iteration needs a second step."""
+    next_states = np.array([[1, 2], [1, 1], [2, 2]], dtype=np.int64)[:, :, None]
+    return MMDPModel(
+        n_states=3,
+        n_agents=1,
+        n_actions=2,
+        gamma=gamma,
+        r_max=1.0,
+        next_states=next_states,
+        next_probs=np.ones((3, 2, 1)),
+        rewards=np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
+        initial_distribution=np.full(3, 1.0 / 3.0),
+    )
+
+
 def test_nonconvergence_raises():
-    model = single_state_model(reward=1.0, gamma=0.9)
-    with pytest.raises(ConvergenceError):
-        value_iteration(model, max_iter=3)
+    model = detour_model()
+    with pytest.raises(ConvergenceError) as err:
+        value_iteration(model, max_iter=1)
+    assert err.value.iterations == 1
+    _, v, report = value_iteration(model, max_iter=2)
+    assert report.converged and report.iterations == 2
+    np.testing.assert_allclose(v, [0.9 / (1 - 0.9), 0.0, 1 / (1 - 0.9)], rtol=0, atol=1e-12)
+
+
+def reference_value_iteration(model):
+    """Q <- r + gamma * E[max Q(s', .)] from zero until a sweep changes Q by
+    at most 1e-13 * max(1, max|Q|)."""
+    q = np.zeros_like(model.rewards)
+    for _ in range(100_000):
+        q_new = model.rewards + model.gamma * model.expected_next_values(q.max(axis=1))
+        done = np.max(np.abs(q_new - q)) <= 1e-13 * max(1.0, np.max(np.abs(q_new)))
+        q = q_new
+        if done:
+            return q
+    raise AssertionError("reference value iteration did not converge")
+
+
+@pytest.mark.parametrize("case", ["toy_n3", "two_successor"])
+def test_value_iteration_matches_reference_sweeps(case, rng):
+    model = ToyMMDP(3, gamma=0.9).exact_model() if case == "toy_n3" else two_successor_model(rng)
+    q, v, report = value_iteration(model)
+    expected = reference_value_iteration(model)
+    scale = max(1.0, np.max(np.abs(expected)))
+    np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-9 * scale)
+    assert report.converged and report.residual <= 1e-10
+    bellman = model.rewards + model.gamma * model.expected_next_values(
+        q.values.max(axis=1)) - q.values
+    assert report.residual == np.max(np.abs(bellman))
+    _, v_greedy, _ = exact_policy_eval(model, greedy_policy_from_q(model, q))
+    np.testing.assert_allclose(v_greedy, v, rtol=0, atol=1e-10)
+
+
+def test_greedy_policy_breaks_ties_to_lowest_joint_index():
+    model = ToyMMDP(2).exact_model()  # 9 joint actions
+    up = np.nextafter
+    q = np.zeros((model.n_states, model.n_joint_actions))
+    q[0, [2, 5]] = [1.0, up(1.0, 2.0)]  # one ulp apart: tied
+    q[1, [3, 4]] = [-2.0, up(-2.0, 0.0)]
+    q[1, [0, 1, 2, 5, 6, 7, 8]] = -3.0
+    q[2, [1, 7]] = [1e6, 1e6 + 1e-7]  # tied within 1e-12 relative
+    q[3, [1, 7]] = [1e6, 1e6 + 1e-3]  # not tied
+    best = np.argmax(q, axis=1)
+    assert list(best[:4]) == [5, 4, 7, 7]  # np.argmax lets rounding decide
+    policy = greedy_policy_from_q(model, JointQTable(q))
+    chosen = encode_joint(np.stack([policy.probs(s).argmax(axis=1) for s in range(4)]), 3)
+    assert list(chosen) == [2, 3, 1, 7]
 
 
 # -- empirical model -----------------------------------------------------------
