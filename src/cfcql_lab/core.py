@@ -187,22 +187,6 @@ class FactoredPolicy:
             out[:, s, :] = row
         return out
 
-    def validate(self, atol: float = 1e-9) -> list:
-        problems = []
-        for s, row in self.table.items():
-            if row.shape != (self.n_agents, self.n_actions):
-                problems.append(f"state {s}: shape {row.shape}")
-                continue
-            if np.any(row < -atol):
-                problems.append(f"state {s}: negative probability")
-            if np.any(np.abs(row.sum(axis=1) - 1.0) > atol):
-                problems.append(f"state {s}: rows do not sum to 1")
-        return problems
-
-
-def uniform_policy(n_agents: int, n_actions: int) -> FactoredPolicy:
-    return FactoredPolicy(n_agents, n_actions, {})
-
 
 def greedy_policy_from_actions(actions: np.ndarray, n_actions: int) -> FactoredPolicy:
     """One-hot FactoredPolicy over states 0..S-1 from their (S, n) actions."""
@@ -211,6 +195,28 @@ def greedy_policy_from_actions(actions: np.ndarray, n_actions: int) -> FactoredP
     onehot = np.zeros((n_states, n_agents, n_actions))
     onehot[np.arange(n_states)[:, None], np.arange(n_agents), actions] = 1.0
     return FactoredPolicy(n_agents, n_actions, dict(enumerate(onehot)))
+
+
+def state_count(spec: EnvSpec) -> int:
+    """Number S of discrete states: the ids of a discrete spec lie in [0, S).
+
+    Only the toy MMDP has discrete states; it has three cells and three
+    actions per agent, so S = n_actions ** n_agents.
+    """
+    if spec.state_kind != "discrete" or spec.env_id != EnvId.TOY_MMDP:
+        raise ValueError(f"no discrete state count for {spec.env_id.value} "
+                         f"with {spec.state_kind} states")
+    return spec.n_actions**spec.n_agents
+
+
+def _state_violations(name: str, states: np.ndarray, spec: EnvSpec) -> list:
+    """Discrete ids outside [0, S), or vector states with a non-finite entry."""
+    if spec.state_kind == "vector":
+        return [f"transition {idx}: {name} {states[idx].tolist()} is not finite"
+                for idx in np.flatnonzero(~np.isfinite(states).all(axis=1))]
+    n_states = state_count(spec)
+    return [f"transition {idx}: {name} {states[idx]} outside [0, {n_states})"
+            for idx in np.flatnonzero((states < 0) | (states >= n_states))]
 
 
 def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
@@ -233,6 +239,11 @@ def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
     if bad_shapes:  # the checks below index the columns by these shapes
         return ValidationReport(tuple(violations + bad_shapes))
 
+    try:
+        violations += _state_violations("state", dataset.states, spec)
+        violations += _state_violations("next state", dataset.next_states, spec)
+    except ValueError as exc:  # a discrete spec with no state count
+        violations.append(str(exc))
     for idx, agent in np.argwhere((dataset.actions < 0) | (dataset.actions >= spec.n_actions)):
         violations.append(f"transition {idx}: agent {agent} action "
                           f"{dataset.actions[idx, agent]} outside [0, {spec.n_actions})")
@@ -260,21 +271,23 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
 
     beta_i(a|s) = (count(s, a_i=a) + smoothing) / (count(s) + smoothing * |A|);
     states absent from the dataset map to the uniform distribution. Table
-    keys are state ids, or tuples of floats for vector states.
+    keys are state ids, so the dataset must have discrete states.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
     if not len(dataset):
         raise ValueError("empty dataset")
     spec = dataset.header.spec
+    if spec.state_kind != "discrete":
+        raise ValueError("empirical_behavior needs discrete (tabular) states; "
+                         "estimate a vector-state behavior policy with neural.train_bc")
     n, n_act = spec.n_agents, spec.n_actions
-    keys, state_index = np.unique(dataset.states, axis=0, return_inverse=True)
+    keys, state_index = np.unique(dataset.states, return_inverse=True)
     cells = (state_index.reshape(-1, 1) * n + np.arange(n)) * n_act + dataset.actions
     counts = np.bincount(cells.ravel(), minlength=len(keys) * n * n_act)
     counts = counts.reshape(len(keys), n, n_act).astype(np.float64)
     probs = (counts + smoothing) / (counts.sum(axis=2, keepdims=True) + smoothing * n_act)
-    keys = map(tuple, keys.tolist()) if keys.ndim == 2 else keys.tolist()
-    return FactoredPolicy(n, n_act, dict(zip(keys, probs)))
+    return FactoredPolicy(n, n_act, dict(zip(keys.tolist(), probs)))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ class OnlineTrainConfig:
     updates_per_block: int = 100
     batch_size: int = 64
     lr: float = 1e-3
-    gamma: Optional[float] = None
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     epsilon_anneal_frac: float = 0.5
@@ -86,11 +85,11 @@ def _encode_inputs(env, mode: str, raw: np.ndarray):
 
 def train_online(env, budget: int, rng: RngStream,
                  config: Optional[OnlineTrainConfig] = None) -> OnlineResult:
-    """Epsilon-greedy TD training; returns checkpoints plus the whole buffer."""
+    """Epsilon-greedy TD training at the spec's gamma; returns checkpoints
+    plus the whole buffer."""
     config = config or OnlineTrainConfig()
     spec = env.spec()
     mode = "tabular" if spec.state_kind == "discrete" else "neural"
-    gamma = spec.gamma if config.gamma is None else config.gamma
     horizon = env.episode_limit
     m = config.n_parallel
 
@@ -150,11 +149,9 @@ def train_online(env, budget: int, rng: RngStream,
                 actions=actions[idx],
                 rewards=rewards[idx],
                 next_inputs=_encode_inputs(env, mode, next_states[idx]),
-                # episodes end by time limit only: bootstrap through the cut
-                dones=np.zeros(config.batch_size),
             )
             opt.zero_grad()
-            loss, _ = cfcql_loss(batch, q, target, None, 0.0, gamma)
+            loss, _ = cfcql_loss(batch, q, target, None, 0.0, spec.gamma)
             ad.backward(loss)
             opt.step()
             updates += 1
@@ -235,15 +232,11 @@ def checkpoint_actor(env, checkpoint: BehaviorCheckpoint) -> QValuesActor:
 
 
 def sample_dataset(env, checkpoint, n_traj: int, rng: RngStream,
-                   tier: Tier = Tier.EXPERT, reward_filter: Optional[float] = None,
-                   epsilon: float = 0.0, min_acceptance: float = 1e-4) -> Dataset:
-    """Roll out a checkpoint policy (greedy, optional epsilon).
+                   tier: Tier = Tier.EXPERT) -> Dataset:
+    """Roll out ``n_traj`` full episodes of a policy, one trajectory each.
 
-    Without a filter: ``n_traj`` full episodes, one trajectory each. With
-    ``reward_filter=c``: keep only transitions with reward > c * r_max until
-    ``n_traj`` SAMPLES are collected; contiguous kept runs become
-    trajectories. Errors out when the acceptance rate is below
-    ``min_acceptance`` after a bounded attempt budget.
+    ``checkpoint`` is a BehaviorCheckpoint, whose greedy policy acts, or any
+    actor. The last step of each episode is flagged done.
     """
     if n_traj < 1:
         raise ValueError("empty dataset requested (need n_traj >= 1)")
@@ -254,51 +247,17 @@ def sample_dataset(env, checkpoint, n_traj: int, rng: RngStream,
     horizon = env.episode_limit
 
     chunks, lengths = [], []  # columns and trajectory lengths per rollout chunk
-    if reward_filter is None:
-        chunk = 500
-        remaining = n_traj
-        while remaining > 0:
-            m = min(chunk, remaining)
-            roll = rollout_episodes(env, actor, m, gen, epsilon=epsilon)
-            dones = np.zeros((horizon, m), dtype=bool)
-            dones[-1] = True
-            chunks.append(_dataset_columns(env, *map(_episode_major, (
-                roll.states, roll.actions, roll.rewards, roll.next_states, dones))))
-            lengths.append(np.full(m, horizon))
-            remaining -= m
-        return _collect(spec, tier, rng.seed, chunks, lengths)
-
-    threshold = reward_filter * spec.r_max
-    wanted = n_traj  # sample count under a filter
-    attempt_budget = max(200_000, int(np.ceil(wanted / min_acceptance)))
-    generated = 0
-    kept = 0
-    chunk = 200
-    while kept < wanted and generated < attempt_budget:
-        roll = rollout_episodes(env, actor, chunk, gen, epsilon=epsilon)
-        generated += chunk * horizon
-        keep = np.swapaxes(roll.rewards > threshold, 0, 1)  # (m, T)
-        # runs of kept steps, episode by episode: +1 where one starts, -1 after it ends
-        edges = np.diff(np.pad(keep, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-        episode, first = np.nonzero(edges == 1)
-        run_len = np.nonzero(edges == -1)[1] - first
-        # runs in episode order until the wanted count, the last one cut short
-        take = np.clip(wanted - kept - _starts(run_len), 0, run_len)
-        episode, first, take = episode[take > 0], first[take > 0], take[take > 0]
-        steps = _run_rows(first, take)
-        workers = np.repeat(episode, take)
-        dones = np.zeros(len(steps), dtype=bool)
-        dones[np.cumsum(take) - 1] = first + take == horizon
-        chunks.append(_dataset_columns(env, *(c[steps, workers] for c in (
-            roll.states, roll.actions, roll.rewards, roll.next_states)), dones))
-        lengths.append(take)
-        kept += int(take.sum())
-    if kept < wanted:
-        rate = kept / max(generated, 1)
-        raise RuntimeError(
-            f"reward filter acceptance rate {rate:.2e} below {min_acceptance:.0e} "
-            f"after {generated} generated transitions"
-        )
+    chunk = 500
+    remaining = n_traj
+    while remaining > 0:
+        m = min(chunk, remaining)
+        roll = rollout_episodes(env, actor, m, gen)
+        dones = np.zeros((horizon, m), dtype=bool)
+        dones[-1] = True
+        chunks.append(_dataset_columns(env, *map(_episode_major, (
+            roll.states, roll.actions, roll.rewards, roll.next_states, dones))))
+        lengths.append(np.full(m, horizon))
+        remaining -= m
     return _collect(spec, tier, rng.seed, chunks, lengths)
 
 
@@ -318,7 +277,7 @@ def make_replay_dataset(env, result: OnlineResult) -> Dataset:
 def random_dataset(env, n_traj: int, rng: RngStream) -> Dataset:
     spec = env.spec()
     return sample_dataset(env, RandomActor(spec.n_agents, spec.n_actions),
-                          n_traj, rng, tier=Tier.RANDOM, epsilon=0.0)
+                          n_traj, rng, tier=Tier.RANDOM)
 
 
 def mix(a: Dataset, b: Dataset, rng: RngStream) -> Dataset:

@@ -1,5 +1,11 @@
 """Divergence quantities that control conservatism, and the per-agent
-penalty-weight schemes (uniform, one-hot, softmax in ratio or KL form).
+penalty weights lambda.
+
+lambda is a simplex over agents, held as a plain (n,) float array: the
+exact oracles take ``lambda_uniform(n)``. The learner scores agents per
+batch row and turns the scores into weights with ``onehot_from_scores``
+(all mass on the highest score) or ``softmax_from_scores`` (ratio or KL
+form).
 
 Ratio products are accumulated in log space: the joint-ratio divergence grows
 exponentially with the number of agents, which is the very effect under test.
@@ -7,7 +13,7 @@ exponentially with the number of agents, which is the very effect under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,7 +108,7 @@ def check_ratio_bound_probs(pi: np.ndarray, beta: np.ndarray, state=None,
     log_factors = log_ratio_factors(pi, beta, state)
     factors = np.exp(log_factors)
     if lam is None:
-        lam = np.full(len(factors), 1.0 / len(factors))  # bound holds for any simplex
+        lam = lambda_uniform(len(factors))  # the bound holds for any simplex
     d_cf = float((lam * (factors - 1.0)).sum())
     d_cql = float(np.expm1(log_factors.sum()))
     if d_cf <= 0.0:
@@ -130,45 +136,18 @@ def d_cql(pi: FactoredPolicy, beta: FactoredPolicy, state) -> float:
     return d_cql_probs(pi.probs(state), beta.probs(state), state)
 
 
-def d_cf_cql(pi: FactoredPolicy, beta: FactoredPolicy, lam: "LambdaWeights", state) -> float:
-    return d_cf_cql_probs(pi.probs(state), beta.probs(state), lam.weights(state), state)
+def d_cf_cql(pi: FactoredPolicy, beta: FactoredPolicy, lam: np.ndarray, state) -> float:
+    return d_cf_cql_probs(pi.probs(state), beta.probs(state), lam, state)
 
 
 # ---------------------------------------------------------------------------
-# Lambda weights: a per-state simplex over agents.
+# Lambda weights: a simplex over agents.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LambdaWeights:
-    n_agents: int
-    table: dict = field(default_factory=dict)
-    default: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.default is None:
-            self.default = np.full(self.n_agents, 1.0 / self.n_agents)
-
-    def weights(self, state) -> np.ndarray:
-        return self.table.get(state, self.default)
-
-    def dense(self, n_states: int) -> np.ndarray:
-        out = np.tile(self.default, (n_states, 1))
-        for s, w in self.table.items():
-            out[s] = w
-        return out
-
-    def validate(self, atol: float = 1e-9) -> list:
-        problems = []
-        rows = list(self.table.values()) + [self.default]
-        for w in rows:
-            if np.any(w < -atol) or abs(w.sum() - 1.0) > atol:
-                problems.append(f"weights {w} are not a simplex")
-        return problems
-
-
-def lambda_uniform(n_agents: int) -> LambdaWeights:
-    return LambdaWeights(n_agents)
+def lambda_uniform(n_agents: int) -> np.ndarray:
+    """Equal weight 1/n on every agent."""
+    return np.full(n_agents, 1.0 / n_agents)
 
 
 def onehot_from_scores(scores: np.ndarray) -> np.ndarray:
@@ -189,22 +168,3 @@ def softmax_from_scores(scores: np.ndarray, tau: float, form: str = "kl") -> np.
     if form == "kl":
         return softmax(-tau * np.asarray(scores, dtype=np.float64), axis=-1)
     raise ValueError(f"unknown softmax form {form!r}")
-
-
-def lambda_onehot(pi: FactoredPolicy, beta: FactoredPolicy) -> LambdaWeights:
-    states = set(pi.table) | set(beta.table)
-    table = {}
-    for s in states:
-        table[s] = onehot_from_scores(ratio_scores(pi.probs(s), beta.probs(s), s))
-    return LambdaWeights(pi.n_agents, table)
-
-
-def lambda_softmax(pi: FactoredPolicy, beta: FactoredPolicy, tau: float,
-                   form: str = "kl") -> LambdaWeights:
-    states = set(pi.table) | set(beta.table)
-    table = {}
-    for s in states:
-        p, b = pi.probs(s), beta.probs(s)
-        scores = ratio_scores(p, b, s) if form == "ratio" else kl_scores(p, b)
-        table[s] = softmax_from_scores(scores, tau, form)
-    return LambdaWeights(pi.n_agents, table)

@@ -74,21 +74,6 @@ class MMDPModel:
         """E_{s'~T(.|s,a)}[values(s')] for every (s, a), shape (S, A_joint)."""
         return (self.next_probs * values[self.next_states]).sum(axis=2)
 
-    def validate(self, atol: float = 1e-9) -> list:
-        problems = []
-        sums = self.next_probs.sum(axis=2)
-        if np.any(np.abs(sums - 1.0) > atol):
-            problems.append("transition rows do not sum to 1")
-        if np.any(self.next_probs < -atol):
-            problems.append("negative transition probability")
-        if np.any(np.abs(self.rewards) > self.r_max + 1e-9):
-            problems.append("reward exceeds r_max")
-        if np.any(self.next_states < 0) or np.any(self.next_states >= self.n_states):
-            problems.append("next-state index out of range")
-        if abs(self.initial_distribution.sum() - 1.0) > atol:
-            problems.append("initial distribution does not sum to 1")
-        return problems
-
 
 class CapacityError(RuntimeError):
     pass
@@ -100,8 +85,7 @@ class CapacityError(RuntimeError):
 
 TOY_N_CELLS = 3
 TOY_TARGET_CELL = 1
-TOY_STAY, TOY_UP, TOY_DOWN = 0, 1, 2
-_TOY_DELTA = np.array([0, 1, -1], dtype=np.int64)
+_TOY_DELTA = np.array([0, 1, -1], dtype=np.int64)  # per action: stay, up, down
 TOY_MAX_AGENTS_EXACT = 8
 
 

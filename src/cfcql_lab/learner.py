@@ -35,6 +35,13 @@ METHODS = ("cfcql", "macql", "naive")
 
 @dataclass
 class TrainConfig:
+    """Offline training settings.
+
+    gamma is the dataset spec's, so the learner and the exact oracles
+    (``tabular``) discount alike. Timeouts always bootstrap: both in-repo
+    environments end by time limit only, so no transition is terminal.
+    """
+
     alpha: float = 1.0
     tau: float = 1.0
     lambda_mode: str = "softmax"  # uniform | onehot | softmax
@@ -43,8 +50,6 @@ class TrainConfig:
     target_interval: int = 100
     total_steps: int = 10_000
     cql_joint_samples: int = 32  # macql only
-    cf_other_samples: int = 1  # draws of the other agents' actions per state
-    gamma: Optional[float] = None  # default: the dataset's spec gamma
     seed: int = 0
     lr: float = 1e-3
     hidden: tuple = (64, 64)
@@ -54,7 +59,6 @@ class TrainConfig:
     metric_subsample: int = 4096
     behavior_smoothing: float = 1.0
     bc_steps: int = 3000
-    bootstrap_timeouts: bool = True  # both in-repo envs end by time limit only
 
     def __post_init__(self):
         if self.batch_size < 1 or self.target_interval < 1 or self.total_steps < 1:
@@ -65,8 +69,8 @@ class TrainConfig:
             raise ValueError(f"unknown mixer {self.mixer!r}")
         if self.alpha < 0 or self.tau < 0:
             raise ValueError("alpha and tau must be >= 0")
-        if self.cql_joint_samples < 1 or self.cf_other_samples < 1:
-            raise ValueError("sample counts must be >= 1")
+        if self.cql_joint_samples < 1:
+            raise ValueError("cql_joint_samples must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,6 @@ class Batch:
     actions: np.ndarray  # (B, n)
     rewards: np.ndarray  # (B,)
     next_inputs: np.ndarray
-    dones: np.ndarray  # (B,) float 0/1
     beta_probs: Optional[np.ndarray] = None  # (B, n, A)
 
     def __len__(self):
@@ -187,10 +190,11 @@ class Batch:
 
 @ad.no_grad()
 def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
-    """Optimality backup through the target network (no gradient)."""
+    """Optimality backup through the target network (no gradient); every
+    next state bootstraps, since episodes end by time limit only."""
     next_values = q_target.values(batch.next_inputs).data
     next_tot = q_target.mix(next_values.max(axis=2)).data
-    return batch.rewards + gamma * (1.0 - batch.dones) * next_tot
+    return batch.rewards + gamma * next_tot
 
 
 def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Tensor:
@@ -209,13 +213,11 @@ def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Te
 
 
 def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np.ndarray],
-               alpha: float, gamma: float, rng: Optional[np.random.Generator] = None,
-               cf_other_samples: int = 1):
+               alpha: float, gamma: float):
     """Counterfactual conservative loss; ``alpha=0`` reduces to plain TD.
 
     The other agents' actions in the penalty come from the sampled transition
-    (one draw from the behavior policy); ``cf_other_samples > 1`` averages
-    over extra draws from the estimated behavior policy.
+    (one draw from the behavior policy). ``lam=None`` weighs agents uniformly.
     """
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
@@ -228,21 +230,7 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np
 
     if lam is None:
         lam = np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
-    action_sets = [batch.actions]
-    for _ in range(cf_other_samples - 1):
-        if rng is None:
-            raise ValueError("cf_other_samples > 1 needs an rng")
-        u = rng.random(batch.beta_probs.shape[:2])
-        cdf = np.cumsum(batch.beta_probs, axis=2)
-        # rounding can leave cdf[-1] just below 1 and u above it
-        action_sets.append(np.minimum((u[:, :, None] > cdf).sum(axis=2), q.n_actions - 1))
-    lse_terms = [ad.logsumexp_t(counterfactual_rows(q, values, actions), axis=-1)
-                 for actions in action_sets]  # each (B, n)
-    lse = lse_terms[0]
-    for extra in lse_terms[1:]:
-        lse = lse + extra
-    if len(lse_terms) > 1:
-        lse = ad.mul(lse, 1.0 / len(lse_terms))
+    lse = ad.logsumexp_t(counterfactual_rows(q, values, batch.actions), axis=-1)  # (B, n)
     penalty_terms = ad.tsum(ad.mul(ad.Tensor(lam), lse), axis=1) - q_data
     penalty = ad.mul(ad.tmean(penalty_terms), alpha)
     loss = penalty + td
@@ -382,7 +370,6 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     spec = dataset.header.spec
     env = make_env(spec)
     mode = "tabular" if spec.state_kind == "discrete" else "neural"
-    gamma = spec.gamma if config.gamma is None else config.gamma
     # the stream label is method-independent: seeded runs of methods that
     # coincide mathematically (e.g. single-agent) must coincide bit-for-bit
     root = RngStream(config.seed, "offline-train")
@@ -393,11 +380,8 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         inputs = env.per_agent_features(dataset.states)
         next_inputs = env.per_agent_features(dataset.next_states)
     actions, rewards = dataset.actions, dataset.rewards
-    dones = np.zeros(len(dataset)) if config.bootstrap_timeouts else dataset.dones.astype(float)
     n_transitions = len(dataset)
-    needs_beta = method == "cfcql" and (
-        config.lambda_mode != "uniform" or config.cf_other_samples > 1
-    )
+    needs_beta = method == "cfcql" and config.lambda_mode != "uniform"
     beta_probs = (
         _behavior_probs(dataset, env, mode, inputs, config, root.child("bc"))
         if needs_beta else None
@@ -425,21 +409,19 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         idx = batch_rng.integers(0, n_transitions, size=config.batch_size)
         batch = Batch(
             inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
-            next_inputs=next_inputs[idx], dones=dones[idx],
+            next_inputs=next_inputs[idx],
             beta_probs=None if beta_probs is None else beta_probs[idx],
         )
         opt.zero_grad()
         if method == "macql" and alpha > 0.0:
             loss, stats = macql_loss(batch, q, target, alpha,
-                                     config.cql_joint_samples, penalty_rng, gamma)
+                                     config.cql_joint_samples, penalty_rng, spec.gamma)
         else:
             lam = None
             if method == "cfcql" and alpha > 0.0 and config.lambda_mode != "uniform":
                 lam = batch_lambda(q, batch, config.lambda_mode, config.tau,
                                    config.lambda_form)
-            loss, stats = cfcql_loss(batch, q, target, lam, alpha, gamma,
-                                     rng=penalty_rng,
-                                     cf_other_samples=config.cf_other_samples)
+            loss, stats = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
         if not np.isfinite(loss.data):
             raise FloatingPointError(f"training diverged at step {step}")
         ad.backward(loss)

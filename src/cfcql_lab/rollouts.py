@@ -69,8 +69,7 @@ def rollout_episodes(env, actor, n_episodes: int, rng: np.random.Generator,
     )
 
 
-def evaluate_actor(env, actor, n_episodes: int, rng: np.random.Generator,
-                   epsilon: float = 0.0):
-    batch = rollout_episodes(env, actor, n_episodes, rng, epsilon)
+def evaluate_actor(env, actor, n_episodes: int, rng: np.random.Generator):
+    batch = rollout_episodes(env, actor, n_episodes, rng)
     returns = batch.returns()
     return float(returns.mean()), float(returns.std())

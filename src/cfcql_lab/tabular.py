@@ -15,19 +15,19 @@ rounding does not pick among actions whose values are equal.
 ``learner_fixed_point`` is the oracle for the practical learner itself: the
 exact stationary point of the objective that ``learner.train_offline``
 minimises in expectation over its minibatches, for the tabular cfcql learner
-with the additive mixer, uniform lambda and bootstrapped timeouts (the
-training loop's default), at any number of agents.
+with the additive mixer and uniform lambda, at any number of agents (the
+training loop always bootstraps timeouts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .core import Dataset, EnvId, EnvSpec, FactoredPolicy, greedy_policy_from_actions
-from .divergence import LambdaWeights, SupportError, _check_support
+from .core import Dataset, EnvSpec, FactoredPolicy, greedy_policy_from_actions, state_count
+from .divergence import SupportError, _check_support
 from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
 
@@ -107,21 +107,23 @@ def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy):
 
 
 def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
-                      lam: LambdaWeights, alpha: float):
+                      lam: np.ndarray, alpha: float):
     """Penalized evaluation with the per-agent counterfactual ratio penalty.
 
-    The fixed point of Q = T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1).
+    The fixed point of Q = T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1),
+    with one (n,) weight vector ``lam`` at every state.
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
+    if np.shape(lam) != (model.n_agents,):
+        raise ValueError(f"lambda has shape {np.shape(lam)}, expected ({model.n_agents},)")
     pi_d = _policy_dense(model, pi)
     beta_d = _policy_dense(model, beta)
     ratios = _support_checked_ratios(pi_d, beta_d)
     digits = all_joint_actions(model.n_agents, model.n_actions)
-    lam_dense = lam.dense(model.n_states)  # (S, n)
     penalty = -np.ones((model.n_states, model.n_joint_actions))
     for i in range(model.n_agents):
-        penalty += lam_dense[:, i:i + 1] * ratios[i][:, digits[:, i]]
+        penalty += lam[i] * ratios[i][:, digits[:, i]]
     joint_pi = joint_policy_matrix(pi_d)
     base = model.rewards - alpha * penalty
     q, v, report = _evaluate(model, joint_pi, base)
@@ -204,8 +206,7 @@ def greedy_policy_from_q(model: MMDPModel, q: JointQTable) -> FactoredPolicy:
     return greedy_policy_from_actions(actions, model.n_actions)
 
 
-def empirical_model(dataset: Dataset, spec: EnvSpec,
-                    n_states: Optional[int] = None) -> MMDPModel:
+def empirical_model(dataset: Dataset, spec: EnvSpec) -> MMDPModel:
     """Maximum-likelihood tabular model from dataset counts.
 
     Unseen (state, joint action) pairs become zero-reward self-loops and are
@@ -213,11 +214,7 @@ def empirical_model(dataset: Dataset, spec: EnvSpec,
     """
     if spec.state_kind != "discrete":
         raise ValueError("empirical_model needs discrete (tabular) states")
-    if n_states is None:
-        if spec.env_id == EnvId.TOY_MMDP:
-            n_states = spec.n_actions**spec.n_agents
-        else:
-            raise ValueError("n_states must be given for this environment")
+    n_states = state_count(spec)
     n_joint = spec.n_actions**spec.n_agents
     if n_states * n_joint > MAX_TABLE_CELLS:
         raise ValueError(f"table of {n_states} x {n_joint} cells exceeds capacity")
@@ -273,8 +270,8 @@ def learner_fixed_point(dataset: Dataset, alpha: float, tol: float = DEFAULT_TOL
     1/2 (Q_tot - y)^2 + alpha * sum_i lambda_i (logsumexp Q_i(s, .) - Q_i(s, a_i))
     with Q_tot = sum_i Q_i(s, a_i), lambda_i = 1/n and the target
     y = r + gamma * sum_i max Q_i(s', .) held fixed, as the target table is
-    during training; ``done`` is ignored, since train_offline bootstraps
-    timeouts by default. State-actions are weighted by their dataset counts.
+    during training; ``done`` is ignored, since train_offline always
+    bootstraps timeouts. State-actions are weighted by their dataset counts.
     At the returned table the target equals the table and the gradient
     vanishes. Each sweep refreshes y from the current table and takes one
     Newton step on every visited state's convex objective; the sweeps stop

@@ -15,7 +15,7 @@ from cfcql_lab.core import (
     save_dataset,
     validate_dataset,
 )
-from cfcql_lab.envs import ToyMMDP
+from cfcql_lab.envs import EqualLine, ToyMMDP
 
 from conftest import make_dataset, random_toy_dataset
 
@@ -81,6 +81,12 @@ def test_validate_dataset_flags_reward_above_rmax():
     assert any("r_max" in v for v in report.violations)
 
 
+def test_validate_dataset_flags_discrete_spec_without_state_count():
+    spec = EnvSpec(EnvId.EQUAL_LINE, 2, 11, 0.9, 2.0, 50, "discrete", "ids")
+    report = validate_dataset(make_dataset([_transition(0, (0, 0), 0.5, 1, True)], spec), spec)
+    assert report.violations == ("no discrete state count for equal_line with discrete states",)
+
+
 def test_empirical_behavior_counting():
     ts = [
         _transition(0, (1, 0), 0.0, 0),
@@ -118,6 +124,12 @@ def test_empirical_behavior_matches_bruteforce_count(rng):
         np.testing.assert_allclose(beta.probs(s), expect, atol=1e-12)
 
 
+def test_empirical_behavior_rejects_vector_states():
+    d = make_dataset([((0.0, 1.0), (0, 1), 0.0, (0.0, 1.0), True)], EqualLine(2).spec())
+    with pytest.raises(ValueError, match="empirical_behavior needs discrete"):
+        empirical_behavior(d)
+
+
 def test_empirical_behavior_unseen_state_is_uniform(rng):
     d = random_toy_dataset(rng, n_transitions=20, episodes=2)
     beta = empirical_behavior(d)
@@ -129,7 +141,10 @@ def test_empirical_behavior_unseen_state_is_uniform(rng):
 def test_empirical_behavior_is_simplex(seed, smoothing):
     d = random_toy_dataset(np.random.default_rng(seed), n_transitions=60, episodes=3)
     beta = empirical_behavior(d, smoothing=smoothing)
-    assert not beta.validate(atol=1e-9)
+    rows = np.stack(list(beta.table.values()))
+    assert rows.shape[1:] == (beta.n_agents, beta.n_actions)
+    assert np.all(rows >= 0)
+    np.testing.assert_allclose(rows.sum(axis=2), 1.0, rtol=0, atol=1e-9)
 
 
 def test_dataset_roundtrip_discrete(tmp_path, rng):
@@ -187,8 +202,8 @@ def test_golden_file_roundtrips_byte_for_byte(tmp_path, name, state_dtype, state
     assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
 
 
-def _edit_golden(tmp_path, line_no, old, new):
-    lines = (DATA / "toy_n2.txt").read_text().splitlines(keepends=True)
+def _edit_golden(tmp_path, line_no, old, new, name="toy_n2.txt"):
+    lines = (DATA / name).read_text().splitlines(keepends=True)
     assert old in lines[line_no - 1]
     lines[line_no - 1] = lines[line_no - 1].replace(old, new)
     path = tmp_path / "bad.txt"
@@ -217,3 +232,20 @@ def test_load_dataset_rejects_bad_file(tmp_path, line_no, old, new, message):
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("name, line_no, old, new, message", [
+    ("toy_n2.txt", 3, "5,0 2,", "-1,0 2,", "transition 1: state -1 outside [0, 9)"),
+    ("toy_n2.txt", 5, "5,0 1,", "9,0 1,", "transition 3: state 9 outside [0, 9)"),
+    ("toy_n2.txt", 6, ",8,1,0", ",-3,1,0", "transition 4: next state -3 outside [0, 9)"),
+    ("line_n2.txt", 3, "0.0;0.6022012081306448,4", "nan;0.6022012081306448,4",
+     "transition 1: state [nan, 0.6022012081306448] is not finite"),
+    ("line_n2.txt", 4, ",0.0;1.6022012081306447,", ",inf;1.6022012081306447,",
+     "transition 2: next state [inf, 1.6022012081306447] is not finite"),
+], ids=["negative_state", "state_past_last", "negative_next_state", "nan_state",
+        "inf_next_state"])
+def test_load_dataset_rejects_bad_state(tmp_path, name, line_no, old, new, message):
+    path = _edit_golden(tmp_path, line_no, old, new, name)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}: invalid dataset:\n{message}"

@@ -11,7 +11,6 @@ from cfcql_lab.datagen import (
     train_online,
 )
 from cfcql_lab.envs import ToyMMDP
-from cfcql_lab.rollouts import RandomActor
 
 # Seed 2 at this budget first reaches 0.9 of the expert's return at its third
 # checkpoint, so "the first checkpoint" and "the first one over the threshold"
@@ -55,8 +54,6 @@ def tiers(env, online):
         "expert": expert,
         "medium_replay": make_replay_dataset(env, online),
         "mixed": mix(medium, expert, rng.child("mixed")),
-        "filtered": sample_dataset(env, RandomActor(2, 3), 150, rng.child("filtered"),
-                                   tier=Tier.RANDOM, reward_filter=0.4),
     }
 
 
@@ -103,20 +100,7 @@ def test_mix_takes_min_trajectories_from_each_side(env):
     assert picked == [0, 1, 2, 3]  # the smaller side is taken whole
 
 
-def test_reward_filter_keeps_contiguous_runs_above_threshold(env, tiers):
-    d = tiers["filtered"]
-    states, _, rewards, next_states, dones, _ = columns(d)
-    assert len(d) == 150
-    assert np.all(rewards > 0.4 * env.spec().r_max)
-    for lo, hi in trajectories(d):
-        np.testing.assert_array_equal(next_states[lo:hi - 1], states[lo + 1:hi])
-        assert not dones[lo:hi - 1].any()
-    # runs are cut where the reward drops, so some end before the horizon
-    assert len(trajectories(d)) > 150 // env.episode_limit
-
-
-@pytest.mark.parametrize("tier", ["random", "medium", "expert", "medium_replay", "mixed",
-                                  "filtered"])
+@pytest.mark.parametrize("tier", ["random", "medium", "expert", "medium_replay", "mixed"])
 def test_every_tier_is_valid(env, tiers, tier):
     report = validate_dataset(tiers[tier], env.spec())
     assert report.ok, str(report)

@@ -4,22 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcql_lab.divergence import (
-    LambdaWeights,
     SupportError,
     check_ratio_bound_probs,
     d_cf_cql_probs,
     d_cql_probs,
     kl_categorical,
     kl_scores,
-    lambda_onehot,
-    lambda_softmax,
     lambda_uniform,
     log_ratio_factors,
     onehot_from_scores,
-    ratio_scores,
     softmax_from_scores,
 )
-from cfcql_lab.core import FactoredPolicy
 from cfcql_lab.envs import all_joint_actions
 
 
@@ -252,8 +247,8 @@ def test_ratio_bound_undefined_at_equal_policies(rng):
 
 def test_lambda_uniform():
     lam = lambda_uniform(4)
-    np.testing.assert_array_equal(lam.weights("anything"), np.full(4, 0.25))
-    assert not lam.validate()
+    assert lam.dtype == np.float64
+    np.testing.assert_array_equal(lam, np.full(4, 0.25))
 
 
 def test_softmax_lambda_tau_zero_is_exactly_uniform(rng):
@@ -309,18 +304,3 @@ def test_softmax_lambda_argmax_weight_monotone_in_tau(rng):
     j_min = int(np.argmin(scores))
     weights = [softmax_from_scores(scores, t, "kl")[j_min] for t in taus]
     assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
-
-
-def test_lambda_policy_wrappers(rng):
-    pi = FactoredPolicy(3, 4, {0: random_simplexes(rng, 3, 4)})
-    beta = FactoredPolicy(3, 4, {0: random_simplexes(rng, 3, 4, floor=1e-3)})
-    one = lambda_onehot(pi, beta)
-    assert one.weights(0).sum() == pytest.approx(1.0)
-    assert np.count_nonzero(one.weights(0)) == 1
-    scores = ratio_scores(pi.probs(0), beta.probs(0))
-    assert one.weights(0)[np.argmax(scores)] == 1.0
-    soft = lambda_softmax(pi, beta, tau=2.0, form="kl")
-    assert not soft.validate()
-    dense = soft.dense(3)
-    assert dense.shape == (3, 3)
-    np.testing.assert_allclose(dense[1], 1.0 / 3.0)  # unseen state -> uniform

@@ -88,7 +88,11 @@ def test_toy_exact_model_matches_single_steps():
 def test_toy_exact_model_agrees_with_step_on_random_probes():
     env = ToyMMDP(3)
     model = env.exact_model()
-    assert not model.validate()
+    np.testing.assert_allclose(model.next_probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+    assert np.all(model.next_probs >= 0)
+    assert np.all(np.abs(model.rewards) <= model.r_max)
+    assert np.all((model.next_states >= 0) & (model.next_states < model.n_states))
+    assert model.initial_distribution.sum() == pytest.approx(1.0)
     rng = np.random.default_rng(5)
     states = rng.integers(0, model.n_states, size=1000)
     actions = rng.integers(0, 3, size=(1000, 3))

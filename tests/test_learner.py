@@ -33,20 +33,19 @@ def tabular_q(n_agents, n_actions, n_states, values=None, mixer="additive", rng=
     return q
 
 
-def make_batch(ids, actions, rewards, next_ids, dones, beta=None):
+def make_batch(ids, actions, rewards, next_ids, beta=None):
     return Batch(
         inputs=np.asarray(ids),
         actions=np.asarray(actions),
         rewards=np.asarray(rewards, dtype=np.float64),
         next_inputs=np.asarray(next_ids),
-        dones=np.asarray(dones, dtype=np.float64),
         beta_probs=beta,
     )
 
 
 def full_batch(d):
-    """Every transition of a tabular dataset, timeouts bootstrapped."""
-    return make_batch(d.states, d.actions, d.rewards, d.next_states, np.zeros(len(d)))
+    """Every transition of a tabular dataset."""
+    return make_batch(d.states, d.actions, d.rewards, d.next_states)
 
 
 def data_and_greedy_q(table, d):
@@ -63,7 +62,7 @@ def test_cfcql_loss_hand_case():
     # one transition, 2 agents, 2 actions, hand-set tabular Q, uniform lambda
     q = tabular_q(2, 2, 2, values=[[1.0, 2.0, 0.5, -1.0], [0.0, 0.0, 0.0, 0.0]])
     target = q.copy()
-    batch = make_batch([0], [[0, 1]], [0.3], [1], [0.0])
+    batch = make_batch([0], [[0, 1]], [0.3], [1])
     alpha, gamma = 0.7, 0.9
     loss, stats = cfcql_loss(batch, q, target, None, alpha, gamma)
 
@@ -82,7 +81,7 @@ def test_alpha_zero_is_pure_td(rng):
     target = tabular_q(2, 3, 9, values=rng.normal(size=(9, 6)))
     ids = rng.integers(0, 9, size=16)
     batch = make_batch(ids, rng.integers(0, 3, size=(16, 2)), rng.normal(size=16),
-                       rng.integers(0, 9, size=16), np.zeros(16))
+                       rng.integers(0, 9, size=16))
     loss, _ = cfcql_loss(batch, q, target, None, 0.0, 0.95)
     y = td_targets(target, batch, 0.95)
     vals = q.values(batch.inputs).data
@@ -96,7 +95,7 @@ def test_macql_exhaustive_matches_joint_enumeration(rng):
     target = q.copy()
     ids = rng.integers(0, 5, size=8)
     batch = make_batch(ids, rng.integers(0, 3, size=(8, 2)), rng.normal(size=8),
-                       rng.integers(0, 5, size=8), np.zeros(8))
+                       rng.integers(0, 5, size=8))
     loss, _ = macql_loss(batch, q, target, 1.3, 9, None, 0.9)
 
     vals = q.values(batch.inputs).data
@@ -116,7 +115,7 @@ def test_macql_sampling_constant(rng):
     """Sampled estimator carries the log(|A|^n / N) importance constant."""
     q = tabular_q(2, 3, 4, values=np.zeros((4, 6)))
     target = q.copy()
-    batch = make_batch([0], [[0, 0]], [0.0], [1], [0.0])
+    batch = make_batch([0], [[0, 0]], [0.0], [1])
     loss, stats = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
     # all Q values are zero: lse over 4 samples = log 4; constant = log(9/4)
     assert stats["penalty"] == pytest.approx(np.log(4.0) + np.log(9.0 / 4.0), abs=1e-12)
@@ -133,7 +132,7 @@ def reference_single_agent_cql_loss(table, target_table, batch, alpha, gamma):
     rows = table[ids]
     m = rows.max(axis=1)
     lse = m + np.log(np.exp(rows - m[:, None]).sum(axis=1))
-    y = batch.rewards + gamma * (1.0 - batch.dones) * target_table[batch.next_inputs].max(axis=1)
+    y = batch.rewards + gamma * target_table[batch.next_inputs].max(axis=1)
     td = 0.5 * ((qsa - y) ** 2).mean()
     return alpha * (lse.mean() - qsa.mean()) + td
 
@@ -151,7 +150,6 @@ def test_single_agent_losses_coincide(rng):
             rng.integers(0, n_actions, size=(b, 1)),
             rng.normal(size=b),
             rng.integers(0, n_states, size=b),
-            (rng.random(b) < 0.2).astype(np.float64),
         )
         alpha = float(rng.uniform(0.1, 5.0))
         cf, _ = cfcql_loss(batch, q, target, np.ones((b, 1)), alpha, 0.9)
@@ -192,7 +190,6 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
         rng.integers(0, 2, size=(b, 2)),
         rng.normal(size=b),
         rng.integers(0, n_states, size=b),
-        (rng.random(b) < 0.3).astype(np.float64),
     )
     lam = rng.dirichlet(np.ones(2), size=b)
 
@@ -284,8 +281,7 @@ def test_lambda_mode_changes_penalty_not_td(rng):
     b = 10
     beta = rng.dirichlet(np.ones(3), size=(b, 3))
     batch = make_batch(rng.integers(0, 5, size=b), rng.integers(0, 3, size=(b, 3)),
-                       rng.normal(size=b), rng.integers(0, 5, size=b), np.zeros(b),
-                       beta=beta)
+                       rng.normal(size=b), rng.integers(0, 5, size=b), beta=beta)
     lam_uniform = np.full((b, 3), 1 / 3)
     lam_onehot = batch_lambda(q, batch, "onehot", 0.0)
     _, s1 = cfcql_loss(batch, q, target, lam_uniform, 1.0, 0.9)
@@ -299,8 +295,7 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
     b = 12
     beta = rng.dirichlet(np.ones(3), size=(b, 4))
     batch = make_batch(rng.integers(0, 6, size=b), rng.integers(0, 3, size=(b, 4)),
-                       rng.normal(size=b), rng.integers(0, 6, size=b), np.zeros(b),
-                       beta=beta)
+                       rng.normal(size=b), rng.integers(0, 6, size=b), beta=beta)
     for mode, tau in (("uniform", 0.0), ("onehot", 0.0), ("softmax", 2.0)):
         lam = batch_lambda(q, batch, mode, tau)
         assert lam.shape == (b, 4)
@@ -308,44 +303,6 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
         assert np.all(lam >= 0)
     one = batch_lambda(q, batch, "onehot", 0.0)
     assert set(np.unique(one)) == {0.0, 1.0}
-
-
-def test_cf_multi_sample_option_runs(rng):
-    q = tabular_q(2, 3, 4, values=rng.normal(size=(4, 6)))
-    target = q.copy()
-    b = 5
-    beta = rng.dirichlet(np.ones(3), size=(b, 2))
-    batch = make_batch(rng.integers(0, 4, size=b), rng.integers(0, 3, size=(b, 2)),
-                       rng.normal(size=b), rng.integers(0, 4, size=b), np.zeros(b),
-                       beta=beta)
-    loss1, _ = cfcql_loss(batch, q, target, None, 1.0, 0.9,
-                          rng=np.random.default_rng(0), cf_other_samples=3)
-    assert np.isfinite(loss1.data)
-
-
-class _TopOfUnitInterval:
-    """Generator stub whose uniform draws are all the largest double below 1."""
-
-    def random(self, shape):
-        return np.full(shape, np.nextafter(1.0, 0.0))
-
-
-def test_cfcql_loss_sampler_clamps_when_beta_sums_below_one(rng):
-    # the last cumulative sum lands below the draw, which would index past A
-    short = np.array([0.3, 0.3, 0.4 - 1e-9])
-    assert np.cumsum(short)[-1] < np.nextafter(1.0, 0.0)
-    q = tabular_q(2, 3, 4, values=rng.normal(size=(4, 6)))
-    batch = make_batch([0, 1, 2], [[0, 1], [2, 0], [1, 1]], [0.1, 0.2, 0.3], [1, 2, 3],
-                       np.zeros(3), beta=np.broadcast_to(short, (3, 2, 3)).copy())
-    loss, _ = cfcql_loss(batch, q, q.copy(), None, 1.0, 0.9,
-                         rng=_TopOfUnitInterval(), cf_other_samples=2)
-    assert np.isfinite(loss.data)
-    # the draw is past every cdf entry but the last, so the clamped action is A - 1
-    last = make_batch([0, 1, 2], [[0, 1], [2, 0], [1, 1]], [0.1, 0.2, 0.3], [1, 2, 3],
-                      np.zeros(3), beta=np.broadcast_to([0.0, 0.0, 1.0], (3, 2, 3)).copy())
-    expected, _ = cfcql_loss(last, q, q.copy(), None, 1.0, 0.9,
-                             rng=_TopOfUnitInterval(), cf_other_samples=2)
-    assert loss.data == expected.data
 
 
 # -- training loop ----------------------------------------------------------------

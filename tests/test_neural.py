@@ -265,7 +265,7 @@ def test_elu_abs_gradients():
 
 
 def logsumexp(values) -> float:
-    return ad.logsumexp_t(np.asarray(values, dtype=np.float64)).item()
+    return float(ad.logsumexp_t(np.asarray(values, dtype=np.float64)).data)
 
 
 def test_logsumexp_pairs():
@@ -305,7 +305,7 @@ def test_adam_decreases_convex_quadratic_monotonically():
         loss = ad.tsum(ad.square(p - target))
         ad.backward(loss)
         opt.step()
-        losses.append(loss.item())
+        losses.append(float(loss.data))
     warm = losses[10:]
     assert all(b <= a + 1e-12 for a, b in zip(warm, warm[1:]))
     assert losses[-1] < 1e-3

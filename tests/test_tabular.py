@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cfcql_lab.core import FactoredPolicy, empirical_behavior, uniform_policy
-from cfcql_lab.divergence import LambdaWeights, SupportError, lambda_uniform
+from cfcql_lab.core import FactoredPolicy, empirical_behavior
+from cfcql_lab.divergence import SupportError, lambda_uniform
 from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, encode_joint
 from cfcql_lab.neural import softmax
 from cfcql_lab.tabular import (
@@ -78,7 +78,7 @@ def reference_sweeps(model, joint_pi, base):
 
 def test_zero_reward_model_gives_zero_q():
     model = single_state_model(reward=0.0)
-    q, v, report = exact_policy_eval(model, uniform_policy(1, 2))
+    q, v, report = exact_policy_eval(model, FactoredPolicy(1, 2))
     assert report.converged
     np.testing.assert_allclose(q.values, 0.0)
     np.testing.assert_allclose(v, 0.0)
@@ -86,7 +86,7 @@ def test_zero_reward_model_gives_zero_q():
 
 def test_geometric_series_value():
     model = single_state_model(reward=1.0, gamma=0.9)
-    q, v, _ = exact_policy_eval(model, uniform_policy(1, 2))
+    q, v, _ = exact_policy_eval(model, FactoredPolicy(1, 2))
     np.testing.assert_allclose(q.values, 10.0, atol=1e-8)
     np.testing.assert_allclose(v, 10.0, atol=1e-8)
 
@@ -94,7 +94,7 @@ def test_geometric_series_value():
 def test_policy_eval_matches_monte_carlo():
     env = ToyMMDP(2, gamma=0.9)
     model = env.exact_model()
-    pi = uniform_policy(2, 3)
+    pi = FactoredPolicy(2, 3)
     _, v, _ = exact_policy_eval(model, pi)
 
     rng = np.random.default_rng(77)
@@ -161,10 +161,9 @@ def test_macql_single_agent_equals_cfcql(rng):
     model = env.exact_model()
     pi = random_factored_policy(rng, 1, 3, 3)
     beta = random_factored_policy(rng, 1, 3, 3, floor=1e-2)
-    for lam in (lambda_uniform(1), LambdaWeights(1, {0: np.ones(1)})):
-        _, v_cf, _ = cfcql_fixed_point(model, pi, beta, lam, alpha=0.7)
-        _, v_ma, _ = macql_fixed_point(model, pi, beta, alpha=0.7)
-        np.testing.assert_allclose(v_ma, v_cf, atol=1e-10)
+    _, v_cf, _ = cfcql_fixed_point(model, pi, beta, lambda_uniform(1), alpha=0.7)
+    _, v_ma, _ = macql_fixed_point(model, pi, beta, alpha=0.7)
+    np.testing.assert_allclose(v_ma, v_cf, atol=1e-10)
 
 
 def test_macql_dominated_by_cfcql(rng):
@@ -211,7 +210,7 @@ def test_evaluators_match_reference_sweeps(case, rng):
         for i, b in enumerate(digits):
             ratio = pi_d[i, :, b] / beta_d[i, :, b]
             joint_pi[:, a] *= pi_d[i, :, b]
-            cf_penalty[:, a] += lam.default[i] * ratio
+            cf_penalty[:, a] += lam[i] * ratio
             joint_ratio[:, a] *= ratio
     cases = [
         (exact_policy_eval(model, pi), model.rewards),
@@ -242,6 +241,14 @@ def test_support_error_identifies_agent_state_action():
     with pytest.raises(SupportError) as err:
         cfcql_fixed_point(model, pi, beta, lambda_uniform(2), alpha=1.0)
     assert (err.value.agent, err.value.state, err.value.action) == (0, 4, 2)
+
+
+def test_cfcql_fixed_point_rejects_per_state_lambda(rng):
+    # an (S, n) table with n == |A| would broadcast against the (S, A) ratios
+    model = ToyMMDP(3).exact_model()
+    pi = random_factored_policy(rng, 3, model.n_states, 3)
+    with pytest.raises(ValueError, match=r"lambda has shape \(27, 3\), expected \(3,\)"):
+        cfcql_fixed_point(model, pi, pi, np.full((model.n_states, 3), 1 / 3), alpha=1.0)
 
 
 def detour_model(gamma=0.9):
@@ -350,9 +357,9 @@ def test_empirical_model_flags_unseen_as_self_loop():
 
 
 def test_empirical_model_concentrates_on_truth(rng):
-    model = two_successor_model(rng)
+    spec = ToyMMDP(1).spec()  # discrete single-agent spec shell: 3 states, 3 actions
+    model = two_successor_model(rng, n_states=3)
     n_states, n_joint = model.n_states, model.n_joint_actions
-    spec = ToyMMDP(1).spec()  # discrete single-agent spec shell
     rows = []
     for _ in range(40_000):
         s = int(rng.integers(0, n_states))
@@ -360,7 +367,7 @@ def test_empirical_model_concentrates_on_truth(rng):
         k = int(rng.random() > model.next_probs[s, a, 0])
         rows.append((s, (a,), model.rewards[s, a], model.next_states[s, a, k], False))
     d = make_dataset(rows, spec, starts=(0,))
-    hat = empirical_model(d, spec, n_states=n_states)
+    hat = empirical_model(d, spec)
     for a in range(n_joint):
         onehot = np.zeros((n_states, n_joint))
         onehot[:, a] = 1.0
