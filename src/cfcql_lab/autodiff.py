@@ -1,38 +1,52 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Only the handful of operations needed by the learner's loss graphs are
-implemented. Everything is float64; tapes are built eagerly and freed after
-``backward``.
+The ops are the learner's: add, sub, mul, matmul, relu, elu, absolute,
+square, tsum, tmean, logsumexp_t, gather_last, take_rows, reshape and
+swapaxes, reversed by ``backward``. Everything is float64; tapes are built
+eagerly and freed after ``backward``.
 
-Inside ``no_grad()`` (a context manager that also works as a decorator) every
-op result is a plain value: its ``parents`` is empty, its ``bwd`` is None and
-its ``requires_grad`` is False, so nothing it was computed from is kept alive.
-Leaves made with ``requires_grad=True`` stay trainable. The mode is one flag
-for the whole process, restored on exit from the block even when it raises.
+A result with no grad-requiring parent records no tape: its ``parents`` is
+empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
+``no_grad()`` (a context manager that also works as a decorator) every op
+result is such a plain value; leaves made with ``requires_grad=True`` stay
+trainable. The mode is one process-wide flag, restored on exit from the
+block even when it raises.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Optional, Sequence
+import functools
+import math
+from typing import Optional
 
 import numpy as np
 
 _grad_enabled = True
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Build no tape inside the block: forward values only."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = previous
+class no_grad:
+    """Build no tape inside the block, or inside calls of a decorated function."""
+
+    def __enter__(self):
+        global _grad_enabled
+        self.previous, _grad_enabled = _grad_enabled, False
+
+    def __exit__(self, *exc_info):
+        global _grad_enabled
+        _grad_enabled = self.previous
+
+    def __call__(self, fn):
+        @functools.wraps(fn)
+        def untraced(*args, **kwargs):
+            with no_grad():
+                return fn(*args, **kwargs)
+
+        return untraced
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -47,11 +61,12 @@ class Tensor:
     def __init__(self, data, parents=(), bwd=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        if not _grad_enabled:
-            parents, bwd = (), None
-        self.parents: tuple = tuple(parents)
-        self.bwd = bwd
-        self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    self.parents, self.bwd, self.requires_grad = parents, bwd, True
+                    return
+        self.parents, self.bwd, self.requires_grad = (), None, requires_grad
 
     @property
     def shape(self):
@@ -68,21 +83,15 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -98,9 +107,20 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return Tensor(out_data, (a, b), bwd)
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def bwd(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
+
+    return Tensor(a.data - b.data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -108,7 +128,8 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return Tensor(out_data, (a, b), bwd)
 
@@ -118,9 +139,10 @@ def matmul(a, b) -> Tensor:
     out_data = np.matmul(a.data, b.data)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
+        return (None if ga is None else _unbroadcast(ga, a.data.shape),
+                None if gb is None else _unbroadcast(gb, b.data.shape))
 
     return Tensor(out_data, (a, b), bwd)
 
@@ -163,23 +185,34 @@ def square(x) -> Tensor:
     return Tensor(x.data * x.data, (x,), bwd)
 
 
+def _spread(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """The gradient of a sum over ``axis``: ``g`` copied along the summed axis."""
+    if axis is not None and not keepdims:
+        kept = list(shape)
+        kept[axis] = 1
+        g = g.reshape(kept)
+    out = np.empty(shape)
+    out[...] = g
+    return out
+
+
 def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    out_data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.data.shape).copy(),)
+        return (_spread(g, x.data.shape, axis, keepdims),)
 
-    return Tensor(out_data, (x,), bwd)
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
 def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
+    scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
+
+    def bwd(g):
+        return (_spread(g * scale, x.data.shape, axis, keepdims),)
+
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims) * scale, (x,), bwd)
 
 
 def logsumexp_t(x, axis: int = -1) -> Tensor:
@@ -188,73 +221,55 @@ def logsumexp_t(x, axis: int = -1) -> Tensor:
     m = np.max(x.data, axis=axis, keepdims=True)
     shifted = np.exp(x.data - m)
     total = shifted.sum(axis=axis, keepdims=True)
-    out_data = np.squeeze(m + np.log(total), axis=axis)
+    out_data = (m + np.log(total)).squeeze(axis)
 
     def bwd(g):
         soft = shifted / total
-        return (np.expand_dims(g, axis) * soft,)
+        return (g.reshape(total.shape) * soft,)
 
     return Tensor(out_data, (x,), bwd)
+
+
+def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """``g`` summed into zeros of ``shape`` at flat positions ``flat``, one by
+    one in index order (as ``np.add.at`` adds, so duplicates give its bits)."""
+    return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
 def gather_last(x, index: np.ndarray) -> Tensor:
     """out[..., j] = x[..., index[..., j]]; duplicate indices accumulate in backward."""
     x = as_tensor(x)
     idx = np.asarray(index, dtype=np.int64)
-    if idx.shape[:-1] != x.data.shape[:-1]:
-        raise ValueError(f"index leading dims {idx.shape[:-1]} != {x.data.shape[:-1]}")
-    out_data = np.take_along_axis(x.data, idx, axis=-1)
+    shape = x.data.shape
+    if idx.shape[:-1] != shape[:-1]:
+        raise ValueError(f"index leading dims {idx.shape[:-1]} != {shape[:-1]}")
+    width = shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= width):
+        bad = idx[(idx < 0) | (idx >= width)][0]
+        raise ValueError(f"gather_last index {bad} is outside 0..{width - 1}")
+    rows = np.arange(0, x.data.size, width).reshape(shape[:-1] + (1,))
+    flat = (idx + rows).ravel()
 
     def bwd(g):
-        # accumulate in a fresh C-contiguous buffer: reshape of a zeros_like
-        # view could silently copy and drop the update
-        width = x.data.shape[-1]
-        gx = np.zeros((x.data.size // width, width))
-        flat_g = np.ascontiguousarray(g).reshape(-1, idx.shape[-1])
-        flat_idx = idx.reshape(-1, idx.shape[-1])
-        rows = np.arange(flat_idx.shape[0])[:, None]
-        np.add.at(gx, (rows, flat_idx), flat_g)
-        return (gx.reshape(x.data.shape),)
+        return (_scatter_add(flat, g, shape),)
 
-    return Tensor(out_data, (x,), bwd)
-
-
-def select(x, index: int, axis: int) -> Tensor:
-    """Slice one index from an axis, dropping the axis."""
-    x = as_tensor(x)
-    out_data = np.take(x.data, index, axis=axis)
-
-    def bwd(g):
-        gx = np.zeros(x.data.shape)
-        sl = [slice(None)] * gx.ndim
-        sl[axis] = index
-        gx[tuple(sl)] = g
-        return (gx,)
-
-    return Tensor(out_data, (x,), bwd)
+    return Tensor(x.data.reshape(-1)[flat].reshape(idx.shape), (x,), bwd)
 
 
 def take_rows(x, ids: np.ndarray) -> Tensor:
     """Row gather out[k] = x[ids[k]]; duplicate ids accumulate in backward."""
     x = as_tensor(x)
     ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"take_rows: row id {ids[ids < 0][0]} is negative")
+    out_data = x.data[ids]
 
     def bwd(g):
-        gx = np.zeros(x.data.shape)
-        np.add.at(gx, ids, g)
-        return (gx,)
+        width = math.prod(x.data.shape[1:])
+        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        return (_scatter_add(flat, g, x.data.shape),)
 
-    return Tensor(x.data[ids], (x,), bwd)
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        return tuple(np.take(g, j, axis=axis) for j in range(len(tensors)))
-
-    return Tensor(out_data, tuple(tensors), bwd)
+    return Tensor(out_data, (x,), bwd)
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -266,25 +281,36 @@ def reshape(x, shape: tuple) -> Tensor:
     return Tensor(x.data.reshape(shape), (x,), bwd)
 
 
+def swapaxes(x, axis1: int, axis2: int) -> Tensor:
+    """Two axes exchanged, copied to C order: sums over the new last axis
+    then add in the order they would on any C-ordered array."""
+    x = as_tensor(x)
+
+    def bwd(g):
+        return (np.swapaxes(g, axis1, axis2),)
+
+    return Tensor(np.ascontiguousarray(np.swapaxes(x.data, axis1, axis2)), (x,), bwd)
+
+
 def backward(loss: Tensor) -> None:
     """Reverse-mode pass; accumulates into ``.grad`` of requires_grad leaves."""
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     topo: list = []
     visited = set()
-    stack_ = [(loss, False)]
-    while stack_:
-        node, processed = stack_.pop()
+    stack = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
         if id(node) in visited:
             continue
         if processed:
             visited.add(id(node))
             topo.append(node)
             continue
-        stack_.append((node, True))
+        stack.append((node, True))
         for p in node.parents:
             if p.requires_grad and id(p) not in visited:
-                stack_.append((p, False))
+                stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
@@ -295,10 +321,7 @@ def backward(loss: Tensor) -> None:
             node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node.parents, node.bwd(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None:  # a parent that needs no gradient
                 continue
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            grads[key] = grads[key] + pg if key in grads else pg

@@ -128,7 +128,7 @@ class FactoredQ:
         if mode == "tabular":
             if n_states is None:
                 raise ValueError("tabular mode needs n_states")
-            self.table = ad.parameter(np.zeros((n_states, n_agents * n_actions)))
+            self.table = ad.parameter(np.zeros((n_states, n_agents, n_actions)))
             self.net = None
         elif mode == "neural":
             if feature_dim is None:
@@ -147,8 +147,7 @@ class FactoredQ:
 
     def values(self, inputs) -> Tensor:
         if self.mode == "tabular":
-            rows = ad.take_rows(self.table, inputs)
-            return ad.reshape(rows, (len(inputs), self.n_agents, self.n_actions))
+            return ad.take_rows(self.table, inputs)
         return self.net.forward(inputs)
 
     def mix(self, chosen: Tensor) -> Tensor:
@@ -192,8 +191,10 @@ class Batch:
 def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
     """Optimality backup through the target network (no gradient); every
     next state bootstraps, since episodes end by time limit only."""
-    next_values = q_target.values(batch.next_inputs).data
-    next_tot = q_target.mix(next_values.max(axis=2)).data
+    # max over actions as a reduction over the leading axis of an (A, B, n)
+    # copy: numpy reduces a short last axis several times slower
+    next_values = np.ascontiguousarray(q_target.values(batch.next_inputs).data.transpose(2, 0, 1))
+    next_tot = q_target.mix(next_values.max(axis=0)).data
     return batch.rewards + gamma * next_tot
 
 
@@ -201,10 +202,9 @@ def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Te
     """(B, n, A) Q_tot rows: row (b, i) varies agent i's action, the others
     held at ``actions``."""
     b, n = actions.shape
-    chosen = ad.reshape(ad.gather_last(values, actions[:, :, None]), actions.shape)
+    chosen = ad.gather_last(values, actions[:, :, None])  # (B, n, 1)
     if q.mixer is None:
-        others = ad.tsum(chosen, axis=1, keepdims=True) - chosen  # (B, n)
-        return values + ad.reshape(others, (b, n, 1))
+        return values + (ad.tsum(chosen, axis=1, keepdims=True) - chosen)
     # input[b, i, a, j] = values[b, i, a] if j == i else chosen[b, j]
     own = np.eye(n)[None, :, None, :]
     joint = (ad.reshape(values, (b, n, q.n_actions, 1)) * own
@@ -231,7 +231,7 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np
     if lam is None:
         lam = np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
     lse = ad.logsumexp_t(counterfactual_rows(q, values, batch.actions), axis=-1)  # (B, n)
-    penalty_terms = ad.tsum(ad.mul(ad.Tensor(lam), lse), axis=1) - q_data
+    penalty_terms = ad.tsum(ad.mul(lam, lse), axis=1) - q_data
     penalty = ad.mul(ad.tmean(penalty_terms), alpha)
     loss = penalty + td
     stats.update(td=float(td.data), penalty=float(penalty.data))
@@ -266,11 +266,9 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
             raise ValueError("sampled joint actions need an rng")
         sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
         log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
-    per_agent = [
-        ad.gather_last(ad.select(values, i, axis=1), sampled[:, :, i])
-        for i in range(q.n_agents)
-    ]
-    q_rows = q.mix(ad.stack(per_agent, axis=2))  # (B, K)
+    # one gather of every agent's sampled actions: (B, n, K), then (B, K, n)
+    chosen = ad.gather_last(values, np.swapaxes(sampled, 1, 2))
+    q_rows = q.mix(ad.swapaxes(chosen, 1, 2))  # (B, K)
     est = ad.logsumexp_t(q_rows, axis=-1)
     if log_const != 0.0:
         est = est + log_const

@@ -54,23 +54,13 @@ class GroupedMlp:
         return self.weights + self.biases
 
     def forward(self, x) -> Tensor:
-        h = _swap_bg(ad.as_tensor(x))
+        h = ad.swapaxes(x, 0, 1)  # (group, batch, d): one matmul per group
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = ad.matmul(h, w) + b
             if k != last:
                 h = ad.relu(h)
-        return _swap_bg(h)
-
-
-def _swap_bg(t: Tensor) -> Tensor:
-    """Swap the leading (batch, group) axes via a transpose-as-matmul trick."""
-    data = np.swapaxes(t.data, 0, 1)
-
-    def bwd(g):
-        return (np.swapaxes(g, 0, 1),)
-
-    return Tensor(data, (t,), bwd)
+        return ad.swapaxes(h, 0, 1)
 
 
 @dataclass

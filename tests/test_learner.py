@@ -28,7 +28,7 @@ def tabular_q(n_agents, n_actions, n_states, values=None, mixer="additive", rng=
     q = FactoredQ(n_agents, n_actions, "tabular", n_states=n_states, mixer=mixer, rng=rng)
     if values is not None:
         q.table.data = np.asarray(values, dtype=np.float64).reshape(
-            n_states, n_agents * n_actions
+            n_states, n_agents, n_actions
         )
     return q
 
@@ -177,6 +177,41 @@ def test_single_agent_training_bit_identical():
 # -- gradients through the full loss graph --------------------------------------
 
 
+def assert_gradients_match_finite_differences(params, loss_value):
+    """Backward through ``loss_value()``'s graph against central differences."""
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss_value())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+
+    h = 1e-6
+    for pi_, p in enumerate(params):
+        flat = p.data.ravel()
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            up = float(loss_value().data)
+            flat[k] = orig - h
+            down = float(loss_value().data)
+            flat[k] = orig
+            numeric = (up - down) / (2 * h)
+            assert analytic[pi_].ravel()[k] == pytest.approx(numeric, abs=2e-6, rel=1e-4)
+
+
+def random_q_and_batch(n_agents, n_actions, mixer, rng, n_states=4, b=6):
+    q = tabular_q(n_agents, n_actions, n_states, mixer=mixer, rng=rng,
+                  values=rng.normal(size=(n_states, n_agents * n_actions)))
+    target = q.copy()
+    target.table.data = rng.normal(size=target.table.data.shape)
+    batch = make_batch(
+        rng.integers(0, n_states, size=b),
+        rng.integers(0, q.n_actions, size=(b, n_agents)),
+        rng.normal(size=b),
+        rng.integers(0, n_states, size=b),
+    )
+    return q, target, batch
+
+
 @pytest.mark.parametrize("mixer", ["additive", "monotonic"])
 def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
     n_states = 4
@@ -192,30 +227,60 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
         rng.integers(0, n_states, size=b),
     )
     lam = rng.dirichlet(np.ones(2), size=b)
+    assert_gradients_match_finite_differences(
+        q.parameters(), lambda: cfcql_loss(batch, q, target, lam, 0.8, 0.9)[0])
 
-    def loss_value():
-        loss, _ = cfcql_loss(batch, q, target, lam, 0.8, 0.9)
-        return float(loss.data)
 
-    params = q.parameters()
-    for p in params:
-        p.zero_grad()
-    loss, _ = cfcql_loss(batch, q, target, lam, 0.8, 0.9)
-    ad.backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@pytest.mark.parametrize("n_agents, n_actions, n_samples", [(2, 2, 4), (4, 3, 16)],
+                         ids=["enumerated", "sampled"])
+def test_macql_loss_gradients_match_finite_differences(mixer, n_agents, n_actions, n_samples,
+                                                        rng):
+    """n = 2 with 2 actions enumerates its 4 joints; n = 4 samples 16 of 81,
+    the same 16 on every evaluation (a fresh generator of one seed)."""
+    q, target, batch = random_q_and_batch(n_agents, n_actions, mixer, rng)
+    assert_gradients_match_finite_differences(
+        q.parameters(),
+        lambda: macql_loss(batch, q, target, 0.8, n_samples, np.random.default_rng(5), 0.9)[0])
 
-    h = 1e-6
-    for pi_, p in enumerate(params):
-        flat = p.data.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            up = loss_value()
-            flat[k] = orig - h
-            down = loss_value()
-            flat[k] = orig
-            numeric = (up - down) / (2 * h)
-            assert analytic[pi_].ravel()[k] == pytest.approx(numeric, abs=2e-6, rel=1e-4)
+
+def tape_nodes(root):
+    """Every tensor reachable from ``root`` through ``parents``, root included."""
+    seen, todo = {id(root)}, [root]
+    while todo:
+        for parent in todo.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return len(seen)
+
+
+@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+def test_macql_tape_does_not_grow_with_agents(mixer, rng):
+    counts = []
+    for n_agents in (2, 5):
+        q, target, batch = random_q_and_batch(n_agents, 3, mixer, rng)
+        loss, _ = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
+        counts.append(tape_nodes(loss))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n_agents", [2, 3])
+def test_additive_macql_is_cfcql_at_n_times_alpha(n_agents, rng):
+    """log sum_a exp sum_i Q_i(a_i) = sum_i logsumexp Q_i, so with every joint
+    enumerated, macql at alpha is uniform-lambda cfcql at n * alpha."""
+    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=5, b=12)
+    alpha, n_joint = 0.7, q.n_actions**n_agents
+    grads = []
+    for loss_of in (lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9)[0],
+                    lambda: cfcql_loss(batch, q, target, None, n_agents * alpha, 0.9)[0]):
+        q.table.zero_grad()
+        loss = loss_of()
+        ad.backward(loss)
+        grads.append((float(loss.data), q.table.grad.copy()))
+    (macql, macql_grad), (cfcql, cfcql_grad) = grads
+    assert macql == pytest.approx(cfcql, rel=1e-12)
+    np.testing.assert_allclose(macql_grad, cfcql_grad, rtol=0, atol=1e-12)
 
 
 # -- structural properties -------------------------------------------------------

@@ -75,6 +75,19 @@ def test_no_grad_restores_mode_after_exception():
     assert ad.tsum(w).parents == (w,)
 
 
+def test_no_grad_decorator_restores_mode_after_exception():
+    w = ad.parameter(np.arange(3.0))
+
+    @ad.no_grad()
+    def failing(x):
+        assert ad.tsum(x).parents == ()
+        raise RuntimeError("inside")
+
+    with pytest.raises(RuntimeError, match="inside"):
+        failing(w)
+    assert ad.tsum(w).parents == (w,)
+
+
 # -- forward -------------------------------------------------------------------
 
 GROUPS = (1, 3)
@@ -226,9 +239,10 @@ def test_gather_stack_broadcast_gradients():
     idx = rng.integers(0, 5, size=(4, 3))
 
     def build():
-        g = ad.gather_last(x, idx)
-        st_ = ad.stack([g, g * 2.0], axis=0)
-        b = ad.tsum(st_, axis=0) + ad.tsum(x, axis=1, keepdims=True)  # (4, 3) + (4, 1)
+        # both copies of the gather side by side, the second one doubled
+        pair = ad.reshape(ad.gather_last(x, np.concatenate([idx, idx], axis=1)), (4, 2, 3))
+        st_ = ad.mul(pair, np.array([[1.0], [2.0]]))
+        b = ad.tsum(st_, axis=1) + ad.tsum(x, axis=1, keepdims=True)  # (4, 3) + (4, 1)
         return ad.tsum(ad.square(b))
 
     loss = build()
@@ -259,6 +273,71 @@ def test_elu_abs_gradients():
 
     numeric = finite_difference(loss_value, [x])
     assert_grads_close(analytic, numeric)
+
+
+# -- autodiff ops --------------------------------------------------------------
+
+
+def test_results_of_constants_record_no_tape():
+    c = ad.tmean(ad.square(np.arange(4.0) - 1.0), axis=0)
+    assert c.parents == () and c.bwd is None and not c.requires_grad
+    w = ad.parameter(np.ones(4))
+    assert ad.mul(np.ones(4), w).parents[1] is w  # one trainable parent is enough
+
+
+def test_scatter_backward_matches_add_at_byte_for_byte():
+    rng = np.random.default_rng(6)
+    x = ad.parameter(rng.normal(size=(5, 4, 3)))
+    idx = rng.integers(0, 3, size=(5, 4, 7))  # 7 picks of 3 columns: duplicates
+    g = rng.normal(size=idx.shape)
+    ad.backward(ad.tsum(ad.gather_last(x, idx) * g))
+    expected = np.zeros((20, 3))
+    np.add.at(expected, (np.arange(20)[:, None], idx.reshape(20, 7)), g.reshape(20, 7))
+    assert x.grad.tobytes() == expected.reshape(x.shape).tobytes()
+
+    ids = rng.integers(0, 5, size=11)  # 11 picks of 5 rows: duplicates
+    g = rng.normal(size=(11, 4, 3))
+    x.zero_grad()
+    ad.backward(ad.tsum(ad.take_rows(x, ids) * g))
+    expected = np.zeros(x.shape)
+    np.add.at(expected, ids, g)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+def test_gathers_reject_out_of_range_indices():
+    table = ad.parameter(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ValueError, match="take_rows: row id -1 is negative"):
+        ad.take_rows(table, np.array([0, -1, 2]))
+    with ad.no_grad(), pytest.raises(ValueError, match="row id -3 is negative"):
+        ad.take_rows(table, np.array([-3]))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"gather_last index {bad} is outside 0..1"):
+            ad.gather_last(table, np.array([[0], [bad], [1]]))
+
+
+def test_sub_swapaxes_tmean_match_finite_differences():
+    rng = np.random.default_rng(8)
+    a = ad.parameter(rng.normal(size=(3, 4, 2)))
+    b = ad.parameter(rng.normal(size=(4, 1)))
+    w = rng.normal(size=(4, 3, 2))
+
+    def build():
+        d = ad.swapaxes(a - b, 0, 1)  # (4, 3, 2)
+        m = ad.tmean(d * w, axis=1, keepdims=True)  # (4, 1, 2)
+        return ad.tmean(ad.square(m - 0.3)) + ad.tmean(1.0 - b)
+
+    loss = build()
+    assert ad.tmean(a).parents == (a,) and (a - b).parents == (a, b)
+    ad.backward(loss)
+    analytic = [a.grad.copy(), b.grad.copy()]
+
+    def loss_value():
+        d = np.swapaxes(a.data - b.data, 0, 1)
+        m = (d * w).mean(axis=1, keepdims=True)
+        return ((m - 0.3) ** 2).mean() + (1.0 - b.data).mean()
+
+    assert float(loss.data) == pytest.approx(loss_value(), abs=1e-12)
+    assert_grads_close(analytic, finite_difference(loss_value, [a, b]))
 
 
 # -- logsumexp ---------------------------------------------------------------
