@@ -4,13 +4,16 @@ A ``Dataset`` is one set of read-only numpy columns (states, actions, rewards,
 next_states, dones, trajectory starts; see its docstring for shapes and
 dtypes) from rollout to learner. On disk it is plain text: one JSON header
 line followed by one line per transition, so files can be diffed, inspected,
-and reloaded bit-exactly. ``load_dataset`` rejects a malformed or invalid
-file with a ``ValueError`` naming the path and line.
+and reloaded bit-exactly. ``load_dataset`` checks the separators of all
+records in one pass, then parses them with one ``np.loadtxt`` call, reading
+integer fields as integers. A malformed or invalid file raises
+a ``ValueError`` naming the path and, for a malformed record, its line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -295,9 +298,21 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
 #   state,actions,reward,next_state,done,trajectory
 # with vector states as ";"-joined floats and actions space-joined. Floats
 # are written with repr() so reloads are bit-exact.
+#
+# For a given spec every valid record has the same sequence of separators
+# ("," ";" " " and the newline), so the reader checks the structure of all
+# records in one pass: with every other character deleted, the body must
+# equal that sequence repeated once per record. This also catches a line on
+# which one field gains an entry and another loses one. It then maps ";" and
+# " " to "," and parses the body with one np.loadtxt call into a structured
+# array (_record_dtype); integer fields are read as int64, so "5.5" is not an
+# integer, and comments=None, so "#" is no comment. Only when a file fails
+# either step does _check_record walk its lines, to name the first bad one.
 # ---------------------------------------------------------------------------
 
 _N_FIELDS = 6
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",; \n")))
+_TO_COMMA = bytes.maketrans(b"; ", b",,")
 
 
 def _state_text(states: np.ndarray) -> list:
@@ -339,36 +354,84 @@ def save_dataset(dataset: Dataset, path) -> None:
         fh.writelines(",".join(fields) + "\n" for fields in records)
 
 
-def _parse(texts, dtype, path, what: str, per_line: int = 1) -> np.ndarray:
-    """Parse numbers, ``per_line`` to a record; the error names the first bad line."""
+def _fields(spec: EnvSpec) -> list:
+    """(name, in-field separator, dtype) of each record field, in file order."""
+    state_sep, state_dtype = (";", np.float64) if spec.state_kind == "vector" else (None, np.int64)
+    return [("state", state_sep, state_dtype), ("joint action", " ", np.int64),
+            ("reward", None, np.float64), ("next state", state_sep, state_dtype),
+            ("done flag", None, np.int64), ("trajectory id", None, np.int64)]
+
+
+def _record_dtype(spec: EnvSpec) -> np.dtype:
+    """One record as a structured dtype; a ``sep``-joined field is a subarray."""
+    names = ("states", "actions", "rewards", "next_states", "dones", "traj")
+    return np.dtype([(name, dtype) if sep is None else (name, dtype, (spec.n_agents,))
+                     for name, (_, sep, dtype) in zip(names, _fields(spec))])
+
+
+def _separators(spec: EnvSpec) -> str:
+    """The separators of one valid record, in order, ending with its newline."""
+    return ",".join("" if sep is None else sep * (spec.n_agents - 1)
+                    for _, sep, _ in _fields(spec)) + "\n"
+
+
+def _is_entry(text: str, dtype) -> bool:
+    """True when the record parser reads ``text`` as one ``dtype`` value."""
+    if not text or ";" in text or " " in text:  # loadtxt skips an empty line
+        return False
     try:
-        return np.array(texts, dtype=dtype)
+        np.loadtxt([text], dtype=dtype, delimiter=",", comments=None)
     except ValueError:
-        for k, text in enumerate(texts):
-            try:
-                np.array(text, dtype=dtype)
-            except ValueError:
+        return False
+    return True
+
+
+def _check_record(path, line_no: int, line: str, spec: EnvSpec) -> None:
+    """Raise the ValueError naming ``line`` when the record on it is malformed."""
+    fields = line.split(",")
+    if len(fields) != _N_FIELDS:
+        raise ValueError(f"{path}: line {line_no}: expected {_N_FIELDS} comma-separated "
+                         f"fields, got {len(fields)}")
+    for text, (what, sep, dtype) in zip(fields, _fields(spec)):
+        if sep is not None and text.count(sep) != spec.n_agents - 1:
+            raise ValueError(f"{path}: line {line_no}: {what} {text!r} does not have "
+                             f"{spec.n_agents} {sep!r}-separated entries")
+        for entry in [text] if sep is None else text.split(sep):
+            if not _is_entry(entry, dtype):
                 kind = "an integer" if dtype is np.int64 else "a number"
-                raise ValueError(f"{path}: line {k // per_line + 2}: {what} entry {text!r} "
-                                 f"is not {kind}") from None
-        raise
+                raise ValueError(f"{path}: line {line_no}: {what} entry {entry!r} "
+                                 f"is not {kind}")
 
 
-def _parse_rows(column, sep: str, width: int, dtype, path, what: str) -> np.ndarray:
-    """Parse ``sep``-joined rows of ``width`` numbers into an (N, width) array."""
-    for k, text in enumerate(column):
-        if text.count(sep) != width - 1:
-            raise ValueError(f"{path}: line {k + 2}: {what} {text!r} does not have "
-                             f"{width} {sep!r}-separated entries")
-    parts = sep.join(column).split(sep) if column else []
-    return _parse(parts, dtype, path, what, width).reshape(len(column), width)
+def _read_records(path, body: str, spec: EnvSpec) -> np.ndarray:
+    """Parse a file's records (every line after the header) into a structured array.
+
+    A malformed record raises the ValueError of ``_check_record`` for the
+    first bad line.
+    """
+    dtype = _record_dtype(spec)
+    if not body:  # np.loadtxt warns on input with no data
+        return np.empty(0, dtype)
+    if not body.endswith("\n"):
+        body += "\n"
+    data = body.encode("utf-8")
+    separators = data.translate(None, delete=_NOT_SEPARATOR)
+    if separators == _separators(spec).encode("ascii") * data.count(b"\n"):
+        try:
+            return np.loadtxt(io.StringIO(data.translate(_TO_COMMA).decode("utf-8")),
+                              dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            pass
+    for k, line in enumerate(body.split("\n")[:-1]):
+        _check_record(path, k + 2, line, spec)
+    raise AssertionError(f"{path}: records rejected, but no line is malformed")
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed or invalid file raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
-        lines = fh.read().splitlines()
+        body = fh.read()
     try:
         meta = json.loads(first)
     except json.JSONDecodeError as exc:
@@ -401,25 +464,13 @@ def load_dataset(path) -> Dataset:
         raise ValueError(f"{path}: line 1: header has no {exc.args[0]!r} key") from None
     except ValueError as exc:  # unknown env id or tier, or a spec field out of range
         raise ValueError(f"{path}: line 1: {exc}") from None
-    records = [line.split(",") for line in lines]
-    for k, fields in enumerate(records):
-        if len(fields) != _N_FIELDS:
-            raise ValueError(f"{path}: line {k + 2}: expected {_N_FIELDS} comma-separated "
-                             f"fields, got {len(fields)}")
-    columns = list(zip(*records)) or [()] * _N_FIELDS
-    state_col, action_col, reward_col, next_col, done_col, traj_col = columns
-
-    def states_of(column, what):
-        if spec.state_kind == "vector":
-            return _parse_rows(column, ";", spec.n_agents, np.float64, path, what)
-        return _parse(column, np.int64, path, what)
-
-    dones = _parse(done_col, np.int64, path, "done flag")
-    not_flag = np.flatnonzero((dones != 0) & (dones != 1))
+    records = _read_records(path, body, spec)
+    not_flag = np.flatnonzero((records["dones"] != 0) & (records["dones"] != 1))
     if len(not_flag):
         k = int(not_flag[0])
-        raise ValueError(f"{path}: line {k + 2}: done flag {done_col[k]!r} is not 0 or 1")
-    traj = _parse(traj_col, np.int64, path, "trajectory id")
+        flag = body.split("\n")[k].split(",")[4]
+        raise ValueError(f"{path}: line {k + 2}: done flag {flag!r} is not 0 or 1")
+    traj = records["traj"]
     starts = np.flatnonzero(np.diff(traj, prepend=traj[:1] - 1))
     _, first_runs = np.unique(traj[starts], return_index=True)
     if len(first_runs) != len(starts):
@@ -431,11 +482,11 @@ def load_dataset(path) -> Dataset:
                          f"{len(starts)} trajectories in the records")
     dataset = Dataset(
         header,
-        states=states_of(state_col, "state"),
-        actions=_parse_rows(action_col, " ", spec.n_agents, np.int64, path, "joint action"),
-        rewards=_parse(reward_col, np.float64, path, "reward"),
-        next_states=states_of(next_col, "next state"),
-        dones=dones.astype(bool),
+        states=records["states"],
+        actions=records["actions"],
+        rewards=records["rewards"],
+        next_states=records["next_states"],
+        dones=records["dones"].astype(bool),
         starts=starts,
     )
     report = validate_dataset(dataset, spec)

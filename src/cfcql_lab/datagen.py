@@ -86,18 +86,25 @@ def _encode_inputs(env, mode: str, raw: np.ndarray):
 def train_online(env, budget: int, rng: RngStream,
                  config: Optional[OnlineTrainConfig] = None) -> OnlineResult:
     """Epsilon-greedy TD training at the spec's gamma; returns checkpoints
-    plus the whole buffer."""
-    config = config or OnlineTrainConfig()
+    plus the whole buffer.
+
+    ``budget`` is the number of gradient updates; a ``config`` must carry the
+    same budget, and ``config=None`` means ``OnlineTrainConfig(budget=budget)``.
+    """
+    if config is None:
+        config = OnlineTrainConfig(budget=budget)
+    elif config.budget != budget:
+        raise ValueError(f"train_online budget {budget} != config.budget {config.budget}")
     spec = env.spec()
     mode = "tabular" if spec.state_kind == "discrete" else "neural"
     horizon = env.episode_limit
     m = config.n_parallel
 
+    blank_input = _encode_inputs(env, mode, np.zeros((1, spec.n_agents)))
     q = FactoredQ(
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
-        feature_dim=env.per_agent_features(np.zeros((1, spec.n_agents))).shape[2]
-        if mode == "neural" else None,
+        feature_dim=blank_input.shape[2] if mode == "neural" else None,
         hidden=config.hidden, mixer=config.mixer,
         rng=rng.child("init").generator(),
     )
@@ -111,6 +118,10 @@ def train_online(env, budget: int, rng: RngStream,
     next_states = np.empty_like(states)
     actions = np.empty((capacity, spec.n_agents), dtype=np.int64)
     rewards = np.empty(capacity)
+    # encoded rows of states and next_states: features are computed row by
+    # row, so encoding each row once as it arrives gives the update's inputs
+    inputs = np.empty((capacity, *blank_input.shape[1:]), dtype=blank_input.dtype)
+    next_inputs = np.empty_like(inputs)
     filled = 0
     episode_starts = []
 
@@ -134,6 +145,7 @@ def train_online(env, budget: int, rng: RngStream,
         frac = min(1.0, updates / anneal_updates)
         eps = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
         batch_roll = rollout_episodes(env, actor, m, roll_rng, epsilon=eps)
+        new_rows = slice(filled, filled + m * horizon)
         for w in range(m):  # deterministic worker-order merge, whole trajectories
             episode_starts.append(filled)
             sl = slice(filled, filled + horizon)
@@ -142,14 +154,12 @@ def train_online(env, budget: int, rng: RngStream,
             actions[sl] = batch_roll.actions[:, w]
             rewards[sl] = batch_roll.rewards[:, w]
             filled += horizon
+        inputs[new_rows] = _encode_inputs(env, mode, states[new_rows])
+        next_inputs[new_rows] = _encode_inputs(env, mode, next_states[new_rows])
         for _ in range(min(config.updates_per_block, budget - updates)):
             idx = batch_rng.integers(0, filled, size=config.batch_size)
-            batch = Batch(
-                inputs=_encode_inputs(env, mode, states[idx]),
-                actions=actions[idx],
-                rewards=rewards[idx],
-                next_inputs=_encode_inputs(env, mode, next_states[idx]),
-            )
+            batch = Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
+                          next_inputs=next_inputs[idx])
             opt.zero_grad()
             loss, _ = cfcql_loss(batch, q, target, None, 0.0, spec.gamma)
             ad.backward(loss)

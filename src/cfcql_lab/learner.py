@@ -31,6 +31,8 @@ from .neural import Adam, GroupedMlp, softmax, train_bc
 from .rollouts import QValuesActor, evaluate_actor
 
 METHODS = ("cfcql", "macql", "naive")
+METRIC_SUBSAMPLE = 4096  # data rows probed for the in-loop metrics, at most
+BEHAVIOR_SMOOTHING = 1.0  # Laplace count added per action in the tabular beta estimate
 
 
 @dataclass
@@ -56,8 +58,6 @@ class TrainConfig:
     mixer: str = "additive"  # additive | monotonic
     eval_episodes: int = 16
     record_interval: int = 250
-    metric_subsample: int = 4096
-    behavior_smoothing: float = 1.0
     bc_steps: int = 3000
 
     def __post_init__(self):
@@ -344,7 +344,7 @@ def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
     """(N, n, A) estimated behavior probabilities at every data state."""
     spec = dataset.header.spec
     if mode == "tabular":
-        beta = empirical_behavior(dataset, smoothing=config.behavior_smoothing)
+        beta = empirical_behavior(dataset, smoothing=BEHAVIOR_SMOOTHING)
         return np.swapaxes(beta.dense(env.n_states)[:, dataset.states], 0, 1)
     bc = train_bc(inputs, dataset.actions, spec.n_actions, rng_stream.generator(),
                   hidden=config.hidden, steps=config.bc_steps)
@@ -399,7 +399,7 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     alpha = 0.0 if method == "naive" else config.alpha
 
     probe = np.unique(np.linspace(0, n_transitions - 1,
-                                  min(n_transitions, config.metric_subsample)).astype(np.int64))
+                                  min(n_transitions, METRIC_SUBSAMPLE)).astype(np.int64))
     metrics = []
     losses = np.empty(config.total_steps)
 

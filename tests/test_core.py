@@ -180,6 +180,49 @@ def test_dataset_roundtrip_vector_states(tmp_path_factory, rows):
     assert loaded.header.spec == spec
 
 
+# Floats whose text form is easy to get wrong: signed zero, the smallest
+# subnormal and values repr() writes in exponent form.
+FINITE_HARD = (st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, -1e16])
+               | st.floats(allow_nan=False, allow_infinity=False))
+INF = float("inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(FINITE_HARD, FINITE_HARD, FINITE_HARD,
+                          FINITE_HARD | st.sampled_from([INF, -INF])), min_size=1, max_size=12),
+       st.none() | st.tuples(st.integers(0, 3), st.sampled_from([float("nan"), INF, -INF])))
+def test_dataset_roundtrip_vector_hard_floats(tmp_path_factory, rows, poison):
+    # r_max = inf admits infinite rewards. ``poison`` puts nan or an infinity
+    # in one field of the first row; a nan reward or a non-finite state makes
+    # the dataset invalid, and then the load error is its validation report.
+    if poison is not None:
+        field, value = poison
+        rows[0] = rows[0][:field] + (value,) + rows[0][field + 1:]
+    spec = EnvSpec(EnvId.EQUAL_LINE, 2, 11, 0.99, INF, 50, "vector", "positions")
+    d = make_dataset([((x, y), (1, 0), r, (y, z), False) for (x, y, z, r) in rows], spec)
+    path = tmp_path_factory.mktemp("ds") / "line.dat"
+    save_dataset(d, path)
+    report = validate_dataset(d, spec)
+    if not report.ok:
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == f"{path}: invalid dataset:\n{report}"
+        return
+    loaded = load_dataset(path)
+    assert_same_columns(loaded, d)
+    save_dataset(loaded, path.with_suffix(".again"))
+    assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("spec", [TOY_SPEC, EqualLine(2).spec()], ids=["discrete", "vector"])
+def test_dataset_roundtrip_zero_transitions(tmp_path, spec):
+    d = make_dataset([], spec, starts=())
+    save_dataset(d, tmp_path / "empty.dat")
+    loaded = load_dataset(tmp_path / "empty.dat")  # a loadtxt warning would fail here
+    assert loaded.header == d.header
+    assert_same_columns(loaded, d)
+
+
 # -- the file format -------------------------------------------------------------
 
 DATA = Path(__file__).parent / "data"
@@ -249,3 +292,30 @@ def test_load_dataset_rejects_bad_state(tmp_path, name, line_no, old, new, messa
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert str(err.value) == f"{path}: invalid dataset:\n{message}"
+
+
+def test_load_dataset_reads_a_last_line_without_newline(tmp_path):
+    text = (DATA / "line_n2.txt").read_text()
+    assert text.endswith("\n")
+    (tmp_path / "line.txt").write_text(text[:-1])
+    d, expected = load_dataset(tmp_path / "line.txt"), load_dataset(DATA / "line_n2.txt")
+    assert d.header == expected.header
+    assert_same_columns(d, expected)
+
+
+@pytest.mark.parametrize("name, line_no, old, new, message", [
+    ("line_n2.txt", 2, "0.0;0.5022012081306448,1 8,", "0.0;0.5022012081306448;1,8,",
+     "line 2: state '0.0;0.5022012081306448;1' does not have 2 ';'-separated entries"),
+    ("toy_n2.txt", 3, ",0,0\n", ",0,0\n\n", "line 4: expected 6 comma-separated fields, got 1"),
+    ("toy_n2.txt", 2, ",0,0\n", ",0,0#1\n", "line 2: trajectory id entry '0#1' is not an integer"),
+    ("toy_n2.txt", 2, "2,1 1,", "2 ,1 1,", "line 2: state entry '2 ' is not an integer"),
+    ("toy_n2.txt", 2, ",5,0,0", ",0_5,0,0", "line 2: next state entry '0_5' is not an integer"),
+    ("line_n2.txt", 2, "0.0;0.5022012081306448,", "0.0; 0.5022012081306448,",
+     "line 2: state entry ' 0.5022012081306448' is not a number"),
+], ids=["misplaced_separators", "blank_line", "hash_in_field", "space_in_discrete_state",
+        "underscore_digits", "space_in_vector_state"])
+def test_load_dataset_names_the_malformed_line(tmp_path, name, line_no, old, new, message):
+    path = _edit_golden(tmp_path, line_no, old, new, name)
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value).startswith(f"{path}: {message}")

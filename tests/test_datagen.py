@@ -113,3 +113,8 @@ def test_random_dataset_is_deterministic(env):
     assert a.header == b.header
     assert same_columns(a, b)
     assert not same_columns(a, c)
+
+
+def test_train_online_rejects_a_config_with_another_budget(env):
+    with pytest.raises(ValueError, match=r"budget 500 != config.budget 600"):
+        train_online(env, 500, RngStream(2, "online"), ONLINE)
