@@ -4,9 +4,11 @@ A ``Dataset`` is one set of read-only numpy columns (states, actions, rewards,
 next_states, dones, trajectory starts; see its docstring for shapes and
 dtypes) from rollout to learner. On disk it is plain text: one JSON header
 line followed by one line per transition, so files can be diffed, inspected,
-and reloaded bit-exactly. ``load_dataset`` checks the separators of all
-records in one pass, then parses them with one ``np.loadtxt`` call, reading
-integer fields as integers. A malformed or invalid file raises
+and reloaded bit-exactly. Both directions are one vectorised pass over the
+columns. ``save_dataset`` formats each distinct value once and assembles the
+records as fixed-width byte columns. ``load_dataset`` checks the separators
+of all records at once, then parses them with one ``np.loadtxt`` call,
+reading integer fields as integers. A malformed or invalid file raises
 a ``ValueError`` naming the path and, for a malformed record, its line.
 """
 
@@ -299,6 +301,14 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
 # with vector states as ";"-joined floats and actions space-joined. Floats
 # are written with repr() so reloads are bit-exact.
 #
+# The writer makes the records column by column. Each distinct value of a
+# column (distinct bit pattern for floats, so 0.0 and -0.0 stay apart) is
+# formatted once, with str for an int and repr for a float, and every entry
+# becomes a NUL-padded fixed-width byte column (_entry_texts). Each entry is
+# followed by its separator (_separators), a constant column. One
+# np.concatenate lays the columns side by side, and bytes.translate deletes
+# the padding, which leaves the records in file order.
+#
 # For a given spec every valid record has the same sequence of separators
 # ("," ";" " " and the newline), so the reader checks the structure of all
 # records in one pass: with every other character deleted, the body must
@@ -315,10 +325,21 @@ _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",; \n")))
 _TO_COMMA = bytes.maketrans(b"; ", b",,")
 
 
-def _state_text(states: np.ndarray) -> list:
-    if states.ndim == 1:
-        return list(map(str, states.tolist()))
-    return [";".join(map(repr, row)) for row in states.tolist()]
+def _entry_texts(column: np.ndarray) -> list:
+    """The text of each entry of an (N,) or (N, k) int64 or float64 column,
+    as k (N, width) uint8 arrays.
+
+    Texts are ASCII, NUL-padded on the right to the longest. Every distinct
+    value is formatted once, an int with str and a float with repr; floats are
+    told apart by their bits, so 0.0 and -0.0 each get their own text.
+    """
+    is_float = column.dtype == np.float64
+    flat = column.reshape(-1)  # 1-D, so return_inverse is 1-D on every numpy
+    keys, inverse = np.unique(flat.view(np.int64) if is_float else flat, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())) if is_float
+                     else list(map(str, keys.tolist())), dtype=np.bytes_)
+    texts = texts[inverse].view(np.uint8).reshape(*column.shape, texts.itemsize)
+    return [texts] if column.ndim == 1 else list(np.moveaxis(texts, 1, 0))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -339,19 +360,23 @@ def save_dataset(dataset: Dataset, path) -> None:
         "state_kind": spec.state_kind,
         "state_codec": spec.state_codec,
     }
-    lengths = np.diff(np.append(dataset.starts, len(dataset)))
+    n_rows = len(dataset)
+    lengths = np.diff(np.append(dataset.starts, n_rows))
     traj_ids = np.repeat(np.arange(len(lengths)), lengths)
-    records = zip(
-        _state_text(dataset.states),
-        [" ".join(map(str, row)) for row in dataset.actions.tolist()],
-        map(repr, dataset.rewards.tolist()),
-        _state_text(dataset.next_states),
-        np.where(dataset.dones, "1", "0").tolist(),
-        map(str, traj_ids.tolist()),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        fh.writelines(",".join(fields) + "\n" for fields in records)
+    # states and next states share one set of texts: most next states are
+    # the next row's state
+    both = _entry_texts(np.column_stack((dataset.states, dataset.next_states)))
+    k = len(both) // 2
+    entries = [*both[:k], *_entry_texts(dataset.actions), *_entry_texts(dataset.rewards),
+               *both[k:], *_entry_texts(dataset.dones.astype(np.int64)),
+               *_entry_texts(traj_ids)]
+    pieces = []
+    for entry, sep in zip(entries, _separators(spec), strict=True):
+        pieces += [entry, np.full((n_rows, 1), ord(sep), dtype=np.uint8)]
+    body = np.concatenate(pieces, axis=1).tobytes().translate(None, delete=b"\0")
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
+        fh.write(body)
 
 
 def _fields(spec: EnvSpec) -> list:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import Dataset, DatasetHeader, EnvSpec, RngStream, Tier, validate_dataset
-from .learner import Batch, FactoredQ, cfcql_loss, make_greedy_actor
+from .learner import Batch, FactoredQ, cfcql_loss, encode_transitions, make_greedy_actor
 from .neural import Adam
 from .rollouts import QValuesActor, RandomActor, evaluate_actor, rollout_episodes
 
@@ -154,8 +154,8 @@ def train_online(env, budget: int, rng: RngStream,
             actions[sl] = batch_roll.actions[:, w]
             rewards[sl] = batch_roll.rewards[:, w]
             filled += horizon
-        inputs[new_rows] = _encode_inputs(env, mode, states[new_rows])
-        next_inputs[new_rows] = _encode_inputs(env, mode, next_states[new_rows])
+        inputs[new_rows], next_inputs[new_rows] = encode_transitions(
+            lambda raw: _encode_inputs(env, mode, raw), states[new_rows], next_states[new_rows])
         for _ in range(min(config.updates_per_block, budget - updates)):
             idx = batch_rng.integers(0, filled, size=config.batch_size)
             batch = Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],

@@ -360,6 +360,25 @@ def make_greedy_actor(q: FactoredQ, env, mode: str) -> QValuesActor:
     return QValuesActor(values)
 
 
+def encode_transitions(encode, states: np.ndarray, next_states: np.ndarray):
+    """``(encode(states), encode(next_states))`` for (N, n) trajectory rows.
+
+    Inside a trajectory row k's next state is row k + 1's state, so its
+    encoded row is reused. Only the other next states are encoded: trajectory
+    ends and any row that breaks the pattern. Rows match bit for bit, so -0.0
+    is not taken for 0.0. ``encode`` works row by row, so the result equals
+    encoding ``next_states`` whole.
+    """
+    inputs = encode(states)
+    same = np.zeros(len(states), dtype=bool)
+    same[:-1] = (next_states[:-1].view(np.int64) == states[1:].view(np.int64)).all(axis=1)
+    reused, rest = np.flatnonzero(same), np.flatnonzero(~same)
+    next_inputs = np.empty_like(inputs)
+    next_inputs[reused] = inputs[reused + 1]
+    next_inputs[rest] = encode(next_states[rest])
+    return inputs, next_inputs
+
+
 def train_offline(config: TrainConfig, dataset: Dataset, method: str,
                   refs: Optional[ScoreRefs] = None) -> TrainResult:
     """Run the full offline loop and return the greedy policy plus metrics."""
@@ -375,8 +394,8 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
     if mode == "tabular":
         inputs, next_inputs = dataset.states, dataset.next_states
     else:
-        inputs = env.per_agent_features(dataset.states)
-        next_inputs = env.per_agent_features(dataset.next_states)
+        inputs, next_inputs = encode_transitions(env.per_agent_features, dataset.states,
+                                                 dataset.next_states)
     actions, rewards = dataset.actions, dataset.rewards
     n_transitions = len(dataset)
     needs_beta = method == "cfcql" and config.lambda_mode != "uniform"

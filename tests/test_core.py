@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,73 @@ def test_golden_file_roundtrips_byte_for_byte(tmp_path, name, state_dtype, state
         assert not array.flags.writeable, column
     save_dataset(d, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes()
+
+
+def _reference_records(d) -> bytes:
+    """The records of ``d`` formatted row by row: str for an int, repr for a float."""
+    def state_text(state):
+        return ";".join(map(repr, state)) if isinstance(state, list) else str(state)
+
+    lengths = np.diff(np.append(d.starts, len(d)))
+    traj_ids = np.repeat(np.arange(len(lengths)), lengths).tolist()
+    rows = zip(d.states.tolist(), d.actions.tolist(), d.rewards.tolist(),
+               d.next_states.tolist(), d.dones.tolist(), traj_ids)
+    return "".join(
+        ",".join([state_text(s), " ".join(map(str, a)), repr(r), state_text(s2),
+                  "1" if done else "0", str(traj)]) + "\n"
+        for s, a, r, s2, done, traj in rows).encode("ascii")
+
+
+# Both zeros, nan of either sign, the infinities, the smallest subnormal and
+# values repr() writes in exponent form or at full length.
+HARD_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), INF, -INF, 5e-324, 1e16, -1e-5,
+               1.5e-300, 1.7976931348623157e308, 0.1, 1 / 3, -2.5]
+
+
+def _hard_float_dataset():
+    # every float column holds every value of HARD_FLOATS
+    spec = EnvSpec(EnvId.EQUAL_LINE, 3, 11, 0.99, INF, 50, "vector", "positions")
+    m = len(HARD_FLOATS)
+
+    def pick(k, width):
+        return [HARD_FLOATS[(k + i) % m] for i in range(width)]
+
+    rows = [(pick(k, 3), (k % 11, 10, 0), pick(k, 1)[0], pick(k + 5, 3), k % 7 == 6)
+            for k in range(60)]
+    return make_dataset(rows, spec, starts=(0, 7, 14, 30, 59))
+
+
+def _wide_id_dataset():
+    # one row per trajectory, so trajectory ids run 0 ... 12345 like the states
+    spec = ToyMMDP(9).spec()
+    ids = np.arange(12346)
+    rows = [(s, (s % 3,) * 9, 1.0, (s * 7) % 12346, True) for s in ids.tolist()]
+    return make_dataset(rows, spec, starts=tuple(ids.tolist()))
+
+
+def _single_agent_dataset():
+    spec = EnvSpec(EnvId.EQUAL_LINE, 1, 11, 0.99, 2.0, 50, "vector", "positions")
+    rows = [((x,), (k % 11,), -x / 10, (x + 0.5,), k == 4) for k, x in
+            enumerate([0.0, -0.0, 1e-7, 2.5, 9.75])]
+    return make_dataset(rows, spec)
+
+
+@pytest.mark.parametrize("make", [
+    _hard_float_dataset,
+    _wide_id_dataset,
+    _single_agent_dataset,
+    lambda: make_dataset([((0.25, -0.0), (3, 10), 1e-300, (0.5, 0.0), True)],
+                         EqualLine(2).spec()),
+    lambda: make_dataset([], EqualLine(2).spec(), starts=()),
+    lambda: make_dataset([], TOY_SPEC, starts=()),
+], ids=["hard_floats", "wide_ids", "single_agent", "one_row", "zero_rows_vector",
+        "zero_rows_discrete"])
+def test_save_dataset_matches_a_per_row_formatter(tmp_path, make):
+    d = make()
+    save_dataset(d, tmp_path / "d.txt")
+    header, body = (tmp_path / "d.txt").read_bytes().split(b"\n", 1)
+    assert body == _reference_records(d)
+    assert json.loads(header)["n_trajectories"] == len(d.starts)
 
 
 def _edit_golden(tmp_path, line_no, old, new, name="toy_n2.txt"):

@@ -3,6 +3,7 @@ import pytest
 
 from cfcql_lab import autodiff as ad
 from cfcql_lab.core import RngStream, Tier
+from cfcql_lab.datagen import random_dataset
 from cfcql_lab.envs import EqualLine, ToyMMDP, all_joint_actions
 from cfcql_lab.learner import (
     Batch,
@@ -12,6 +13,7 @@ from cfcql_lab.learner import (
     batch_lambda,
     cfcql_loss,
     counterfactual_rows,
+    encode_transitions,
     evaluate_policy,
     macql_loss,
     normalized_score,
@@ -424,6 +426,35 @@ def test_cfcql_loss_gradient_vanishes_at_learner_fixed_point(alpha, rng):
     loss, _ = cfcql_loss(full_batch(d), q, q.copy(), None, alpha, d.header.spec.gamma)
     ad.backward(loss)
     assert np.max(np.abs(q.table.grad)) <= 10 * DEFAULT_TOL
+
+
+@pytest.mark.parametrize("state, next_state, encoded_ends", [
+    (None, None, 0),
+    (None, 7.25, 1),
+    (0.0, -0.0, 1),
+], ids=["sampled_tier", "next_state_is_not_next_row", "next_state_differs_in_zero_sign"])
+def test_encode_transitions_equals_encoding_every_row(state, next_state, encoded_ends):
+    # the edits set agent 0's position in row 4's state and in row 3's next
+    # state, which the sampled tier makes equal
+    env = EqualLine(3)
+    d = random_dataset(env, 6, RngStream(11))
+    states, next_states = d.states.copy(), d.next_states.copy()
+    if state is not None:
+        states[4, 0] = state
+    if next_state is not None:
+        next_states[3, 0] = next_state
+    encoded = []
+
+    def encode(rows):
+        encoded.append(len(rows))
+        return env.per_agent_features(rows)
+
+    inputs, next_inputs = encode_transitions(encode, states, next_states)
+    for got, raw in ((inputs, states), (next_inputs, next_states)):
+        want = env.per_agent_features(raw)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    # states, then only the trajectory ends and the rows that break the pattern
+    assert encoded == [len(d), len(d.starts) + encoded_ends]
 
 
 def test_train_offline_neural_smoke(rng):
