@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The ops are the learner's: add, sub, mul, matmul, relu, elu, absolute,
-square, tsum, tmean, logsumexp_t, gather_last, take_rows, reshape and
-swapaxes, reversed by ``backward``. Everything is float64; tapes are built
-eagerly and freed after ``backward``.
+square, tsum, tmean, logsumexp_t, lse_minus_chosen, gather_last, take_rows,
+reshape and swapaxes, reversed by ``backward``. Everything is float64; tapes
+are built eagerly and freed after ``backward``.
 
 A result with no grad-requiring parent records no tape: its ``parents`` is
 empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
@@ -228,6 +228,43 @@ def logsumexp_t(x, axis: int = -1) -> Tensor:
         return (g.reshape(total.shape) * soft,)
 
     return Tensor(out_data, (x,), bwd)
+
+
+def lse_minus_chosen(x, index: np.ndarray):
+    """``logsumexp(x[..., :]) - x[..., index]`` as one node, and the softmax
+    of ``x`` over its last axis as a plain array: ``(gap, softmax)``.
+
+    The max and the sum run over the leading axis of an (A, ...) copy, which
+    numpy reduces several times faster than a short last axis. For A < 8 it
+    adds the terms in the same order, so ``gap`` has the bits of
+    ``logsumexp_t(x) - gather_last(x, index[..., None])[..., 0]``. The
+    backward is ``g * (softmax - onehot(index))``.
+    """
+    x = as_tensor(x)
+    idx = np.asarray(index, dtype=np.int64)
+    shape = x.data.shape
+    if idx.shape != shape[:-1]:
+        raise ValueError(f"index shape {idx.shape} != {shape[:-1]}")
+    width = shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= width):
+        bad = idx[(idx < 0) | (idx >= width)][0]
+        raise ValueError(f"lse_minus_chosen index {bad} is outside 0..{width - 1}")
+    flat = idx.ravel() + np.arange(0, x.data.size, width)
+    ndim = x.data.ndim
+    lead = x.data.transpose((ndim - 1, *range(ndim - 1))).copy()  # (A, ...)
+    m = lead.max(axis=0)
+    shifted = np.exp(lead - m)
+    total = shifted.sum(axis=0)
+    soft = (shifted / total).transpose((*range(1, ndim), 0))  # (..., A), a view
+    out_data = m + np.log(total) - x.data.reshape(-1)[flat].reshape(idx.shape)
+
+    def bwd(g):
+        grad = np.empty(shape)
+        np.multiply(soft, g[..., None], out=grad)
+        grad.reshape(-1)[flat] -= g.ravel()
+        return (grad,)
+
+    return Tensor(out_data, (x,), bwd), soft
 
 
 def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:

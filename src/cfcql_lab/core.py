@@ -235,12 +235,7 @@ def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
     if header.spec.n_actions != spec.n_actions:
         violations.append(f"header n_actions {header.spec.n_actions} != spec {spec.n_actions}")
 
-    n = len(dataset)
-    state_shape = (n, spec.n_agents) if spec.state_kind == "vector" else (n,)
-    shapes = {"states": state_shape, "actions": (n, spec.n_agents), "rewards": (n,),
-              "next_states": state_shape, "dones": (n,), "starts": (len(dataset.starts),)}
-    bad_shapes = [f"{name} shape {getattr(dataset, name).shape} != {shape}"
-                  for name, shape in shapes.items() if getattr(dataset, name).shape != shape]
+    bad_shapes = _shape_violations(dataset, spec)
     if bad_shapes:  # the checks below index the columns by these shapes
         return ValidationReport(tuple(violations + bad_shapes))
 
@@ -256,19 +251,32 @@ def validate_dataset(dataset: Dataset, spec: EnvSpec) -> ValidationReport:
     for idx in np.flatnonzero(~(magnitude <= spec.r_max + 1e-9)):
         violations.append(f"transition {idx}: |reward| {magnitude[idx]:.6g} "
                           f"exceeds r_max {spec.r_max:.6g}")
+    return ValidationReport(tuple(violations + _boundary_violations(dataset)))
 
-    starts = dataset.starts
+
+def _shape_violations(dataset: Dataset, spec: EnvSpec) -> list:
+    n = len(dataset)
+    state_shape = (n, spec.n_agents) if spec.state_kind == "vector" else (n,)
+    shapes = {"states": state_shape, "actions": (n, spec.n_agents), "rewards": (n,),
+              "next_states": state_shape, "dones": (n,), "starts": (len(dataset.starts),)}
+    return [f"{name} shape {getattr(dataset, name).shape} != {shape}"
+            for name, shape in shapes.items() if getattr(dataset, name).shape != shape]
+
+
+def _boundary_violations(dataset: Dataset) -> list:
+    """Faults of ``starts`` as a partition of the rows into trajectories."""
+    n, starts, violations = len(dataset), dataset.starts, []
     if n and (not len(starts) or starts[0] != 0):
         violations.append("trajectory boundaries do not start at 0")
     for k in np.flatnonzero(np.diff(starts) <= 0) + 1:
         violations.append(f"trajectory boundaries overlap at index {k}")
     if len(starts) and starts[-1] >= n and n > 0:
         violations.append("trajectory boundary beyond last transition")
-    if header.n_trajectories != len(starts):
+    if dataset.header.n_trajectories != len(starts):
         violations.append(
-            f"header n_trajectories {header.n_trajectories} != {len(starts)} partitions"
+            f"header n_trajectories {dataset.header.n_trajectories} != {len(starts)} partitions"
         )
-    return ValidationReport(tuple(violations))
+    return violations
 
 
 def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPolicy:
@@ -343,8 +351,19 @@ def _entry_texts(column: np.ndarray) -> list:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path``; a dataset whose columns or trajectory
+    boundaries do not fit together raises before anything is written.
+
+    Those are the faults that would make the file's layout wrong: trajectory
+    ids come from ``starts``. Out-of-range values are written as they are,
+    and ``load_dataset`` reports them.
+    """
     header = dataset.header
     spec = header.spec
+    layout = _shape_violations(dataset, spec) or _boundary_violations(dataset)
+    if layout:
+        raise ValueError(f"{path}: cannot save a dataset with a broken layout:\n"
+                         + "\n".join(layout))
     meta = {
         "format_version": header.format_version,
         "generator_version": header.generator_version,

@@ -1,7 +1,7 @@
 """Dataset tiers produced by an online TD trainer.
 
 The trainer is the plain online value-decomposition learner (epsilon-greedy
-acting, target network, additive mixing by default). Expert is the final
+acting, target network, additive mixing). Expert is the final
 checkpoint; Medium is the earliest checkpoint reaching half the Expert's
 evaluation return; Medium-Replay is the chronological buffer up to that
 point; Mixed is an equal mixture of Medium and Expert trajectories.
@@ -34,20 +34,20 @@ class MediumThresholdError(RuntimeError):
         )
 
 
+ONLINE_BATCH_SIZE = 64
+ONLINE_LR = 1e-3
+EPSILON_START, EPSILON_END = 1.0, 0.05
+EPSILON_ANNEAL_FRAC = 0.5  # share of the budget over which epsilon falls linearly
+ONLINE_TARGET_INTERVAL = 200  # updates between target-network copies
+ONLINE_HIDDEN = (64, 64)  # neural mode
+N_CHECKPOINTS = 40  # evaluated checkpoints over the budget, at most
+
+
 @dataclass
 class OnlineTrainConfig:
     budget: int = 60_000  # gradient updates
     n_parallel: int = 8  # lockstep episode workers
     updates_per_block: int = 100
-    batch_size: int = 64
-    lr: float = 1e-3
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_anneal_frac: float = 0.5
-    target_interval: int = 200
-    hidden: tuple = (64, 64)
-    mixer: str = "additive"
-    n_checkpoints: int = 40
     eval_episodes: int = 32
     medium_fraction: float = 0.5
 
@@ -105,11 +105,10 @@ def train_online(env, budget: int, rng: RngStream,
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
         feature_dim=blank_input.shape[2] if mode == "neural" else None,
-        hidden=config.hidden, mixer=config.mixer,
-        rng=rng.child("init").generator(),
+        hidden=ONLINE_HIDDEN, rng=rng.child("init").generator(),
     )
     target = q.copy()
-    opt = Adam(q.parameters(), lr=config.lr)
+    opt = Adam(q.parameters(), lr=ONLINE_LR)
     actor = make_greedy_actor(q, env, mode)
 
     n_blocks = max(1, int(np.ceil(budget / config.updates_per_block)))
@@ -128,8 +127,8 @@ def train_online(env, budget: int, rng: RngStream,
     roll_rng = rng.child("rollouts").generator()
     batch_rng = rng.child("batches").generator()
     checkpoints = []
-    checkpoint_every = max(1, n_blocks // config.n_checkpoints)
-    anneal_updates = max(1, int(budget * config.epsilon_anneal_frac))
+    checkpoint_every = max(1, n_blocks // N_CHECKPOINTS)
+    anneal_updates = max(1, int(budget * EPSILON_ANNEAL_FRAC))
     updates = 0
 
     def take_checkpoint():
@@ -143,7 +142,7 @@ def train_online(env, budget: int, rng: RngStream,
 
     for block in range(n_blocks):
         frac = min(1.0, updates / anneal_updates)
-        eps = config.epsilon_start + frac * (config.epsilon_end - config.epsilon_start)
+        eps = EPSILON_START + frac * (EPSILON_END - EPSILON_START)
         batch_roll = rollout_episodes(env, actor, m, roll_rng, epsilon=eps)
         new_rows = slice(filled, filled + m * horizon)
         for w in range(m):  # deterministic worker-order merge, whole trajectories
@@ -157,7 +156,7 @@ def train_online(env, budget: int, rng: RngStream,
         inputs[new_rows], next_inputs[new_rows] = encode_transitions(
             lambda raw: _encode_inputs(env, mode, raw), states[new_rows], next_states[new_rows])
         for _ in range(min(config.updates_per_block, budget - updates)):
-            idx = batch_rng.integers(0, filled, size=config.batch_size)
+            idx = batch_rng.integers(0, filled, size=ONLINE_BATCH_SIZE)
             batch = Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
                           next_inputs=next_inputs[idx])
             opt.zero_grad()
@@ -165,7 +164,7 @@ def train_online(env, budget: int, rng: RngStream,
             ad.backward(loss)
             opt.step()
             updates += 1
-            if updates % config.target_interval == 0:
+            if updates % ONLINE_TARGET_INTERVAL == 0:
                 target = q.copy()
         if (block + 1) % checkpoint_every == 0 and updates < budget:
             take_checkpoint()

@@ -7,12 +7,22 @@ Three methods share one TD backbone:
 
 Execution is decentralized: both mixers are monotone in every per-agent value,
 so the joint greedy action is the tuple of per-agent argmaxes.
+
+With the additive mixer both penalties reduce to per-agent terms, so neither
+builds its rows of Q_tot. Row (b, i) of the counterfactual rows is
+Q_i(s, ·) + (sum_j chosen_j - chosen_i), so its logsumexp is
+lse Q_i + sum_j chosen_j - chosen_i, and with lambda on the simplex the cfcql
+penalty is sum_i lambda_i (lse Q_i - chosen_i). The softmax of that row is
+softmax(Q_i(s, ·)), agent i's counterfactual Boltzmann policy. Over every
+joint action, log sum_a exp sum_i Q_i(a_i) = sum_i lse Q_i, so macql's
+enumerated penalty is sum_i (lse Q_i - chosen_i).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -212,30 +222,40 @@ def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Te
     return q.mixer.mix(joint)
 
 
-def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, lam: Optional[np.ndarray],
-               alpha: float, gamma: float):
+def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
+               lam: Optional[Callable[[np.ndarray], np.ndarray]], alpha: float, gamma: float):
     """Counterfactual conservative loss; ``alpha=0`` reduces to plain TD.
 
     The other agents' actions in the penalty come from the sampled transition
-    (one draw from the behavior policy). ``lam=None`` weighs agents uniformly.
+    (one draw from the behavior policy). ``lam`` maps the (B, n, A)
+    counterfactual Boltzmann policy of this forward pass to (B, n) agent
+    weights on the simplex, and is called once; ``lam=None`` weighs agents
+    uniformly. On the additive mixer the penalty is
+    alpha * mean_b sum_i lambda_i (lse Q_i - chosen_i) (module docstring).
     """
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
     y = td_targets(q_target, batch, gamma)
     td = ad.mul(ad.tmean(ad.square(q_data - y)), 0.5)
-    stats = {"mean_data_q": float(q_data.data.mean())}
     if alpha == 0.0:
-        stats.update(td=float(td.data), penalty=0.0)
-        return td, stats
+        return td, {"td": float(td.data), "penalty": 0.0}
 
-    if lam is None:
-        lam = np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
-    lse = ad.logsumexp_t(counterfactual_rows(q, values, batch.actions), axis=-1)  # (B, n)
-    penalty_terms = ad.tsum(ad.mul(lam, lse), axis=1) - q_data
-    penalty = ad.mul(ad.tmean(penalty_terms), alpha)
-    loss = penalty + td
-    stats.update(td=float(td.data), penalty=float(penalty.data))
-    return loss, stats
+    if q.mixer is None:
+        gap, pi = ad.lse_minus_chosen(values, batch.actions)  # (B, n)
+        weights = _uniform(batch, q) if lam is None else lam(pi)
+        # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
+        penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
+    else:
+        rows = counterfactual_rows(q, values, batch.actions)
+        weights = _uniform(batch, q) if lam is None else lam(softmax(rows.data, axis=-1))
+        lse = ad.logsumexp_t(rows, axis=-1)  # (B, n)
+        penalty_terms = ad.tsum(ad.mul(weights, lse), axis=1) - q_data
+        penalty = ad.mul(ad.tmean(penalty_terms), alpha)
+    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
+
+
+def _uniform(batch: Batch, q: FactoredQ) -> np.ndarray:
+    return np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
 
 
 def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
@@ -244,19 +264,25 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
 
     With ``n_samples >= |A|^n`` the joint space is enumerated exactly;
     otherwise the estimator is logsumexp over uniform joints plus the
-    importance constant log(|A|^n / N).
+    importance constant log(|A|^n / N). Enumerated on the additive mixer,
+    the penalty is sum_i (lse Q_i - chosen_i) and no joint is built (module
+    docstring).
     """
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
     y = td_targets(q_target, batch, gamma)
     td = ad.mul(ad.tmean(ad.square(q_data - y)), 0.5)
-    stats = {"mean_data_q": float(q_data.data.mean())}
     if alpha == 0.0:
-        stats.update(td=float(td.data), penalty=0.0)
-        return td, stats
+        return td, {"td": float(td.data), "penalty": 0.0}
 
     b = len(batch)
     n_joint = q.n_actions**q.n_agents
+    if q.mixer is None and n_samples >= n_joint:
+        gap, _ = ad.lse_minus_chosen(values, batch.actions)
+        # alpha * mean_b sum_i gap_i, in cfcql's form: at n = 1 the two
+        # losses are the same bits
+        penalty = ad.tsum(ad.mul(gap, alpha / b))
+        return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
     if n_samples >= n_joint:
         joints = all_joint_actions(q.n_agents, q.n_actions)  # (K, n)
         sampled = np.broadcast_to(joints[None, :, :], (b, n_joint, q.n_agents))
@@ -266,16 +292,17 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
             raise ValueError("sampled joint actions need an rng")
         sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
         log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
-    # one gather of every agent's sampled actions: (B, n, K), then (B, K, n)
+    # one gather of every agent's sampled actions: (B, n, K)
     chosen = ad.gather_last(values, np.swapaxes(sampled, 1, 2))
-    q_rows = q.mix(ad.swapaxes(chosen, 1, 2))  # (B, K)
+    if q.mixer is None:  # no swapaxes copy; for n < 8 the same bits as the mix
+        q_rows = ad.tsum(chosen, axis=1)  # (B, K)
+    else:
+        q_rows = q.mix(ad.swapaxes(chosen, 1, 2))
     est = ad.logsumexp_t(q_rows, axis=-1)
     if log_const != 0.0:
         est = est + log_const
     penalty = ad.mul(ad.tmean(est - q_data), alpha)
-    loss = penalty + td
-    stats.update(td=float(td.data), penalty=float(penalty.data))
-    return loss, stats
+    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +310,21 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-@ad.no_grad()
-def batch_lambda(q: FactoredQ, batch: Batch, mode: str, tau: float,
+def batch_lambda(pi: np.ndarray, beta_probs: np.ndarray, mode: str, tau: float,
                  form: str = "kl") -> np.ndarray:
-    if mode == "uniform" or q.n_agents == 1:
-        return np.full((len(batch), q.n_agents), 1.0 / q.n_agents)
-    rows = counterfactual_rows(q, q.values(batch.inputs), batch.actions).data
-    pi = softmax(rows, axis=-1)  # Boltzmann policy per agent, temperature 1
-    beta = np.clip(batch.beta_probs, 1e-12, None)
+    """(B, n) agent weights from ``pi``, the (B, n, A) counterfactual
+    Boltzmann policy (temperature 1) that ``cfcql_loss`` computes, against
+    the behavior probabilities ``beta_probs``."""
+    b, n = pi.shape[:2]
+    if mode == "uniform" or n == 1:
+        return np.full((b, n), 1.0 / n)
+    beta = np.maximum(beta_probs, 1e-12)
     if mode == "onehot" or form == "ratio":
         scores = (pi * pi / beta).sum(axis=2)
         if mode == "onehot":
             return onehot_from_scores(scores)
         return softmax_from_scores(scores, tau, "ratio")
-    kl = (pi * (np.log(np.clip(pi, 1e-300, None)) - np.log(beta))).sum(axis=2)
+    kl = (pi * (np.log(np.maximum(pi, 1e-300)) - np.log(beta))).sum(axis=2)
     return softmax_from_scores(kl, tau, "kl")
 
 
@@ -431,14 +459,15 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         )
         opt.zero_grad()
         if method == "macql" and alpha > 0.0:
-            loss, stats = macql_loss(batch, q, target, alpha,
-                                     config.cql_joint_samples, penalty_rng, spec.gamma)
+            loss, _ = macql_loss(batch, q, target, alpha,
+                                 config.cql_joint_samples, penalty_rng, spec.gamma)
         else:
             lam = None
-            if method == "cfcql" and alpha > 0.0 and config.lambda_mode != "uniform":
-                lam = batch_lambda(q, batch, config.lambda_mode, config.tau,
-                                   config.lambda_form)
-            loss, stats = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
+            if method == "cfcql" and config.lambda_mode != "uniform":
+                lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs,
+                                        mode=config.lambda_mode, tau=config.tau,
+                                        form=config.lambda_form)
+            loss, _ = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
         if not np.isfinite(loss.data):
             raise FloatingPointError(f"training diverged at step {step}")
         ad.backward(loss)

@@ -313,6 +313,19 @@ def test_save_dataset_matches_a_per_row_formatter(tmp_path, make):
     assert json.loads(header)["n_trajectories"] == len(d.starts)
 
 
+@pytest.mark.parametrize("starts, message", [
+    ((0, 3, 3), "trajectory boundaries overlap at index 2"),
+    ((2,), "trajectory boundaries do not start at 0"),
+], ids=["empty_trajectory", "first_rows_in_no_trajectory"])
+def test_save_dataset_rejects_broken_trajectory_boundaries(tmp_path, starts, message):
+    rows = [(s, (s % 3, 1), 0.5, s + 1, s == 4) for s in range(5)]
+    d = make_dataset(rows, TOY_SPEC, starts=starts)
+    path = tmp_path / "d.txt"
+    with pytest.raises(ValueError, match=f"cannot save a dataset with a broken layout:\n{message}"):
+        save_dataset(d, path)
+    assert not path.exists()
+
+
 def _edit_golden(tmp_path, line_no, old, new, name="toy_n2.txt"):
     lines = (DATA / name).read_text().splitlines(keepends=True)
     assert old in lines[line_no - 1]

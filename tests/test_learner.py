@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from cfcql_lab.learner import (
     td_targets,
     train_offline,
 )
+from cfcql_lab.neural import softmax
 from cfcql_lab.rollouts import RandomActor
 from cfcql_lab.tabular import DEFAULT_TOL, learner_fixed_point
 
@@ -154,7 +157,7 @@ def test_single_agent_losses_coincide(rng):
             rng.integers(0, n_states, size=b),
         )
         alpha = float(rng.uniform(0.1, 5.0))
-        cf, _ = cfcql_loss(batch, q, target, np.ones((b, 1)), alpha, 0.9)
+        cf, _ = cfcql_loss(batch, q, target, lambda _: np.ones((b, 1)), alpha, 0.9)
         ma, _ = macql_loss(batch, q, target, alpha, n_actions, None, 0.9)
         ref = reference_single_agent_cql_loss(table, target_table, batch, alpha, 0.9)
         assert cf.data == pytest.approx(ref, abs=1e-9)
@@ -230,7 +233,7 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
     )
     lam = rng.dirichlet(np.ones(2), size=b)
     assert_gradients_match_finite_differences(
-        q.parameters(), lambda: cfcql_loss(batch, q, target, lam, 0.8, 0.9)[0])
+        q.parameters(), lambda: cfcql_loss(batch, q, target, lambda _: lam, 0.8, 0.9)[0])
 
 
 @pytest.mark.parametrize("mixer", ["additive", "monotonic"])
@@ -267,20 +270,23 @@ def test_macql_tape_does_not_grow_with_agents(mixer, rng):
     assert counts[0] == counts[1]
 
 
+def loss_and_table_grad(q, loss_of):
+    q.table.zero_grad()
+    loss = loss_of()
+    ad.backward(loss)
+    return float(loss.data), q.table.grad.copy()
+
+
 @pytest.mark.parametrize("n_agents", [2, 3])
 def test_additive_macql_is_cfcql_at_n_times_alpha(n_agents, rng):
     """log sum_a exp sum_i Q_i(a_i) = sum_i logsumexp Q_i, so with every joint
     enumerated, macql at alpha is uniform-lambda cfcql at n * alpha."""
     q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=5, b=12)
     alpha, n_joint = 0.7, q.n_actions**n_agents
-    grads = []
-    for loss_of in (lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9)[0],
-                    lambda: cfcql_loss(batch, q, target, None, n_agents * alpha, 0.9)[0]):
-        q.table.zero_grad()
-        loss = loss_of()
-        ad.backward(loss)
-        grads.append((float(loss.data), q.table.grad.copy()))
-    (macql, macql_grad), (cfcql, cfcql_grad) = grads
+    macql, macql_grad = loss_and_table_grad(
+        q, lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9)[0])
+    cfcql, cfcql_grad = loss_and_table_grad(
+        q, lambda: cfcql_loss(batch, q, target, None, n_agents * alpha, 0.9)[0])
     assert macql == pytest.approx(cfcql, rel=1e-12)
     np.testing.assert_allclose(macql_grad, cfcql_grad, rtol=0, atol=1e-12)
 
@@ -342,6 +348,118 @@ def test_counterfactual_rows_match_bruteforce(mixer, rng):
         np.testing.assert_allclose(rows.data, expected, rtol=0, atol=1e-12)
 
 
+def boltzmann(q, batch):
+    """The counterfactual Boltzmann policy recomputed from Q_tot's rows."""
+    with ad.no_grad():
+        return softmax(counterfactual_rows(q, q.values(batch.inputs), batch.actions).data)
+
+
+def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
+    """The penalty built from the (B, n, A) counterfactual rows of Q_tot."""
+    values = q.values(batch.inputs)
+    q_data = q.q_tot_data(values, batch.actions)
+    td = ad.mul(ad.tmean(ad.square(q_data - td_targets(target, batch, gamma))), 0.5)
+    lse = ad.logsumexp_t(counterfactual_rows(q, values, batch.actions), axis=-1)
+    return ad.mul(ad.tmean(ad.tsum(ad.mul(lam, lse), axis=1) - q_data), alpha) + td
+
+
+@pytest.mark.parametrize("n_agents", [2, 3, 4, 5])
+@pytest.mark.parametrize("mode", ["uniform", "onehot", "softmax"])
+def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng):
+    """The per-agent form sum_i lambda_i (lse Q_i - chosen_i) gives the loss
+    and table gradient of the rows' logsumexp, to rounding."""
+    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=7, b=16)
+    batch.beta_probs = rng.dirichlet(np.ones(3), size=(16, n_agents))
+    lam = batch_lambda(boltzmann(q, batch), batch.beta_probs, mode, 1.0)
+    got_loss, got_grad = loss_and_table_grad(
+        q, lambda: cfcql_loss(batch, q, target, None if mode == "uniform" else lambda _: lam,
+                              0.8, 0.9)[0])
+    want_loss, want_grad = loss_and_table_grad(
+        q, lambda: reference_cfcql_loss(batch, q, target, lam, 0.8, 0.9))
+    assert got_loss == pytest.approx(want_loss, rel=1e-12)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_grad).max())
+
+
+@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@pytest.mark.parametrize("n_agents", [2, 3, 5])
+@pytest.mark.parametrize("mode, form", [("onehot", "kl"), ("softmax", "kl"),
+                                        ("softmax", "ratio")])
+def test_lambda_from_the_loss_forward_equals_the_recompute(mixer, n_agents, mode, form, rng):
+    """cfcql_loss hands lam the Boltzmann policy of its own forward pass, once:
+    on the additive mixer the softmax of Q_i, on the monotonic one of the rows."""
+    q, target, batch = random_q_and_batch(n_agents, 3, mixer, rng, n_states=7, b=16)
+    batch.beta_probs = rng.dirichlet(np.ones(3), size=(16, n_agents))
+    seen = []
+
+    def lam(pi):
+        seen.append(pi)
+        return batch_lambda(pi, batch.beta_probs, mode, 1.0, form)
+
+    cfcql_loss(batch, q, target, lam, 0.8, 0.9)
+    assert len(seen) == 1
+    recomputed = boltzmann(q, batch)
+    weights = batch_lambda(seen[0], batch.beta_probs, mode, 1.0, form)
+    recomputed_weights = batch_lambda(recomputed, batch.beta_probs, mode, 1.0, form)
+    if mixer == "monotonic":  # the same computation as the recompute
+        assert seen[0].tobytes() == recomputed.tobytes()
+    np.testing.assert_allclose(seen[0], recomputed, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(weights, recomputed_weights, rtol=0, atol=1e-12)
+
+
+def joint_bruteforce(values, actions):
+    """Per row: logsumexp over every joint action of sum_i Q_i(a_i) minus the
+    data's Q_tot, and its gradient in ``values`` (joint-softmax marginals
+    minus the data's one-hot)."""
+    b, n, n_actions = values.shape
+    joints = all_joint_actions(n, n_actions)  # (K, n)
+    agents = np.arange(n)
+    excess, grad = np.empty(b), np.zeros_like(values)
+    for k in range(b):
+        q_joint = values[k, agents, joints].sum(axis=1)  # (K,)
+        m = q_joint.max()
+        p = np.exp(q_joint - m) / np.exp(q_joint - m).sum()
+        excess[k] = m + np.log(np.exp(q_joint - m).sum()) - values[k, agents, actions[k]].sum()
+        for i in range(n):
+            grad[k, i] = np.bincount(joints[:, i], weights=p, minlength=n_actions)
+        grad[k, agents, actions[k]] -= 1.0
+    return excess, grad
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 3])
+def test_enumerated_additive_macql_matches_joint_bruteforce(n_agents, rng):
+    """Every joint enumerated: loss and table gradient equal the explicit
+    logsumexp over the |A|^n joints, without building them."""
+    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=5, b=10)
+    alpha, gamma, b = 1.3, 0.9, 10
+    loss, grad = loss_and_table_grad(
+        q, lambda: macql_loss(batch, q, target, alpha, 3**n_agents, None, gamma)[0])
+
+    values = q.table.data[batch.inputs]
+    excess, d_excess = joint_bruteforce(values, batch.actions)
+    chosen = np.take_along_axis(values, batch.actions[:, :, None], 2)[:, :, 0]
+    err = chosen.sum(axis=1) - td_targets(target, batch, gamma)
+    assert loss == pytest.approx(alpha * excess.mean() + 0.5 * (err**2).mean(), rel=1e-12)
+    d_values = alpha / b * d_excess
+    np.put_along_axis(d_values, batch.actions[:, :, None],
+                      np.take_along_axis(d_values, batch.actions[:, :, None], 2)
+                      + (err / b)[:, None, None], axis=2)
+    want = np.zeros_like(q.table.data)
+    np.add.at(want, batch.inputs, d_values)
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_additive_cfcql_tape_does_not_grow_with_agents(rng):
+    counts = []
+    for n_agents in (2, 5):
+        q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng)
+        batch.beta_probs = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
+        lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs, mode="softmax",
+                                tau=1.0)
+        counts.append(tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]))
+    assert counts[0] == counts[1] <= 19
+
+
 def test_lambda_mode_changes_penalty_not_td(rng):
     q = tabular_q(3, 3, 5, values=rng.normal(size=(5, 9)))
     target = q.copy()
@@ -350,9 +468,9 @@ def test_lambda_mode_changes_penalty_not_td(rng):
     batch = make_batch(rng.integers(0, 5, size=b), rng.integers(0, 3, size=(b, 3)),
                        rng.normal(size=b), rng.integers(0, 5, size=b), beta=beta)
     lam_uniform = np.full((b, 3), 1 / 3)
-    lam_onehot = batch_lambda(q, batch, "onehot", 0.0)
-    _, s1 = cfcql_loss(batch, q, target, lam_uniform, 1.0, 0.9)
-    _, s2 = cfcql_loss(batch, q, target, lam_onehot, 1.0, 0.9)
+    lam_onehot = batch_lambda(boltzmann(q, batch), beta, "onehot", 0.0)
+    _, s1 = cfcql_loss(batch, q, target, lambda _: lam_uniform, 1.0, 0.9)
+    _, s2 = cfcql_loss(batch, q, target, lambda _: lam_onehot, 1.0, 0.9)
     assert s1["td"] == s2["td"]
     assert s1["penalty"] != s2["penalty"]
 
@@ -364,11 +482,11 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
     batch = make_batch(rng.integers(0, 6, size=b), rng.integers(0, 3, size=(b, 4)),
                        rng.normal(size=b), rng.integers(0, 6, size=b), beta=beta)
     for mode, tau in (("uniform", 0.0), ("onehot", 0.0), ("softmax", 2.0)):
-        lam = batch_lambda(q, batch, mode, tau)
+        lam = batch_lambda(boltzmann(q, batch), beta, mode, tau)
         assert lam.shape == (b, 4)
         np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(lam >= 0)
-    one = batch_lambda(q, batch, "onehot", 0.0)
+    one = batch_lambda(boltzmann(q, batch), beta, "onehot", 0.0)
     assert set(np.unique(one)) == {0.0, 1.0}
 
 

@@ -370,6 +370,65 @@ def test_logsumexp_softmax_entropy_identity(values):
     assert logsumexp(f) == pytest.approx(float((mu * f).sum() + entropy), abs=1e-9)
 
 
+def _with_ties(rng, shape, offset):
+    """Random values around ``offset``; in every row the first two entries tie."""
+    x = rng.normal(size=shape) + offset
+    x[..., 1] = x[..., 0]
+    return x
+
+
+@pytest.mark.parametrize("shape", [(7, 2), (6, 3, 3), (5, 4, 3), (2, 3, 6)])
+@pytest.mark.parametrize("offset", [0.0, 1e6, -1e8])
+def test_lse_minus_chosen_is_logsumexp_minus_the_gather(shape, offset):
+    """Same bits as the two-node form for A < 8, ties and large offsets included,
+    and the returned softmax is ``softmax`` of the input."""
+    rng = np.random.default_rng(12)
+    x = ad.parameter(_with_ties(rng, shape, offset))
+    idx = rng.integers(0, shape[-1], size=shape[:-1])
+    idx.ravel()[::2] = 1  # half the rows choose a tied entry
+    gap, soft = ad.lse_minus_chosen(x, idx)
+    two_node = ad.logsumexp_t(x, axis=-1) - ad.reshape(ad.gather_last(x, idx[..., None]),
+                                                        idx.shape)
+    assert gap.data.tobytes() == two_node.data.tobytes()
+    assert soft.shape == shape
+    np.testing.assert_array_equal(soft, softmax(x.data))
+
+    w = rng.normal(size=idx.shape)
+    x.zero_grad()
+    ad.backward(ad.tsum(ad.mul(gap, w)))
+    fused = x.grad.copy()
+    x.zero_grad()
+    ad.backward(ad.tsum(ad.mul(two_node, w)))
+    np.testing.assert_allclose(fused, x.grad, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("offset", [0.0, 50.0])
+def test_lse_minus_chosen_matches_finite_differences(offset):
+    rng = np.random.default_rng(4)
+    x = ad.parameter(_with_ties(rng, (4, 3, 3), offset))
+    idx = rng.integers(0, 3, size=(4, 3))
+    w = rng.normal(size=(4, 3))
+    x.zero_grad()
+    ad.backward(ad.tsum(ad.mul(ad.lse_minus_chosen(x, idx)[0], w)))
+
+    def loss_value():
+        chosen = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
+        m = x.data.max(axis=-1)
+        lse = m + np.log(np.exp(x.data - m[..., None]).sum(axis=-1))
+        return float(((lse - chosen) * w).sum())
+
+    assert_grads_close([x.grad], finite_difference(loss_value, [x]))
+
+
+def test_lse_minus_chosen_rejects_bad_indices():
+    x = ad.parameter(np.zeros((3, 2)))
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match=f"lse_minus_chosen index {bad} is outside 0..1"):
+            ad.lse_minus_chosen(x, np.array([0, bad, 1]))
+    with pytest.raises(ValueError, match=r"index shape \(3, 1\) != \(3,\)"):
+        ad.lse_minus_chosen(x, np.zeros((3, 1), dtype=np.int64))
+
+
 # -- optimizer ---------------------------------------------------------------
 
 
