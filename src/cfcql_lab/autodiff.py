@@ -205,14 +205,15 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(x) -> Tensor:
+    """The mean of every entry, as a scalar."""
     x = as_tensor(x)
-    scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
+    scale = 1.0 / x.data.size
 
     def bwd(g):
-        return (_spread(g * scale, x.data.shape, axis, keepdims),)
+        return (np.full(x.data.shape, g * scale),)
 
-    return Tensor(x.data.sum(axis=axis, keepdims=keepdims) * scale, (x,), bwd)
+    return Tensor(x.data.sum() * scale, (x,), bwd)
 
 
 def logsumexp_t(x, axis: int = -1) -> Tensor:

@@ -39,7 +39,6 @@ ONLINE_LR = 1e-3
 EPSILON_START, EPSILON_END = 1.0, 0.05
 EPSILON_ANNEAL_FRAC = 0.5  # share of the budget over which epsilon falls linearly
 ONLINE_TARGET_INTERVAL = 200  # updates between target-network copies
-ONLINE_HIDDEN = (64, 64)  # neural mode
 N_CHECKPOINTS = 40  # evaluated checkpoints over the budget, at most
 
 
@@ -105,7 +104,7 @@ def train_online(env, budget: int, rng: RngStream,
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
         feature_dim=blank_input.shape[2] if mode == "neural" else None,
-        hidden=ONLINE_HIDDEN, rng=rng.child("init").generator(),
+        rng=rng.child("init").generator(),
     )
     target = q.copy()
     opt = Adam(q.parameters(), lr=ONLINE_LR)

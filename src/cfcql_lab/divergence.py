@@ -2,10 +2,9 @@
 penalty weights lambda.
 
 lambda is a simplex over agents, held as a plain (n,) float array: the
-exact oracles take ``lambda_uniform(n)``. The learner scores agents per
-batch row and turns the scores into weights with ``onehot_from_scores``
-(all mass on the highest score) or ``softmax_from_scores`` (ratio or KL
-form).
+exact oracles take ``lambda_uniform(n)``. The learner weighs agents per
+batch row by softmax_i(-KL_i) (``learner.batch_lambda``), with KL_i from
+``kl_scores``.
 
 Ratio products are accumulated in log space: the joint-ratio divergence grows
 exponentially with the number of agents, which is the very effect under test.
@@ -19,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .core import FactoredPolicy
-from .neural import softmax
 
 
 class SupportError(ValueError):
@@ -34,17 +32,6 @@ class SupportError(ValueError):
             f"behavior probability is zero for agent {agent}, action {action}{where} "
             "while the policy probability is positive"
         )
-
-
-def kl_categorical(p, q) -> float:
-    """KL(p || q) for categorical distributions, with 0 * log 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    _check_support(p[None], q[None])
-    support = p > 0
-    out = np.zeros_like(p)
-    out[support] = p[support] * (np.log(p[support]) - np.log(q[support]))
-    return float(out.sum())
 
 
 def _check_support(pi: np.ndarray, beta: np.ndarray, state=None) -> None:
@@ -80,7 +67,14 @@ def ratio_scores(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarray:
 
 
 def kl_scores(pi: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return np.array([kl_categorical(pi[i], beta[i]) for i in range(pi.shape[0])])
+    """KL(pi || beta) over the last axis of (..., A) probability arrays.
+
+    Inside the logs pi is clamped at 1e-300 and beta at 1e-12, so an action
+    pi never takes adds 0, and one beta never takes adds a large finite term
+    instead of raising.
+    """
+    beta = np.maximum(beta, 1e-12)
+    return (pi * (np.log(np.maximum(pi, 1e-300)) - np.log(beta))).sum(axis=-1)
 
 
 def d_cql_probs(pi: np.ndarray, beta: np.ndarray, state=None) -> float:
@@ -148,23 +142,3 @@ def d_cf_cql(pi: FactoredPolicy, beta: FactoredPolicy, lam: np.ndarray, state) -
 def lambda_uniform(n_agents: int) -> np.ndarray:
     """Equal weight 1/n on every agent."""
     return np.full(n_agents, 1.0 / n_agents)
-
-
-def onehot_from_scores(scores: np.ndarray) -> np.ndarray:
-    """All mass on the argmax score; ties break to the lowest agent index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    out = np.zeros_like(scores)
-    idx = np.argmax(scores, axis=-1)
-    np.put_along_axis(out, np.expand_dims(idx, -1), 1.0, axis=-1)
-    return out
-
-
-def softmax_from_scores(scores: np.ndarray, tau: float, form: str = "kl") -> np.ndarray:
-    """Normalized exponentials of +tau*ratio-score or -tau*KL-score."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if form == "ratio":
-        return softmax(tau * np.asarray(scores, dtype=np.float64), axis=-1)
-    if form == "kl":
-        return softmax(-tau * np.asarray(scores, dtype=np.float64), axis=-1)
-    raise ValueError(f"unknown softmax form {form!r}")

@@ -35,14 +35,16 @@ from .core import (
     empirical_behavior,
     greedy_policy_from_actions,
 )
-from .divergence import onehot_from_scores, softmax_from_scores
+from .divergence import kl_scores
 from .envs import all_joint_actions, make_env
-from .neural import Adam, GroupedMlp, softmax, train_bc
+from .neural import HIDDEN, Adam, GroupedMlp, softmax, train_bc
 from .rollouts import QValuesActor, evaluate_actor
 
 METHODS = ("cfcql", "macql", "naive")
 METRIC_SUBSAMPLE = 4096  # data rows probed for the in-loop metrics, at most
 BEHAVIOR_SMOOTHING = 1.0  # Laplace count added per action in the tabular beta estimate
+CQL_JOINT_SAMPLES = 32  # macql's sampled joint actions per row, when |A|^n exceeds it
+MIXER_HIDDEN = 16  # hidden width of the monotonic mixer
 
 
 @dataclass
@@ -52,35 +54,38 @@ class TrainConfig:
     gamma is the dataset spec's, so the learner and the exact oracles
     (``tabular``) discount alike. Timeouts always bootstrap: both in-repo
     environments end by time limit only, so no transition is terminal.
+    cfcql weighs agents uniformly (``lambda_mode="uniform"``) or by
+    ``batch_lambda``, softmax(-KL_i) against the estimated behavior policy.
+    Bad values raise a ValueError naming the field.
     """
 
     alpha: float = 1.0
-    tau: float = 1.0
-    lambda_mode: str = "softmax"  # uniform | onehot | softmax
-    lambda_form: str = "kl"  # kl | ratio (softmax mode only)
+    lambda_mode: str = "softmax"  # uniform | softmax
     batch_size: int = 64
     target_interval: int = 100
     total_steps: int = 10_000
-    cql_joint_samples: int = 32  # macql only
     seed: int = 0
     lr: float = 1e-3
-    hidden: tuple = (64, 64)
     mixer: str = "additive"  # additive | monotonic
     eval_episodes: int = 16
     record_interval: int = 250
     bc_steps: int = 3000
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.target_interval < 1 or self.total_steps < 1:
-            raise ValueError("batch size, target interval, and total steps must be positive")
-        if self.lambda_mode not in ("uniform", "onehot", "softmax"):
-            raise ValueError(f"unknown lambda mode {self.lambda_mode!r}")
+        for name in ("batch_size", "target_interval", "total_steps", "eval_episodes",
+                     "record_interval"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if self.bc_steps < 0:
+            raise ValueError(f"bc_steps must be >= 0, got {self.bc_steps}")
+        if self.lambda_mode not in ("uniform", "softmax"):
+            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.mixer not in ("additive", "monotonic"):
             raise ValueError(f"unknown mixer {self.mixer!r}")
-        if self.alpha < 0 or self.tau < 0:
-            raise ValueError("alpha and tau must be >= 0")
-        if self.cql_joint_samples < 1:
-            raise ValueError("cql_joint_samples must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -95,16 +100,16 @@ class MonotonicMixer:
     individual-global-max property is preserved.
     """
 
-    def __init__(self, n_agents: int, hidden: int = 16, rng: Optional[np.random.Generator] = None):
+    def __init__(self, n_agents: int, rng: Optional[np.random.Generator] = None):
         scale = 1.0 / np.sqrt(n_agents)
         if rng is None:
-            w1 = np.full((n_agents, hidden), scale)
-            w2 = np.full((hidden, 1), 1.0 / hidden)
+            w1 = np.full((n_agents, MIXER_HIDDEN), scale)
+            w2 = np.full((MIXER_HIDDEN, 1), 1.0 / MIXER_HIDDEN)
         else:
-            w1 = np.abs(rng.normal(0.0, scale, size=(n_agents, hidden)))
-            w2 = np.abs(rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(hidden, 1)))
+            w1 = np.abs(rng.normal(0.0, scale, size=(n_agents, MIXER_HIDDEN)))
+            w2 = np.abs(rng.normal(0.0, 1.0 / np.sqrt(MIXER_HIDDEN), size=(MIXER_HIDDEN, 1)))
         self.w1 = ad.parameter(w1)
-        self.b1 = ad.parameter(np.zeros(hidden))
+        self.b1 = ad.parameter(np.zeros(MIXER_HIDDEN))
         self.w2 = ad.parameter(w2)
         self.b2 = ad.parameter(np.zeros(1))
 
@@ -121,17 +126,16 @@ class FactoredQ:
     """Per-agent action values plus a mixer producing Q_tot(s, a).
 
     ``inputs`` are integer state ids in tabular mode and per-agent feature
-    arrays (batch, n_agents, d) in neural mode.
+    arrays (batch, n_agents, d) in neural mode, where each agent's network has
+    hidden layers of ``neural.HIDDEN`` sizes.
     """
 
     def __init__(self, n_agents: int, n_actions: int, mode: str,
                  n_states: Optional[int] = None, feature_dim: Optional[int] = None,
-                 hidden: tuple = (64, 64), mixer: str = "additive",
-                 rng: Optional[np.random.Generator] = None):
+                 mixer: str = "additive", rng: Optional[np.random.Generator] = None):
         self.n_agents = n_agents
         self.n_actions = n_actions
         self.mode = mode
-        self.hidden = tuple(hidden)
         self.n_states = n_states
         self.feature_dim = feature_dim
         self.mixer_kind = mixer
@@ -144,7 +148,7 @@ class FactoredQ:
             if feature_dim is None:
                 raise ValueError("neural mode needs feature_dim")
             self.table = None
-            self.net = GroupedMlp(n_agents, (feature_dim, *self.hidden, n_actions), rng)
+            self.net = GroupedMlp(n_agents, (feature_dim, *HIDDEN, n_actions), rng)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self.mixer = MonotonicMixer(n_agents, rng=rng) if mixer == "monotonic" else None
@@ -172,8 +176,7 @@ class FactoredQ:
     def copy(self) -> "FactoredQ":
         clone = FactoredQ(
             self.n_agents, self.n_actions, self.mode,
-            n_states=self.n_states, feature_dim=self.feature_dim,
-            hidden=self.hidden, mixer=self.mixer_kind,
+            n_states=self.n_states, feature_dim=self.feature_dim, mixer=self.mixer_kind,
         )
         for dst, src in zip(clone.parameters(), self.parameters()):
             dst.data = src.data.copy()
@@ -310,22 +313,13 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-def batch_lambda(pi: np.ndarray, beta_probs: np.ndarray, mode: str, tau: float,
-                 form: str = "kl") -> np.ndarray:
-    """(B, n) agent weights from ``pi``, the (B, n, A) counterfactual
-    Boltzmann policy (temperature 1) that ``cfcql_loss`` computes, against
-    the behavior probabilities ``beta_probs``."""
-    b, n = pi.shape[:2]
-    if mode == "uniform" or n == 1:
-        return np.full((b, n), 1.0 / n)
-    beta = np.maximum(beta_probs, 1e-12)
-    if mode == "onehot" or form == "ratio":
-        scores = (pi * pi / beta).sum(axis=2)
-        if mode == "onehot":
-            return onehot_from_scores(scores)
-        return softmax_from_scores(scores, tau, "ratio")
-    kl = (pi * (np.log(np.maximum(pi, 1e-300)) - np.log(beta))).sum(axis=2)
-    return softmax_from_scores(kl, tau, "kl")
+def batch_lambda(pi: np.ndarray, beta_probs: np.ndarray) -> np.ndarray:
+    """(B, n) agent weights softmax_i(-KL(pi_i || beta_i)) from ``pi``, the
+    (B, n, A) counterfactual Boltzmann policy (temperature 1) that
+    ``cfcql_loss`` computes, against the behavior probabilities
+    ``beta_probs``: the agents whose policy strays least from the data weigh
+    most."""
+    return softmax(-kl_scores(pi, beta_probs), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +329,17 @@ def batch_lambda(pi: np.ndarray, beta_probs: np.ndarray, mode: str, tau: float,
 
 @dataclass
 class ScoreRefs:
+    """Mean returns that ``normalized_score`` maps to 0 and 100; they must be
+    finite and differ."""
+
     random_score: float
     expert_score: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.random_score) and np.isfinite(self.expert_score)
+                and self.random_score != self.expert_score):
+            raise ValueError(f"score references must be finite and differ, got random "
+                             f"{self.random_score} and expert {self.expert_score}")
 
 
 @dataclass
@@ -375,7 +378,7 @@ def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
         beta = empirical_behavior(dataset, smoothing=BEHAVIOR_SMOOTHING)
         return np.swapaxes(beta.dense(env.n_states)[:, dataset.states], 0, 1)
     bc = train_bc(inputs, dataset.actions, spec.n_actions, rng_stream.generator(),
-                  hidden=config.hidden, steps=config.bc_steps)
+                  steps=config.bc_steps)
     return bc.probs(inputs)
 
 
@@ -426,7 +429,7 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
                                                  dataset.next_states)
     actions, rewards = dataset.actions, dataset.rewards
     n_transitions = len(dataset)
-    needs_beta = method == "cfcql" and config.lambda_mode != "uniform"
+    needs_beta = method == "cfcql" and config.lambda_mode == "softmax"
     beta_probs = (
         _behavior_probs(dataset, env, mode, inputs, config, root.child("bc"))
         if needs_beta else None
@@ -436,8 +439,7 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
         feature_dim=inputs.shape[2] if mode == "neural" else None,
-        hidden=config.hidden, mixer=config.mixer,
-        rng=root.child("init").generator(),
+        mixer=config.mixer, rng=root.child("init").generator(),
     )
     target = q.copy()
     opt = Adam(q.parameters(), lr=config.lr)
@@ -459,14 +461,11 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         )
         opt.zero_grad()
         if method == "macql" and alpha > 0.0:
-            loss, _ = macql_loss(batch, q, target, alpha,
-                                 config.cql_joint_samples, penalty_rng, spec.gamma)
+            loss, _ = macql_loss(batch, q, target, alpha, CQL_JOINT_SAMPLES, penalty_rng,
+                                 spec.gamma)
         else:
-            lam = None
-            if method == "cfcql" and config.lambda_mode != "uniform":
-                lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs,
-                                        mode=config.lambda_mode, tau=config.tau,
-                                        form=config.lambda_form)
+            lam = (None if beta_probs is None
+                   else functools.partial(batch_lambda, beta_probs=batch.beta_probs))
             loss, _ = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
         if not np.isfinite(loss.data):
             raise FloatingPointError(f"training diverged at step {step}")

@@ -9,7 +9,6 @@ plain network.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -18,6 +17,10 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 CHECKPOINT_VERSION = 1
+HIDDEN = (64, 64)  # hidden layer sizes of every per-agent network the package trains
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+BC_BATCH_SIZE = 256
+BC_LR = 1e-3
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:
@@ -63,41 +66,30 @@ class GroupedMlp:
         return ad.swapaxes(h, 0, 1)
 
 
-@dataclass
-class OptimizerState:
-    """Adaptive-moment accumulators for one parameter list."""
-
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
 class Adam:
-    def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Adaptive-moment steps with the bias-corrected first (``m``) and second
+    (``v``) moment estimates of each parameter, decay rates ADAM_BETA1 and
+    ADAM_BETA2 and denominator offset ADAM_EPS; a parameter with no gradient
+    is skipped."""
+
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
-        self.state = OptimizerState(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-            m=[np.zeros_like(p.data) for p in self.params],
-            v=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        st = self.state
-        st.step_count += 1
-        b1c = 1.0 - st.beta1**st.step_count
-        b2c = 1.0 - st.beta2**st.step_count
+        self.step_count += 1
+        b1c = 1.0 - ADAM_BETA1**self.step_count
+        b2c = 1.0 - ADAM_BETA2**self.step_count
         for k, p in enumerate(self.params):
             g = p.grad
             if g is None:
                 continue
-            st.m[k] = st.beta1 * st.m[k] + (1.0 - st.beta1) * g
-            st.v[k] = st.beta2 * st.v[k] + (1.0 - st.beta2) * (g * g)
-            p.data = p.data - st.lr * (st.m[k] / b1c) / (np.sqrt(st.v[k] / b2c) + st.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
+            p.data = p.data - self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -122,16 +114,17 @@ class BcModel:
 
 
 def train_bc(features: np.ndarray, actions: np.ndarray, n_actions: int,
-             rng: np.random.Generator, hidden: Sequence[int] = (64, 64),
-             steps: int = 3000, batch_size: int = 256, lr: float = 1e-3) -> BcModel:
-    """Train per-agent action classifiers with the negative-log-likelihood loss."""
+             rng: np.random.Generator, steps: int = 3000) -> BcModel:
+    """Train per-agent action classifiers with the negative-log-likelihood
+    loss: ``steps`` Adam steps at BC_LR on minibatches of BC_BATCH_SIZE rows
+    (all rows when there are fewer)."""
     features = np.asarray(features, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
     n_samples, n_agents, d = features.shape
-    net = GroupedMlp(n_agents, (d, *hidden, n_actions), rng)
-    opt = Adam(net.parameters(), lr=lr)
+    net = GroupedMlp(n_agents, (d, *HIDDEN, n_actions), rng)
+    opt = Adam(net.parameters(), lr=BC_LR)
     for _ in range(steps):
-        idx = rng.integers(0, n_samples, size=min(batch_size, n_samples))
+        idx = rng.integers(0, n_samples, size=min(BC_BATCH_SIZE, n_samples))
         x, a = features[idx], actions[idx]
         opt.zero_grad()
         logits = net.forward(x)  # (B, n, A)

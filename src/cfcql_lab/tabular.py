@@ -262,8 +262,7 @@ def empirical_model(dataset: Dataset, spec: EnvSpec) -> MMDPModel:
     )
 
 
-def learner_fixed_point(dataset: Dataset, alpha: float, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER):
+def learner_fixed_point(dataset: Dataset, alpha: float, max_iter: int = DEFAULT_MAX_ITER):
     """Stationary point of the tabular cfcql learner's full-batch objective.
 
     Per data transition the objective is
@@ -275,7 +274,8 @@ def learner_fixed_point(dataset: Dataset, alpha: float, tol: float = DEFAULT_TOL
     At the returned table the target equals the table and the gradient
     vanishes. Each sweep refreshes y from the current table and takes one
     Newton step on every visited state's convex objective; the sweeps stop
-    once the sup-norm change is <= ``tol``.
+    once the sup-norm change is <= DEFAULT_TOL, or raise ConvergenceError
+    after ``max_iter`` sweeps.
 
     The additive mixer leaves the per-agent split of Q_tot free (adding c_i
     to agent i's row with sum_i c_i = 0 changes no loss term); the
@@ -329,6 +329,6 @@ def learner_fixed_point(dataset: Dataset, alpha: float, tol: float = DEFAULT_TOL
                          grad)
         q = q - step
         residual = float(np.max(np.abs(step)))
-        if residual <= tol:
+        if residual <= DEFAULT_TOL:
             return q.reshape(model.n_states, n, n_act), SolveReport(it, residual, True)
     raise ConvergenceError(max_iter, residual)

@@ -188,31 +188,48 @@ FINITE_HARD = (st.sampled_from([-0.0, 5e-324, 1e-5, 1e16, -1e16])
 INF = float("inf")
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(FINITE_HARD, FINITE_HARD, FINITE_HARD,
-                          FINITE_HARD | st.sampled_from([INF, -INF])), min_size=1, max_size=12),
-       st.none() | st.tuples(st.integers(0, 3), st.sampled_from([float("nan"), INF, -INF])))
-def test_dataset_roundtrip_vector_hard_floats(tmp_path_factory, rows, poison):
-    # r_max = inf admits infinite rewards. ``poison`` puts nan or an infinity
-    # in one field of the first row; a nan reward or a non-finite state makes
-    # the dataset invalid, and then the load error is its validation report.
-    if poison is not None:
-        field, value = poison
-        rows[0] = rows[0][:field] + (value,) + rows[0][field + 1:]
+HARD_ROWS = st.lists(st.tuples(FINITE_HARD, FINITE_HARD, FINITE_HARD,
+                               FINITE_HARD | st.sampled_from([INF, -INF])),
+                     min_size=1, max_size=12)
+
+
+def _hard_row_dataset(rows):
+    # r_max = inf admits infinite rewards; states must be finite
     spec = EnvSpec(EnvId.EQUAL_LINE, 2, 11, 0.99, INF, 50, "vector", "positions")
-    d = make_dataset([((x, y), (1, 0), r, (y, z), False) for (x, y, z, r) in rows], spec)
+    return make_dataset([((x, y), (1, 0), r, (y, z), False) for (x, y, z, r) in rows], spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(HARD_ROWS)
+def test_dataset_roundtrip_vector_hard_floats(tmp_path_factory, rows):
+    d = _hard_row_dataset(rows)
     path = tmp_path_factory.mktemp("ds") / "line.dat"
     save_dataset(d, path)
-    report = validate_dataset(d, spec)
-    if not report.ok:
-        with pytest.raises(ValueError) as err:
-            load_dataset(path)
-        assert str(err.value) == f"{path}: invalid dataset:\n{report}"
-        return
     loaded = load_dataset(path)
     assert_same_columns(loaded, d)
     save_dataset(loaded, path.with_suffix(".again"))
     assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(HARD_ROWS, st.tuples(st.integers(0, 3), st.sampled_from([float("nan"), INF, -INF])))
+def test_save_dataset_writes_only_what_loads(tmp_path_factory, rows, poison):
+    # ``poison`` puts nan or an infinity in one field of the first row: a
+    # non-finite state or a nan reward makes the dataset invalid, and then
+    # save_dataset raises with its validation report and writes nothing
+    field, value = poison
+    rows[0] = rows[0][:field] + (value,) + rows[0][field + 1:]
+    d = _hard_row_dataset(rows)
+    path = tmp_path_factory.mktemp("ds") / "line.dat"
+    report = validate_dataset(d, d.header.spec)
+    if report.ok:
+        save_dataset(d, path)
+        assert_same_columns(load_dataset(path), d)
+        return
+    with pytest.raises(ValueError) as err:
+        save_dataset(d, path)
+    assert str(err.value) == f"{path}: cannot save an invalid dataset:\n{report}"
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("spec", [TOY_SPEC, EqualLine(2).spec()], ids=["discrete", "vector"])
@@ -261,22 +278,26 @@ def _reference_records(d) -> bytes:
         for s, a, r, s2, done, traj in rows).encode("ascii")
 
 
-# Both zeros, nan of either sign, the infinities, the smallest subnormal and
-# values repr() writes in exponent form or at full length.
-HARD_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), INF, -INF, 5e-324, 1e16, -1e-5,
-               1.5e-300, 1.7976931348623157e308, 0.1, 1 / 3, -2.5]
+# Both zeros, the smallest subnormal and values repr() writes in exponent
+# form or at full length; rewards also take the infinities. A non-finite
+# state or a nan reward cannot be saved: the reader's rejection of them is
+# tested on hand-edited files (test_load_dataset_rejects_bad_state).
+HARD_FLOATS = [0.0, -0.0, 5e-324, 1e16, -1e-5, 1.5e-300, 1.7976931348623157e308, 0.1, 1 / 3,
+               -2.5]
+HARD_REWARDS = HARD_FLOATS + [INF, -INF]
 
 
 def _hard_float_dataset():
-    # every float column holds every value of HARD_FLOATS
+    # every state column holds every value of HARD_FLOATS, the reward column
+    # every value of HARD_REWARDS
     spec = EnvSpec(EnvId.EQUAL_LINE, 3, 11, 0.99, INF, 50, "vector", "positions")
     m = len(HARD_FLOATS)
 
     def pick(k, width):
         return [HARD_FLOATS[(k + i) % m] for i in range(width)]
 
-    rows = [(pick(k, 3), (k % 11, 10, 0), pick(k, 1)[0], pick(k + 5, 3), k % 7 == 6)
-            for k in range(60)]
+    rows = [(pick(k, 3), (k % 11, 10, 0), HARD_REWARDS[k % len(HARD_REWARDS)], pick(k + 5, 3),
+             k % 7 == 6) for k in range(60)]
     return make_dataset(rows, spec, starts=(0, 7, 14, 30, 59))
 
 
@@ -321,8 +342,24 @@ def test_save_dataset_rejects_broken_trajectory_boundaries(tmp_path, starts, mes
     rows = [(s, (s % 3, 1), 0.5, s + 1, s == 4) for s in range(5)]
     d = make_dataset(rows, TOY_SPEC, starts=starts)
     path = tmp_path / "d.txt"
-    with pytest.raises(ValueError, match=f"cannot save a dataset with a broken layout:\n{message}"):
+    with pytest.raises(ValueError, match=f"cannot save an invalid dataset:\n{message}"):
         save_dataset(d, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("spec, row, message", [
+    (TOY_SPEC, (2, (7, 1), 0.5, 3, True), "transition 0: agent 0 action 7 outside [0, 3)"),
+    (TOY_SPEC, (9, (0, 1), 0.5, 3, True), "transition 0: state 9 outside [0, 9)"),
+    (TOY_SPEC, (2, (0, 1), -1.5, 3, True), "transition 0: |reward| 1.5 exceeds r_max 1"),
+    (EqualLine(2).spec(), ((0.5, float("nan")), (0, 1), 0.5, (0.5, 1.0), True),
+     "transition 0: state [0.5, nan] is not finite"),
+], ids=["action_past_last", "state_past_last", "reward_over_r_max", "nan_state"])
+def test_save_dataset_rejects_an_invalid_dataset(tmp_path, spec, row, message):
+    d = make_dataset([row], spec)
+    path = tmp_path / "d.txt"
+    with pytest.raises(ValueError) as err:
+        save_dataset(d, path)
+    assert str(err.value) == f"{path}: cannot save an invalid dataset:\n{message}"
     assert not path.exists()
 
 
@@ -366,8 +403,16 @@ def test_load_dataset_rejects_bad_file(tmp_path, line_no, old, new, message):
      "transition 1: state [nan, 0.6022012081306448] is not finite"),
     ("line_n2.txt", 4, ",0.0;1.6022012081306447,", ",inf;1.6022012081306447,",
      "transition 2: next state [inf, 1.6022012081306447] is not finite"),
+    ("line_n2.txt", 4, "0.0;1.1022012081306447,1 9", "0.0;-inf,1 9",
+     "transition 2: state [0.0, -inf] is not finite"),
+    ("line_n2.txt", 7, ",0.0;2.036890433645259,0,2", ",0.0;nan,0,2",
+     "transition 5: next state [0.0, nan] is not finite"),
+    ("line_n2.txt", 2, ",0.09999999999999998,", ",nan,",
+     "transition 0: |reward| nan exceeds r_max 2"),
+    ("line_n2.txt", 3, ",0.4999999999999999,", ",-inf,",
+     "transition 1: |reward| inf exceeds r_max 2"),
 ], ids=["negative_state", "state_past_last", "negative_next_state", "nan_state",
-        "inf_next_state"])
+        "inf_next_state", "minus_inf_state", "nan_next_state", "nan_reward", "inf_reward"])
 def test_load_dataset_rejects_bad_state(tmp_path, name, line_no, old, new, message):
     path = _edit_golden(tmp_path, line_no, old, new, name)
     with pytest.raises(ValueError) as err:

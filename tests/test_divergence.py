@@ -8,14 +8,12 @@ from cfcql_lab.divergence import (
     check_ratio_bound_probs,
     d_cf_cql_probs,
     d_cql_probs,
-    kl_categorical,
     kl_scores,
     lambda_uniform,
     log_ratio_factors,
-    onehot_from_scores,
-    softmax_from_scores,
 )
 from cfcql_lab.envs import all_joint_actions
+from cfcql_lab.learner import batch_lambda
 
 
 def random_simplexes(rng, n_agents, n_actions, floor=0.0):
@@ -60,17 +58,18 @@ def bruteforce_d_cf(pi, beta, lam):
 
 
 def test_kl_identical_is_zero():
-    p = np.array([0.2, 0.5, 0.3])
-    assert kl_categorical(p, p) == pytest.approx(0.0)
+    p = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(kl_scores(p, p), 0.0, rtol=0, atol=1e-15)
 
 
 def test_kl_closed_form():
-    assert kl_categorical([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2.0))
-
-
-def test_kl_support_violation():
-    with pytest.raises(SupportError):
-        kl_categorical([0.5, 0.5], [1.0, 0.0])
+    pi = np.array([[[1.0, 0.0], [0.5, 0.5]]])
+    beta = np.array([[[0.5, 0.5], [1.0, 0.0]]])
+    kl = kl_scores(pi, beta)
+    assert kl.shape == (1, 2)
+    assert kl[0, 0] == pytest.approx(np.log(2.0))
+    # beta never takes action 1: the clamp at 1e-12 keeps the term finite
+    assert kl[0, 1] == pytest.approx(np.log(0.5) - 0.5 * np.log(1e-12))
 
 
 @settings(max_examples=200, deadline=None)
@@ -80,7 +79,7 @@ def test_kl_nonnegative(seed, k):
     p = rng.dirichlet(np.ones(k))
     q = rng.dirichlet(np.ones(k)) + 1e-9
     q /= q.sum()
-    assert kl_categorical(p, q) >= -1e-12
+    assert kl_scores(p, q) >= -1e-12
 
 
 # -- divergences ---------------------------------------------------------------
@@ -251,56 +250,24 @@ def test_lambda_uniform():
     np.testing.assert_array_equal(lam, np.full(4, 0.25))
 
 
-def test_softmax_lambda_tau_zero_is_exactly_uniform(rng):
-    scores = rng.normal(size=6)
-    w = softmax_from_scores(scores, tau=0.0, form="ratio")
-    np.testing.assert_array_equal(w, np.full(6, 1.0 / 6.0))
-
-
-def test_softmax_lambda_large_tau_matches_onehot(rng):
-    for _ in range(100):
-        scores = rng.normal(size=5)
-        while np.sort(scores)[-1] - np.sort(scores)[-2] < 1e-3:
-            scores = rng.normal(size=5)
-        w = softmax_from_scores(scores, tau=1e6, form="ratio")
-        np.testing.assert_array_equal(w, onehot_from_scores(scores))
-
-
 def test_softmax_lambda_kl_form_hand_case():
-    scores = np.array([0.1, 0.5, 0.2])
-    w = softmax_from_scores(scores, tau=1.0, form="kl")
-    raw = np.exp([-0.1, -0.5, -0.2])
-    np.testing.assert_allclose(w, raw / raw.sum(), rtol=1e-12)
-
-
-def test_softmax_lambda_rejects_negative_tau():
-    with pytest.raises(ValueError):
-        softmax_from_scores(np.ones(3), tau=-1.0)
-
-
-def test_onehot_ties_break_to_lowest_index():
-    w = onehot_from_scores(np.array([2.0, 5.0, 5.0]))
-    np.testing.assert_array_equal(w, [0.0, 1.0, 0.0])
+    # KL per agent: log 2, 0 and -log 0.8, so the weights are exp(-KL)
+    # = 0.5, 1 and 0.8 over their sum
+    pi = np.array([[[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]]])
+    beta = np.array([[[0.5, 0.5], [0.5, 0.5], [0.8, 0.2]]])
+    w = batch_lambda(pi, beta)
+    np.testing.assert_allclose(w, [[0.5 / 2.3, 1.0 / 2.3, 0.8 / 2.3]], rtol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 100.0), st.integers(2, 6))
-def test_softmax_lambda_is_simplex(seed, tau, n):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_softmax_lambda_is_simplex(seed, n):
     rng = np.random.default_rng(seed)
-    scores = rng.normal(size=n)
-    for form in ("ratio", "kl"):
-        w = softmax_from_scores(scores, tau, form)
-        assert np.all(w >= 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_softmax_lambda_argmax_weight_monotone_in_tau(rng):
-    scores = rng.normal(size=5)
-    taus = [0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 1e3]
-    j = int(np.argmax(scores))
-    weights = [softmax_from_scores(scores, t, "ratio")[j] for t in taus]
-    assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
-    # kl form: the least-divergent agent gains weight as tau grows
-    j_min = int(np.argmin(scores))
-    weights = [softmax_from_scores(scores, t, "kl")[j_min] for t in taus]
-    assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
+    pi = rng.dirichlet(np.ones(3), size=(4, n))
+    beta = rng.dirichlet(np.ones(3), size=(4, n))
+    w = batch_lambda(pi, beta)
+    assert w.shape == (4, n)
+    assert np.all(w >= 0)
+    np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    # the least-divergent agent of each row weighs most
+    np.testing.assert_array_equal(w.argmax(axis=1), kl_scores(pi, beta).argmin(axis=1))

@@ -2,6 +2,7 @@
 every public name it defines is used in the package or the benchmark."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -116,3 +117,164 @@ def test_every_public_name_has_a_caller(path):
                 and name not in UNCALLED_ALLOWED]
     assert not uncalled, (f"{path.name} defines names nothing in src/cfcql_lab or bench "
                           f"uses: {', '.join(uncalled)}")
+
+
+# Options: defaulted parameters of public functions, methods and class
+# constructors, and defaulted fields of public dataclasses. Each must be set
+# by some call in the package or the benchmark (by keyword, by position,
+# through functools.partial or through dataclasses.replace), or be listed
+# here with the reason it stays.
+# Calls are matched by name, as for UNCALLED_ALLOWED: ``obj.step(...)`` sets
+# the options of every method named ``step``. A function on UNCALLED_ALLOWED
+# has no caller, so its options need no entry; an entry may still say why
+# one of them stays.
+_WITH_BUDGET = "the datagen tests' small runs; kept or cut together with OnlineTrainConfig.budget"
+OPTIONS_ALLOWED = {
+    "TrainConfig.alpha": "the paper's penalty weight, which tests compare at alpha and n * alpha",
+    "TrainConfig.lambda_mode": "uniform lambda is the one learner_fixed_point solves for",
+    "TrainConfig.mixer": "the monotonic mixer, which the learner-level claim's oracle work needs",
+    "TrainConfig.batch_size": "the converged learner-against-oracle run",
+    "TrainConfig.target_interval": "the converged learner-against-oracle run",
+    "TrainConfig.lr": "the converged learner-against-oracle run",
+    "OnlineTrainConfig.n_parallel": _WITH_BUDGET,
+    "OnlineTrainConfig.updates_per_block": _WITH_BUDGET,
+    "OnlineTrainConfig.eval_episodes": _WITH_BUDGET,
+    "OnlineTrainConfig.medium_fraction": _WITH_BUDGET,
+    "value_iteration.max_iter": "the only way to reach ConvergenceError",
+    "learner_fixed_point.max_iter": "the only way to reach ConvergenceError",
+}
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if _callee(target) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted(fn, first):
+    """(name, position or None) of each defaulted parameter of ``fn``;
+    positions count from parameter ``first`` (1 skips a method's self)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    start = len(positional) - len(fn.args.defaults)
+    for k, arg in enumerate(positional[start:], start=start):
+        yield arg.arg, k - first
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def option_definitions(tree):
+    """(option, callee, parameter, position or None, is a field, line) of
+    every option a module defines; ``callee`` is the name a call uses: the
+    function's, the method's, or the class's for its constructor and fields."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if isinstance(node, ast.FunctionDef):
+            for name, pos in _defaulted(node, first=0):
+                yield f"{node.name}.{name}", node.name, name, pos, False, node.lineno
+        else:
+            yield from _class_options(node)
+
+
+def _class_options(node):
+    if _is_dataclass(node):
+        fields = [m for m in node.body
+                  if isinstance(m, ast.AnnAssign) and isinstance(m.target, ast.Name)]
+        for k, member in enumerate(fields):
+            if member.value is not None:
+                name = member.target.id
+                yield f"{node.name}.{name}", node.name, name, k, True, member.lineno
+    for member in node.body:
+        if not isinstance(member, ast.FunctionDef):
+            continue
+        if member.name == "__init__":
+            callee, key = node.name, node.name
+        elif not member.name.startswith("_"):
+            callee, key = member.name, f"{node.name}.{member.name}"
+        else:
+            continue
+        for name, pos in _defaulted(member, first=1):
+            yield f"{key}.{name}", callee, name, pos, False, member.lineno
+
+
+def _callee(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def option_settings(paths):
+    """What the calls in ``paths`` set: (callee, keyword) pairs, the most
+    positional arguments any call of each callee passes (unbounded with a
+    starred one), and the field names given to ``dataclasses.replace``."""
+    keywords, positions, replaced = set(), {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee, args = _callee(node.func), node.args
+            if callee == "partial" and args:  # functools.partial(f, ...) calls f
+                callee, args = _callee(args[0]), args[1:]
+            if callee == "replace":
+                replaced |= {kw.arg for kw in node.keywords}
+                continue
+            keywords |= {(callee, kw.arg) for kw in node.keywords}
+            starred = any(isinstance(arg, ast.Starred) for arg in args)
+            positions[callee] = max(positions.get(callee, 0), math.inf if starred else len(args))
+    return keywords, positions, replaced
+
+
+def options():
+    """{option: (where, set by some call in the package or the benchmark)}."""
+    keywords, positions, replaced = option_settings(CALLERS)
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for option, callee, name, pos, is_field, line in option_definitions(tree):
+            is_set = ((callee, name) in keywords
+                      or (pos is not None and positions.get(callee, 0) > pos)
+                      or (is_field and name in replaced))
+            out[option] = (f"{path.name}:{line}", is_set)
+    return out
+
+
+def test_every_option_has_a_setter():
+    unset = [f"{option} ({where})" for option, (where, is_set) in sorted(options().items())
+             if not is_set and option not in OPTIONS_ALLOWED
+             and option.split(".")[0] not in UNCALLED_ALLOWED]
+    assert not unset, ("options nothing in src/cfcql_lab or bench sets; give each a caller, "
+                       "make it a constant, or allow it: " + ", ".join(unset))
+
+
+def test_options_allowlist_names_only_unset_options():
+    found = options()
+    gone = sorted(set(OPTIONS_ALLOWED) - set(found))
+    assert not gone, f"allowed options that no longer exist: {', '.join(gone)}"
+    now_set = sorted(option for option in OPTIONS_ALLOWED if found[option][1])
+    assert not now_set, f"allowed options that a call sets now: {', '.join(now_set)}"
+
+
+def test_option_walk_sees_every_way_to_set_an_option(tmp_path):
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "def _private(a=1): pass\n"
+                     "@dataclass(frozen=True)\n"
+                     "class C:\n    x: int\n    y: int = 0\n"
+                     "class K:\n"
+                     "    def __init__(self, a, b=1): pass\n"
+                     "    def m(self, c=2): pass\n"
+                     "    def _q(self, d=3): pass\n")
+    assert [d[:4] for d in option_definitions(tree)] == [
+        ("f.b", "f", "b", 1), ("f.c", "f", "c", None), ("C.y", "C", "y", 1),
+        ("K.b", "K", "b", 1), ("K.m.c", "m", "c", 0)]
+    calls = tmp_path / "calls.py"
+    calls.write_text("f(1, c=2)\nobj.m(1, 2)\nfunctools.partial(h, 1, d=3)\n"
+                     "dataclasses.replace(cfg, y=4)\nk(*args)\n")
+    keywords, positions, replaced = option_settings([calls])
+    assert keywords == {("f", "c"), ("h", "d")}
+    assert positions == {"f": 1, "m": 2, "h": 1, "k": math.inf}
+    assert replaced == {"y"}

@@ -170,8 +170,7 @@ def test_single_agent_training_bit_identical():
     rng = np.random.default_rng(0)
     d = random_toy_dataset(rng, n_agents=1, n_transitions=120, episodes=6)
     cfg = TrainConfig(alpha=1.0, total_steps=150, batch_size=16, target_interval=25,
-                      cql_joint_samples=3, record_interval=50, eval_episodes=4,
-                      lambda_mode="softmax", seed=3)
+                      record_interval=50, eval_episodes=4, lambda_mode="softmax", seed=3)
     res_cf = train_offline(cfg, d, "cfcql")
     res_ma = train_offline(cfg, d, "macql")
     np.testing.assert_array_equal(res_cf.losses, res_ma.losses)
@@ -307,7 +306,7 @@ def test_igm_greedy_matches_joint_argmax(mixer, rng):
 
 
 def neural_q(mixer, rng):
-    return FactoredQ(3, 4, "neural", feature_dim=5, hidden=(6,), mixer=mixer, rng=rng)
+    return FactoredQ(3, 4, "neural", feature_dim=5, mixer=mixer, rng=rng)
 
 
 @pytest.mark.parametrize("mixer", ["additive", "monotonic"])
@@ -370,7 +369,12 @@ def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng
     and table gradient of the rows' logsumexp, to rounding."""
     q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=7, b=16)
     batch.beta_probs = rng.dirichlet(np.ones(3), size=(16, n_agents))
-    lam = batch_lambda(boltzmann(q, batch), batch.beta_probs, mode, 1.0)
+    if mode == "softmax":
+        lam = batch_lambda(boltzmann(q, batch), batch.beta_probs)
+    elif mode == "onehot":  # all of each row's weight on one agent
+        lam = np.eye(n_agents)[rng.integers(0, n_agents, size=16)]
+    else:
+        lam = np.full((16, n_agents), 1.0 / n_agents)
     got_loss, got_grad = loss_and_table_grad(
         q, lambda: cfcql_loss(batch, q, target, None if mode == "uniform" else lambda _: lam,
                               0.8, 0.9)[0])
@@ -383,9 +387,7 @@ def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng
 
 @pytest.mark.parametrize("mixer", ["additive", "monotonic"])
 @pytest.mark.parametrize("n_agents", [2, 3, 5])
-@pytest.mark.parametrize("mode, form", [("onehot", "kl"), ("softmax", "kl"),
-                                        ("softmax", "ratio")])
-def test_lambda_from_the_loss_forward_equals_the_recompute(mixer, n_agents, mode, form, rng):
+def test_lambda_from_the_loss_forward_equals_the_recompute(mixer, n_agents, rng):
     """cfcql_loss hands lam the Boltzmann policy of its own forward pass, once:
     on the additive mixer the softmax of Q_i, on the monotonic one of the rows."""
     q, target, batch = random_q_and_batch(n_agents, 3, mixer, rng, n_states=7, b=16)
@@ -394,13 +396,13 @@ def test_lambda_from_the_loss_forward_equals_the_recompute(mixer, n_agents, mode
 
     def lam(pi):
         seen.append(pi)
-        return batch_lambda(pi, batch.beta_probs, mode, 1.0, form)
+        return batch_lambda(pi, batch.beta_probs)
 
     cfcql_loss(batch, q, target, lam, 0.8, 0.9)
     assert len(seen) == 1
     recomputed = boltzmann(q, batch)
-    weights = batch_lambda(seen[0], batch.beta_probs, mode, 1.0, form)
-    recomputed_weights = batch_lambda(recomputed, batch.beta_probs, mode, 1.0, form)
+    weights = batch_lambda(seen[0], batch.beta_probs)
+    recomputed_weights = batch_lambda(recomputed, batch.beta_probs)
     if mixer == "monotonic":  # the same computation as the recompute
         assert seen[0].tobytes() == recomputed.tobytes()
     np.testing.assert_allclose(seen[0], recomputed, rtol=0, atol=1e-12)
@@ -454,8 +456,7 @@ def test_additive_cfcql_tape_does_not_grow_with_agents(rng):
     for n_agents in (2, 5):
         q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng)
         batch.beta_probs = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
-        lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs, mode="softmax",
-                                tau=1.0)
+        lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs)
         counts.append(tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]))
     assert counts[0] == counts[1] <= 19
 
@@ -467,10 +468,8 @@ def test_lambda_mode_changes_penalty_not_td(rng):
     beta = rng.dirichlet(np.ones(3), size=(b, 3))
     batch = make_batch(rng.integers(0, 5, size=b), rng.integers(0, 3, size=(b, 3)),
                        rng.normal(size=b), rng.integers(0, 5, size=b), beta=beta)
-    lam_uniform = np.full((b, 3), 1 / 3)
-    lam_onehot = batch_lambda(boltzmann(q, batch), beta, "onehot", 0.0)
-    _, s1 = cfcql_loss(batch, q, target, lambda _: lam_uniform, 1.0, 0.9)
-    _, s2 = cfcql_loss(batch, q, target, lambda _: lam_onehot, 1.0, 0.9)
+    _, s1 = cfcql_loss(batch, q, target, None, 1.0, 0.9)
+    _, s2 = cfcql_loss(batch, q, target, lambda pi: batch_lambda(pi, beta), 1.0, 0.9)
     assert s1["td"] == s2["td"]
     assert s1["penalty"] != s2["penalty"]
 
@@ -481,16 +480,26 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
     beta = rng.dirichlet(np.ones(3), size=(b, 4))
     batch = make_batch(rng.integers(0, 6, size=b), rng.integers(0, 3, size=(b, 4)),
                        rng.normal(size=b), rng.integers(0, 6, size=b), beta=beta)
-    for mode, tau in (("uniform", 0.0), ("onehot", 0.0), ("softmax", 2.0)):
-        lam = batch_lambda(boltzmann(q, batch), beta, mode, tau)
-        assert lam.shape == (b, 4)
-        np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(lam >= 0)
-    one = batch_lambda(boltzmann(q, batch), beta, "onehot", 0.0)
-    assert set(np.unique(one)) == {0.0, 1.0}
+    lam = batch_lambda(boltzmann(q, batch), beta)
+    assert lam.shape == (b, 4)
+    np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
+    assert np.all(lam >= 0)
+    # softmax weights differ from the uniform mode's 1/n
+    assert np.abs(lam - 0.25).max() > 1e-3
 
 
 # -- training loop ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("target_interval", 0), ("total_steps", 0), ("eval_episodes", 0),
+    ("record_interval", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+    ("alpha", -0.5), ("alpha", float("nan")), ("bc_steps", -5), ("lambda_mode", "onehot"),
+    ("mixer", "qmix"),
+])
+def test_train_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=f"^(unknown )?{field}"):
+        TrainConfig(**{field: value})
 
 
 def test_train_offline_deterministic(rng):
@@ -589,8 +598,7 @@ def test_train_offline_neural_smoke(rng):
     d = make_dataset([rows[k] for k in order], spec, starts=tuple(range(0, 60, 5)),
                      tier=Tier.RANDOM)
     cfg = TrainConfig(alpha=1.0, total_steps=60, batch_size=16, target_interval=20,
-                      record_interval=30, eval_episodes=2, hidden=(16,), bc_steps=100,
-                      seed=0)
+                      record_interval=30, eval_episodes=2, bc_steps=100, seed=0)
     res = train_offline(cfg, d, "cfcql")
     assert res.policy is None
     assert len(res.metrics) == 2
@@ -601,6 +609,12 @@ def test_evaluate_policy_normalization():
     assert normalized_score(7.5, ScoreRefs(5.0, 10.0)) == pytest.approx(50.0)
     assert normalized_score(10.0, ScoreRefs(5.0, 10.0)) == pytest.approx(100.0)
     assert normalized_score(5.0, ScoreRefs(5.0, 10.0)) == pytest.approx(0.0)
+    assert normalized_score(7.5, ScoreRefs(10.0, 5.0)) == pytest.approx(50.0)
+    # a zero or non-finite span fails at construction, not in the first evaluation
+    for random_score, expert_score in ((2.0, 2.0), (float("nan"), 1.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError,
+                           match=f"got random {random_score} and expert {expert_score}$"):
+            ScoreRefs(random_score, expert_score)
     env = ToyMMDP(2, episode_limit=4)
     res = evaluate_policy(env, RandomActor(2, 3), 8, np.random.default_rng(0))
     assert res.normalized_score is None
