@@ -62,11 +62,22 @@ class MMDPModel:
     def n_joint_actions(self) -> int:
         return self.n_actions**self.n_agents
 
-    def transition_matrix(self, joint_pi: np.ndarray) -> np.ndarray:
-        """(S, S) state-to-state matrix sum_a joint_pi[s, a] * T(s'|s, a)."""
+    def transition_matrix(self, rows: np.ndarray, actions: np.ndarray,
+                          probs: np.ndarray) -> np.ndarray:
+        """(S, S) state-to-state matrix sum_a pi(a|s) * T(s'|s, a).
+
+        The policy comes as its support: entry j puts probability
+        ``probs[j]`` on joint action ``actions[j]`` at state ``rows[j]``
+        (``tabular.joint_policy_support``). Only the K successors of each
+        entry are summed, in entry order and then k: S * K terms for a
+        deterministic policy instead of S * A_joint * K. The (s, a) pairs the
+        policy never takes would each add +0.0, so when the entries are in
+        row-major order the matrix equals the sum over every (s, a, k) bit
+        for bit.
+        """
         n = self.n_states
-        cells = np.arange(n)[:, None, None] * n + self.next_states
-        weights = joint_pi[:, :, None] * self.next_probs
+        cells = rows[:, None] * n + self.next_states[rows, actions]
+        weights = probs[:, None] * self.next_probs[rows, actions]
         return np.bincount(cells.ravel(), weights=weights.ravel(),
                            minlength=n * n).reshape(n, n)
 

@@ -8,6 +8,17 @@ iteration on the same direct solve: it stops when the greedy policy stops
 changing. ``learner_fixed_point`` iterates to a sup-norm change <=
 ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted elsewhere.
 
+The solves see the policy only through its support, the (state, joint
+action, probability) entries of the product policy that are nonzero
+(``joint_policy_support``): P_pi sums S * K cells per support entry
+instead of S * |A|^n * K, and E_pi[x] is one ``np.bincount`` over the
+entries. A deterministic policy, such as pi* or a learned greedy one, has
+one entry per state. On such a policy the results have the bits of the
+dense (S, |A|^n) product; on a stochastic one, E_pi sums a state's entries
+in order rather than numpy's pairwise order, which can move the last bits.
+The penalty tables over every joint action are built one agent at a time
+by outer broadcasting.
+
 Greedy choices (``value_iteration``, ``greedy_policy_from_q``) take the lowest
 joint action within ``TIE_EPS`` * max(1, |row max|) of the row max, so that
 rounding does not pick among actions whose values are equal.
@@ -59,20 +70,74 @@ class JointQTable:
 
 
 def _policy_dense(model: MMDPModel, policy: FactoredPolicy) -> np.ndarray:
+    """(n, S, A) per-agent probabilities of ``policy``, checked.
+
+    Every entry must be finite and >= 0, and every agent's row must sum to 1
+    within 1e-9. The solvers see a policy only through its positive entries
+    (``joint_policy_support``), so a nan or negative entry would otherwise be
+    dropped without notice.
+    """
     dense = policy.dense(model.n_states)
     if dense.shape != (model.n_agents, model.n_states, model.n_actions):
         raise ValueError("policy dimensions do not match the model")
+    bad = ~np.isfinite(dense) | (dense < 0)
+    if bad.any():
+        agent, state, action = np.argwhere(bad)[0]
+        raise ValueError(f"policy probability of agent {agent}, action {action} at state "
+                         f"{state} is {float(dense[agent, state, action])!r}; it must be finite "
+                         "and >= 0")
+    totals = dense.sum(axis=2)
+    off = np.abs(totals - 1.0) > 1e-9
+    if off.any():
+        agent, state = np.argwhere(off)[0]
+        raise ValueError(f"policy probabilities of agent {agent} at state {state} sum to "
+                         f"{float(totals[agent, state])!r}, not 1")
     return dense
 
 
-def joint_policy_matrix(per_agent: np.ndarray) -> np.ndarray:
-    """(S, A_joint) product policy from per-agent (n, S, A) probabilities."""
+def joint_policy_support(per_agent: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support of the product policy of per-agent (n, S, A) probabilities:
+    the (state, joint action) entries at which every agent's probability is
+    positive.
+
+    Returns ``(rows, joint_actions, probs)`` in row-major order: by state,
+    then by joint action index (agent 0 the least significant digit). Each
+    probability is the product over agents taken in agent order 0..n-1, so
+    it has the bits of the dense (S, A^n) product built agent by agent.
+    A one-hot policy gives one entry per state.
+    """
     n, n_states, n_actions = per_agent.shape
-    digits = all_joint_actions(n, n_actions)  # (A_joint, n)
-    joint = np.ones((n_states, digits.shape[0]))
+    rows = np.arange(n_states)
+    joint = np.zeros(n_states, dtype=np.int64)
+    probs = np.ones(n_states)
     for i in range(n):
-        joint *= per_agent[i][:, digits[:, i]]
-    return joint
+        # Agent i is the most significant digit so far: each of its positive
+        # entries at state s is paired with every current entry of s, in order.
+        agent_rows, agent_actions = np.nonzero(per_agent[i] > 0)
+        counts = np.bincount(rows, minlength=n_states)
+        reps = counts[agent_rows]
+        picked = np.repeat(np.arange(len(agent_rows)), reps)
+        offset = np.arange(len(picked)) - np.repeat(np.cumsum(reps) - reps, reps)
+        current = (np.cumsum(counts) - counts)[agent_rows][picked] + offset
+        rows = agent_rows[picked]
+        joint = joint[current] + agent_actions[picked] * n_actions**i
+        probs = probs[current] * per_agent[i][agent_rows, agent_actions][picked]
+    return rows, joint, probs
+
+
+def _agent_fold(start: float, terms: np.ndarray, combine) -> np.ndarray:
+    """(S, A^n) table combine(...combine(start, terms[0][s, a_0])...,
+    terms[n-1][s, a_{n-1}]) over every joint action a.
+
+    Built one agent at a time by outer broadcasting, (S, A^k) with (S, A)
+    to (S, A^(k+1)), agent k the most significant digit; the fold order is
+    the same at every cell.
+    """
+    n_states = terms.shape[1]
+    table = np.full((n_states, 1), start)
+    for term in terms:
+        table = combine(table[:, None, :], term[:, :, None]).reshape(n_states, -1)
+    return table
 
 
 def _support_checked_ratios(pi_d: np.ndarray, beta_d: np.ndarray) -> np.ndarray:
@@ -82,27 +147,38 @@ def _support_checked_ratios(pi_d: np.ndarray, beta_d: np.ndarray) -> np.ndarray:
     return np.where(pi_d > 0, pi_d / safe_beta, 0.0)
 
 
-def _evaluate(model: MMDPModel, joint_pi: np.ndarray,
+def _expectation(model: MMDPModel, support, x: np.ndarray) -> np.ndarray:
+    """E_pi[x(s, .)] per state, summed over the support entries in order."""
+    rows, actions, probs = support
+    return np.bincount(rows, weights=probs * x[rows, actions], minlength=model.n_states)
+
+
+def _solve_q(model: MMDPModel, support, base: np.ndarray) -> np.ndarray:
+    """Q = base + gamma * E[V(s')], with V solving (I - gamma * P_pi) V = E_pi[base]."""
+    system = model.transition_matrix(*support)
+    system *= -model.gamma
+    system.flat[::model.n_states + 1] += 1.0
+    v = np.linalg.solve(system, _expectation(model, support, base))
+    return base + model.gamma * model.expected_next_values(v)
+
+
+def _evaluate(model: MMDPModel, support,
               base: np.ndarray) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
     """Solution of Q = base + gamma * E[V(s')], V = E_pi[Q].
 
-    V solves (I - gamma * P_pi) V = E_pi[base]; the report's residual is the
-    sup-norm Bellman residual of the returned Q.
+    The returned V is E_pi of the returned Q; the report's residual is the
+    sup-norm Bellman residual of that Q.
     """
-    system = model.transition_matrix(joint_pi)
-    system *= -model.gamma
-    system.flat[::model.n_states + 1] += 1.0
-    v = np.linalg.solve(system, (joint_pi * base).sum(axis=1))
-    q = base + model.gamma * model.expected_next_values(v)
-    v = (joint_pi * q).sum(axis=1)
+    q = _solve_q(model, support, base)
+    v = _expectation(model, support, q)
     residual = float(np.max(np.abs(base + model.gamma * model.expected_next_values(v) - q)))
     return q, v, SolveReport(1, residual, True)
 
 
 def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy):
     """Unpenalized policy evaluation: the true-value oracle."""
-    joint_pi = joint_policy_matrix(_policy_dense(model, pi))
-    q, v, report = _evaluate(model, joint_pi, model.rewards)
+    support = joint_policy_support(_policy_dense(model, pi))
+    q, v, report = _evaluate(model, support, model.rewards)
     return JointQTable(q), v, report
 
 
@@ -118,15 +194,10 @@ def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
     if np.shape(lam) != (model.n_agents,):
         raise ValueError(f"lambda has shape {np.shape(lam)}, expected ({model.n_agents},)")
     pi_d = _policy_dense(model, pi)
-    beta_d = _policy_dense(model, beta)
-    ratios = _support_checked_ratios(pi_d, beta_d)
-    digits = all_joint_actions(model.n_agents, model.n_actions)
-    penalty = -np.ones((model.n_states, model.n_joint_actions))
-    for i in range(model.n_agents):
-        penalty += lam[i] * ratios[i][:, digits[:, i]]
-    joint_pi = joint_policy_matrix(pi_d)
+    ratios = _support_checked_ratios(pi_d, _policy_dense(model, beta))
+    penalty = _agent_fold(-1.0, lam[:, None, None] * ratios, np.add)
     base = model.rewards - alpha * penalty
-    q, v, report = _evaluate(model, joint_pi, base)
+    q, v, report = _evaluate(model, joint_policy_support(pi_d), base)
     return JointQTable(q), v, report
 
 
@@ -136,15 +207,10 @@ def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     pi_d = _policy_dense(model, pi)
-    beta_d = _policy_dense(model, beta)
-    ratios = _support_checked_ratios(pi_d, beta_d)
-    digits = all_joint_actions(model.n_agents, model.n_actions)
-    joint_ratio = np.ones((model.n_states, model.n_joint_actions))
-    for i in range(model.n_agents):
-        joint_ratio *= ratios[i][:, digits[:, i]]
-    joint_pi = joint_policy_matrix(pi_d)
+    ratios = _support_checked_ratios(pi_d, _policy_dense(model, beta))
+    joint_ratio = _agent_fold(1.0, ratios, np.multiply)
     base = model.rewards - alpha * (joint_ratio - 1.0)
-    q, v, report = _evaluate(model, joint_pi, base)
+    q, v, report = _evaluate(model, joint_policy_support(pi_d), base)
     return JointQTable(q), v, report
 
 
@@ -178,23 +244,24 @@ def value_iteration(model: MMDPModel, max_iter: int = DEFAULT_MAX_ITER):
     benchmark.
 
     Starting from the reward-greedy joint policy, each step evaluates the
-    deterministic policy with one direct solve. A state then switches joint
-    action only if another one beats its current one by more than the tie
-    margin, and takes the lowest joint action tied with the row max. The loop
-    ends when no state switches. The report counts the evaluations and gives
-    the Bellman-optimality residual of the returned Q.
+    deterministic policy with one direct solve on its one-entry-per-state
+    support and one Bellman backup. A state then switches joint action only
+    if another one beats its current one by more than the tie margin, and
+    takes the lowest joint action tied with the row max. The loop ends when
+    no state switches; V is then Q at each state's chosen joint action. The
+    report counts the evaluations and gives the Bellman-optimality residual
+    of the returned Q.
     """
     rows = np.arange(model.n_states)
+    ones = np.ones(model.n_states)
     actions = _lowest_tied(model.rewards)
-    joint_pi = np.zeros_like(model.rewards)
     q = model.rewards
     for it in range(1, max_iter + 1):
-        joint_pi[:] = 0.0
-        joint_pi[rows, actions] = 1.0
-        q, v, _ = _evaluate(model, joint_pi, model.rewards)
-        switch = q[rows, actions] < _tie_floor(q)
+        q = _solve_q(model, (rows, actions, ones), model.rewards)
+        chosen = q[rows, actions]
+        switch = chosen < _tie_floor(q)
         if not switch.any():
-            return JointQTable(q), v, SolveReport(it, _optimality_residual(model, q), True)
+            return JointQTable(q), chosen, SolveReport(it, _optimality_residual(model, q), True)
         actions = np.where(switch, _lowest_tied(q), actions)
     raise ConvergenceError(max_iter, _optimality_residual(model, q))
 

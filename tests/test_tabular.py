@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from cfcql_lab.divergence import SupportError, lambda_uniform
 from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, encode_joint
 from cfcql_lab.neural import softmax
 from cfcql_lab.tabular import (
+    TIE_EPS,
     ConvergenceError,
     JointQTable,
     cfcql_fixed_point,
     empirical_model,
     exact_policy_eval,
     greedy_policy_from_q,
+    joint_policy_support,
     learner_fixed_point,
     macql_fixed_point,
     value_iteration,
@@ -44,16 +48,17 @@ def single_state_model(reward=1.0, gamma=0.9):
     )
 
 
-def two_successor_model(rng, n_states=4, n_joint=3):
-    """Single-agent model whose every (s, a) row has two random successors."""
+def two_successor_model(rng, n_states=4, n_actions=3, n_agents=1):
+    """Model whose every (s, a) row has two random successors."""
+    n_joint = n_actions**n_agents
     next_states = np.stack(
         [rng.integers(0, n_states, size=(n_states, n_joint)) for _ in range(2)], axis=2
     )
     p = rng.uniform(0.2, 0.8, size=(n_states, n_joint))
     return MMDPModel(
         n_states=n_states,
-        n_agents=1,
-        n_actions=n_joint,
+        n_agents=n_agents,
+        n_actions=n_actions,
         gamma=0.9,
         r_max=1.0,
         next_states=next_states,
@@ -324,6 +329,187 @@ def test_greedy_policy_breaks_ties_to_lowest_joint_index():
     assert list(chosen) == [2, 3, 1, 7]
 
 
+# -- the policy's support against the dense (S, |A|^n) forms -------------------
+
+
+def dense_joint_policy(per_agent):
+    """(S, |A|^n) product policy, multiplied agent by agent in order 0..n-1."""
+    n, n_states, n_actions = per_agent.shape
+    digits = all_joint_actions(n, n_actions)
+    joint = np.ones((n_states, len(digits)))
+    for i in range(n):
+        joint *= per_agent[i][:, digits[:, i]]
+    return joint
+
+
+def dense_transition_matrix(model, joint_pi):
+    """(S, S) matrix from a bincount over every (s, a, k)."""
+    n = model.n_states
+    cells = np.arange(n)[:, None, None] * n + model.next_states
+    weights = joint_pi[:, :, None] * model.next_probs
+    return np.bincount(cells.ravel(), weights=weights.ravel(), minlength=n * n).reshape(n, n)
+
+
+def dense_evaluate(model, joint_pi, base):
+    """Direct solve on the dense policy: Q, V = E_pi[Q] and the Bellman residual."""
+    system = dense_transition_matrix(model, joint_pi)
+    system *= -model.gamma
+    system.flat[::model.n_states + 1] += 1.0
+    v = np.linalg.solve(system, (joint_pi * base).sum(axis=1))
+    q = base + model.gamma * model.expected_next_values(v)
+    v = (joint_pi * q).sum(axis=1)
+    residual = float(np.max(np.abs(base + model.gamma * model.expected_next_values(v) - q)))
+    return q, v, residual
+
+
+def dense_penalties(pi_d, beta_d, lam):
+    """cfcql's sum_i lambda_i pi_i/beta_i - 1 and macql's prod_i pi_i/beta_i over every
+    joint action, gathered agent by agent."""
+    n, n_states, n_actions = pi_d.shape
+    digits = all_joint_actions(n, n_actions)
+    ratios = np.where(pi_d > 0, pi_d / beta_d, 0.0)
+    cf_penalty = -np.ones((n_states, len(digits)))
+    joint_ratio = np.ones((n_states, len(digits)))
+    for i in range(n):
+        cf_penalty += lam[i] * ratios[i][:, digits[:, i]]
+        joint_ratio *= ratios[i][:, digits[:, i]]
+    return cf_penalty, joint_ratio
+
+
+def policy_array(kind, rng, n_agents, n_states, n_actions):
+    """(n, S, A) per-agent probabilities: one-hot, stochastic, or stochastic
+    with about 40% of the entries zeroed."""
+    if kind == "onehot":
+        return np.eye(n_actions)[rng.integers(0, n_actions, size=(n_agents, n_states))]
+    probs = rng.dirichlet(np.ones(n_actions), size=(n_agents, n_states))
+    if kind == "partly_zero":
+        probs[rng.random(probs.shape) < 0.4] = 0.0
+        probs[..., 0] += probs.sum(axis=2) == 0
+        probs /= probs.sum(axis=2, keepdims=True)
+    return probs
+
+
+def as_policy(per_agent):
+    n, n_states, n_actions = per_agent.shape
+    return FactoredPolicy(n, n_actions, {s: per_agent[:, s] for s in range(n_states)})
+
+
+def support_case_model(case, n, rng):
+    if case == "toy":
+        return ToyMMDP(n, gamma=0.9).exact_model()
+    return two_successor_model(rng, n_states=5, n_agents=n)
+
+
+@pytest.mark.parametrize("kind", ["onehot", "stochastic", "partly_zero"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["toy", "two_successor"])
+def test_support_and_transition_matrix_equal_dense_forms(case, n, kind, rng):
+    model = support_case_model(case, n, rng)
+    per_agent = policy_array(kind, rng, n, model.n_states, model.n_actions)
+    rows, actions, probs = joint_policy_support(per_agent)
+    joint_pi = dense_joint_policy(per_agent)
+    dense_rows, dense_actions = np.nonzero(joint_pi)
+    np.testing.assert_array_equal(rows, dense_rows)
+    np.testing.assert_array_equal(actions, dense_actions)
+    assert probs.tobytes() == joint_pi[dense_rows, dense_actions].tobytes()
+    assert np.all(np.diff(rows * model.n_joint_actions + actions) > 0)  # row-major
+    if kind == "onehot":
+        np.testing.assert_array_equal(rows, np.arange(model.n_states))
+    matrix = model.transition_matrix(rows, actions, probs)
+    assert matrix.tobytes() == dense_transition_matrix(model, joint_pi).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluators_equal_dense_evaluate_on_one_hot_policies(n, rng):
+    model = ToyMMDP(n, gamma=0.9).exact_model()
+    pi_d = policy_array("onehot", rng, n, model.n_states, model.n_actions)
+    beta = random_factored_policy(rng, n, model.n_states, model.n_actions, floor=1e-2)
+    lam, alpha = lambda_uniform(n), 0.5
+    pi = as_policy(pi_d)
+    joint_pi = dense_joint_policy(pi_d)
+    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(model.n_states), lam)
+    cases = [
+        (exact_policy_eval(model, pi), model.rewards),
+        (cfcql_fixed_point(model, pi, beta, lam, alpha), model.rewards - alpha * cf_penalty),
+        (macql_fixed_point(model, pi, beta, alpha), model.rewards - alpha * (joint_ratio - 1.0)),
+    ]
+    for (q, v, report), base in cases:
+        q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, base)
+        assert q.values.tobytes() == q_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+        assert report.residual == residual_ref
+
+
+def dense_policy_iteration(model):
+    """Howard policy iteration on dense one-hot policies, ties to the lowest
+    joint action within TIE_EPS relative: Q, V and the step count."""
+    def floor(q):
+        row_max = q.max(axis=1)
+        return row_max - TIE_EPS * np.maximum(1.0, np.abs(row_max))
+
+    def lowest_tied(q):
+        return np.argmax(q >= floor(q)[:, None], axis=1)
+
+    rows = np.arange(model.n_states)
+    actions = lowest_tied(model.rewards)
+    for it in range(1, 1000):
+        joint_pi = np.zeros_like(model.rewards)
+        joint_pi[rows, actions] = 1.0
+        q, v, _ = dense_evaluate(model, joint_pi, model.rewards)
+        switch = q[rows, actions] < floor(q)
+        if not switch.any():
+            return q, v, it
+        actions = np.where(switch, lowest_tied(q), actions)
+    raise AssertionError("dense policy iteration did not stop")
+
+
+@pytest.mark.parametrize("case", ["toy_n2", "toy_n3", "toy_n4", "toy_n5", "empirical_n4"])
+def test_value_iteration_equals_dense_policy_iteration(case, rng):
+    n = int(case[-1])
+    if case.startswith("toy"):
+        model = ToyMMDP(n, gamma=0.9).exact_model()
+    else:
+        d = random_toy_dataset(rng, n_agents=n, n_transitions=1500, episodes=15)
+        model = empirical_model(d, d.header.spec)
+        assert model.unseen_mask.any() and not model.unseen_mask.all()
+    q, v, report = value_iteration(model)
+    q_ref, v_ref, iterations = dense_policy_iteration(model)
+    assert q.values.tobytes() == q_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+    assert report.iterations == iterations
+
+
+@pytest.mark.parametrize("entry, message", [
+    (-0.25, "agent 1, action 2 at state 4 is -0.25"),
+    (np.nan, "agent 1, action 2 at state 4 is nan"),
+    (np.inf, "agent 1, action 2 at state 4 is inf"),
+])
+def test_solvers_reject_a_negative_or_non_finite_probability(entry, message):
+    model = ToyMMDP(2).exact_model()
+    table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(model.n_states)}
+    table[4] = np.array([[1 / 3, 1 / 3, 1 / 3], [0.75, 0.5, entry]])
+    bad, good = FactoredPolicy(2, 3, table), FactoredPolicy(2, 3)
+    lam = lambda_uniform(2)
+    for solve in (lambda: exact_policy_eval(model, bad),
+                  lambda: cfcql_fixed_point(model, bad, good, lam, 1.0),
+                  lambda: cfcql_fixed_point(model, good, bad, lam, 1.0),
+                  lambda: macql_fixed_point(model, good, bad, 1.0)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve()
+
+
+def test_solvers_reject_a_row_that_does_not_sum_to_one():
+    model = ToyMMDP(2).exact_model()
+    table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(model.n_states)}
+    table[7] = np.array([[0.5, 0.5, 1e-8], [1 / 3, 1 / 3, 1 / 3]])
+    with pytest.raises(ValueError, match=r"agent 0 at state 7 sum to 1\.00000001, not 1"):
+        exact_policy_eval(model, FactoredPolicy(2, 3, table))
+    with pytest.raises(ValueError, match=r"agent 0 at state 7 sum to"):
+        macql_fixed_point(model, FactoredPolicy(2, 3), FactoredPolicy(2, 3, table), 1.0)
+    table[7] = np.array([[0.5, 0.5, 1e-10], [1 / 3, 1 / 3, 1 / 3]])  # within 1e-9
+    exact_policy_eval(model, FactoredPolicy(2, 3, table))
+
+
 # -- empirical model -----------------------------------------------------------
 
 
@@ -369,10 +555,9 @@ def test_empirical_model_concentrates_on_truth(rng):
     d = make_dataset(rows, spec, starts=(0,))
     hat = empirical_model(d, spec)
     for a in range(n_joint):
-        onehot = np.zeros((n_states, n_joint))
-        onehot[:, a] = 1.0
-        rows_true = model.transition_matrix(onehot)
-        rows_hat = hat.transition_matrix(onehot)
+        onehot = (np.arange(n_states), np.full(n_states, a), np.ones(n_states))
+        rows_true = model.transition_matrix(*onehot)
+        rows_hat = hat.transition_matrix(*onehot)
         tv = 0.5 * np.abs(rows_true - rows_hat).sum(axis=1)
         assert np.all(tv < 0.02)
 
