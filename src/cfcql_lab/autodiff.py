@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The ops are the learner's: add, sub, mul, matmul, relu, elu, absolute,
-square, tsum, tmean, logsumexp_t, lse_minus_chosen, gather_last, take_rows,
-reshape and swapaxes, reversed by ``backward``. Everything is float64; tapes
-are built eagerly and freed after ``backward``.
+The ops are the learner's: add, sub, mul, dense (an affine layer with an
+optional rectifier), elu, absolute, square, tsum, tmean, logsumexp_t,
+lse_minus_chosen, gather_last, take_rows, reshape and swapaxes, reversed by
+``backward``. Everything is float64; tapes are built eagerly and freed after
+``backward``.
 
 A result with no grad-requiring parent records no tape: its ``parents`` is
 empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
@@ -134,26 +135,30 @@ def mul(a, b) -> Tensor:
     return Tensor(out_data, (a, b), bwd)
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = np.matmul(a.data, b.data)
+def dense(x, w, b, relu: bool) -> Tensor:
+    """One affine layer as one node: ``x @ w + b``, rectified when ``relu``.
+
+    The forward runs matmul, add and maximum in that order in one buffer, and
+    the backward masks with ``out > 0`` (the pre-activation's sign, nan
+    included), so values and gradients have the bits of the three separate
+    ops while the tape keeps one activation instead of three.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
-        return (None if ga is None else _unbroadcast(ga, a.data.shape),
-                None if gb is None else _unbroadcast(gb, b.data.shape))
+        if relu:
+            g = g * (out > 0)
+        gx = np.matmul(g, np.swapaxes(w.data, -1, -2)) if x.requires_grad else None
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g) if w.requires_grad else None
+        return (None if gx is None else _unbroadcast(gx, x.data.shape),
+                None if gw is None else _unbroadcast(gw, w.data.shape),
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return Tensor(out_data, (a, b), bwd)
-
-
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        return (g * (x.data > 0),)
-
-    return Tensor(np.maximum(x.data, 0.0), (x,), bwd)
+    return Tensor(out, (x, w, b), bwd)
 
 
 def elu(x) -> Tensor:

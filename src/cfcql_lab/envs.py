@@ -261,25 +261,34 @@ class EqualLine:
         """(m, n_agents, n_agents + 3) features per agent, all scaled by 1/L:
         own position, gap to the nearest neighbor (or wall) on each side,
         current minimum gap, and the other agents' positions in sorted order.
+
+        Each row is sorted once; every agent's features are read off its slot
+        in the sorted row. An agent that shares its position with another has
+        a left gap of 0, and its right gap runs to the next larger position.
         """
         pos = np.asarray(positions, dtype=np.float64)
         m, n = pos.shape
-        scale = 1.0 / self.line_length
-        feats = np.empty((m, n, n + 3))
-        min_gap = min_pairwise_distance(pos)
-        for i in range(n):
-            others = np.delete(pos, i, axis=1)
-            below = np.where(others <= pos[:, i:i + 1], others, -np.inf).max(axis=1)
-            above = np.where(others > pos[:, i:i + 1], others, np.inf).min(axis=1)
-            left = np.where(np.isfinite(below), pos[:, i] - below, pos[:, i])
-            right = np.where(np.isfinite(above), above - pos[:, i],
-                             self.line_length - pos[:, i])
-            feats[:, i, 0] = pos[:, i] * scale
-            feats[:, i, 1] = left * scale
-            feats[:, i, 2] = right * scale
-            feats[:, i, 3] = min_gap * scale
-            feats[:, i, 4:] = np.sort(others, axis=1) * scale
-        return feats
+        order = np.argsort(pos, axis=1, kind="stable")
+        srt = np.take_along_axis(pos, order, axis=1)
+        gaps = np.diff(srt, axis=1)
+        # the next strictly larger position after each slot, inf after the last
+        above = np.full((m, n), np.inf)
+        above[:, :-1] = np.where(gaps > 0, srt[:, 1:], np.inf)
+        above = np.minimum.accumulate(above[:, ::-1], axis=1)[:, ::-1]
+        feats = np.empty((m, n, n + 3))  # by slot in the sorted row
+        feats[:, :, 0] = srt
+        left = feats[:, :, 1]
+        left[:, 0] = srt[:, 0]
+        left[:, 1:] = gaps
+        left[:, :-1][gaps == 0] = 0.0
+        feats[:, :, 2] = np.where(np.isfinite(above), above - srt, self.line_length - srt)
+        feats[:, :, 3] = gaps.min(axis=1)[:, None]
+        others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: all but k
+        feats[:, :, 4:] = srt[:, others]
+        feats *= 1.0 / self.line_length
+        out = np.empty_like(feats)
+        out[np.arange(m)[:, None], order] = feats
+        return out
 
 
 def make_env(spec: EnvSpec):

@@ -117,8 +117,8 @@ class MonotonicMixer:
         return [self.w1, self.b1, self.w2, self.b2]
 
     def mix(self, chosen: Tensor) -> Tensor:
-        h = ad.elu(ad.matmul(chosen, ad.absolute(self.w1)) + self.b1)
-        out = ad.matmul(h, ad.absolute(self.w2)) + self.b2
+        h = ad.elu(ad.dense(chosen, ad.absolute(self.w1), self.b1, relu=False))
+        out = ad.dense(h, ad.absolute(self.w2), self.b2, relu=False)
         return ad.reshape(out, out.shape[:-1])
 
 

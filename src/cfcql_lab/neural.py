@@ -37,7 +37,9 @@ class GroupedMlp:
     """n_groups independent MLPs with identical architecture, evaluated jointly.
 
     Rectified-linear hidden layers, identity output; forward maps
-    (batch, n_groups, d_in) -> (batch, n_groups, d_out).
+    (batch, n_groups, d_in) -> (batch, n_groups, d_out). Each layer is one
+    ``autodiff.dense`` node over (group, batch, d), so a taped forward of L
+    layers records L + 2 nodes: the layers and the two axis swaps.
     """
 
     def __init__(self, n_groups: int, sizes: Sequence[int], rng: Optional[np.random.Generator] = None):
@@ -60,9 +62,7 @@ class GroupedMlp:
         h = ad.swapaxes(x, 0, 1)  # (group, batch, d): one matmul per group
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.matmul(h, w) + b
-            if k != last:
-                h = ad.relu(h)
+            h = ad.dense(h, w, b, relu=k != last)
         return ad.swapaxes(h, 0, 1)
 
 
@@ -70,7 +70,13 @@ class Adam:
     """Adaptive-moment steps with the bias-corrected first (``m``) and second
     (``v``) moment estimates of each parameter, decay rates ADAM_BETA1 and
     ADAM_BETA2 and denominator offset ADAM_EPS; a parameter with no gradient
-    is skipped."""
+    is skipped.
+
+    ``m`` and ``v`` are updated in place through one scratch array per
+    parameter, in the textbook operation order, so the steps have its bits.
+    The gradients are only read: ``add``'s backward can hand one array to two
+    parameters. Each step gives ``p.data`` a new array.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
@@ -83,13 +89,28 @@ class Adam:
         self.step_count += 1
         b1c = 1.0 - ADAM_BETA1**self.step_count
         b2c = 1.0 - ADAM_BETA2**self.step_count
-        for k, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * (g * g)
-            p.data = p.data - self.lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + ADAM_EPS)
+            # m = b1 * m + (1 - b1) * g
+            scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+            m *= ADAM_BETA1
+            m += scratch
+            # v = b2 * v + (1 - b2) * (g * g)
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += scratch
+            # p = p - lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(v, b2c, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            update = np.divide(m, b1c)
+            update *= self.lr
+            update /= scratch
+            np.subtract(p.data, update, out=update)
+            p.data = update
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -172,17 +193,35 @@ def load_params(path) -> GroupedMlp:
         raise ValueError(f"{path}: parameter dtype {header.get('dtype')!r} is not float64")
     if header.get("kind") != "grouped":
         raise ValueError(f"{path}: unknown model kind {header.get('kind')!r}")
-    model = GroupedMlp(header["n_groups"], header["sizes"])
-    params = model.parameters()
-    expected = 8 * sum(p.data.size for p in params)
+    n_groups, sizes = header.get("n_groups"), header.get("sizes")
+    if not _is_count(n_groups):
+        raise ValueError(f"{path}: checkpoint field 'n_groups' must be an int >= 1, "
+                         f"got {n_groups!r}")
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_count, sizes))):
+        raise ValueError(f"{path}: checkpoint field 'sizes' must be a list of at least two "
+                         f"ints >= 1, got {sizes!r}")
+    # sized from the header before any array is made, so a bad header cannot
+    # ask for more memory than the file holds
+    expected = 8 * n_groups * sum(d_in * d_out + d_out for d_in, d_out in zip(sizes, sizes[1:]))
     if len(body) != expected:
         raise ValueError(f"{path}: checkpoint has {len(body)} parameter bytes, expected "
-                         f"{expected} for {header['n_groups']} groups of sizes "
-                         f"{header['sizes']}")
+                         f"{expected} for {n_groups} groups of sizes {sizes}")
+    model = GroupedMlp(n_groups, sizes)
+    layers = range(len(model.weights))
+    names = [f"weights[{k}]" for k in layers] + [f"biases[{k}]" for k in layers]
     flat = np.frombuffer(body, dtype=np.float64)
     offset = 0
-    for p in params:
+    for name, p in zip(names, model.parameters()):
         size = p.data.size
         p.data = flat[offset:offset + size].reshape(p.data.shape).copy()
         offset += size
+        if not np.isfinite(p.data).all():
+            bad = p.data[~np.isfinite(p.data)][0]
+            raise ValueError(f"{path}: checkpoint parameter {name} holds a non-finite "
+                             f"value ({bad})")
     return model
+
+
+def _is_count(value) -> bool:
+    """An int >= 1 in a JSON header (``true`` parses to a bool, not a count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1

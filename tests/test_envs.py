@@ -186,3 +186,51 @@ def test_line_rewards_within_r_max(rng):
         actions = rng.integers(0, env.n_actions, size=(200, 5))
         pos, r = env.step_batch(pos, actions)
         assert np.all(np.abs(r) <= env.r_max + 1e-12)
+
+
+def loop_line_features(env, positions):
+    """EqualLine's features agent by agent: the others without agent i, their
+    nearest positions at or below and above agent i, and their sort."""
+    pos = np.asarray(positions, dtype=np.float64)
+    m, n = pos.shape
+    scale = 1.0 / env.line_length
+    feats = np.empty((m, n, n + 3))
+    min_gap = min_pairwise_distance(pos)
+    for i in range(n):
+        others = np.delete(pos, i, axis=1)
+        below = np.where(others <= pos[:, i:i + 1], others, -np.inf).max(axis=1)
+        above = np.where(others > pos[:, i:i + 1], others, np.inf).min(axis=1)
+        left = np.where(np.isfinite(below), pos[:, i] - below, pos[:, i])
+        right = np.where(np.isfinite(above), above - pos[:, i], env.line_length - pos[:, i])
+        feats[:, i, 0] = pos[:, i] * scale
+        feats[:, i, 1] = left * scale
+        feats[:, i, 2] = right * scale
+        feats[:, i, 3] = min_gap * scale
+        feats[:, i, 4:] = np.sort(others, axis=1) * scale
+    return feats
+
+
+@pytest.mark.parametrize("n_agents", [2, 3, 4, 5])
+def test_line_features_equal_the_per_agent_loop(n_agents):
+    """Byte-equal on random rows, rows with ties (several agents on one point)
+    and rows clamped to the walls, and row by row."""
+    env = EqualLine(n_agents)
+    rng = np.random.default_rng(n_agents)
+    length = env.line_length
+    walls = np.clip(rng.normal(0.0, 3.0, size=(300, n_agents)), 0.0, length)
+    walls[rng.random(walls.shape) < 0.3] = length
+    for pos in (rng.uniform(0.0, length, size=(300, n_agents)),
+                rng.integers(0, 3, size=(300, n_agents)) * 0.5,
+                np.round(rng.uniform(0.0, length, size=(300, n_agents)), 1),
+                walls):
+        got = env.per_agent_features(pos)
+        assert got.tobytes() == loop_line_features(env, pos).tobytes()
+        assert got[7:8].tobytes() == env.per_agent_features(pos[7:8]).tobytes()
+
+
+def test_line_features_hand_case():
+    env = EqualLine(3)  # L = 10
+    got = env.per_agent_features(np.array([[4.0, 1.0, 4.0]])) * env.line_length
+    np.testing.assert_allclose(got[0], [[4.0, 0.0, 6.0, 0.0, 1.0, 4.0],
+                                        [1.0, 1.0, 3.0, 0.0, 4.0, 4.0],
+                                        [4.0, 0.0, 6.0, 0.0, 1.0, 4.0]])

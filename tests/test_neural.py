@@ -48,13 +48,13 @@ def assert_grads_close(analytic, numeric, rel=1e-4):
 def test_no_grad_records_no_graph():
     w = ad.parameter(np.ones((3, 2)))
     with ad.no_grad():
-        h = ad.relu(ad.matmul(np.ones((4, 3)), w) + 1.0)
+        h = ad.dense(np.ones((4, 3)), w, np.ones(2), relu=True)
         out = ad.logsumexp_t(h, axis=-1)
         fresh = ad.parameter(np.zeros(2))
     for t in (h, out):
         assert t.parents == () and t.bwd is None and not t.requires_grad
     assert fresh.requires_grad  # leaves made inside stay trainable
-    traced = ad.tsum(ad.matmul(np.ones((4, 3)), w))
+    traced = ad.tsum(ad.dense(np.ones((4, 3)), w, np.zeros(2), relu=False))
     assert traced.parents and traced.requires_grad
 
 
@@ -340,6 +340,101 @@ def test_sub_swapaxes_tmean_match_finite_differences():
     assert_grads_close(analytic, finite_difference(loss_value, [a, b]))
 
 
+# -- the fused layer ---------------------------------------------------------
+
+
+def _sum_leading(a, ndim):
+    """``a`` summed over axis 0 until it has ``ndim`` axes, one axis at a time."""
+    while a.ndim > ndim:
+        a = a.sum(axis=0)
+    return a
+
+
+# (x shape, w shape, b shape, bias reduction): GroupedMlp's (group, batch, d)
+# layer and the monotonic mixer's (B, n) and (B, n, A, n) inputs
+DENSE_SHAPES = {
+    "grouped": ((3, 5, 4), (3, 4, 6), (3, 1, 6), lambda g: g.sum(axis=1, keepdims=True)),
+    "mixer_rows": ((5, 3), (3, 16), (16,), lambda g: g.sum(axis=0)),
+    "mixer_counterfactual": ((5, 3, 2, 3), (3, 16), (16,), lambda g: _sum_leading(g, 1)),
+}
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("case", sorted(DENSE_SHAPES))
+def test_dense_is_matmul_then_add_then_maximum_byte_for_byte(case, relu):
+    x_shape, w_shape, b_shape, reduce_bias = DENSE_SHAPES[case]
+    rng = np.random.default_rng(13)
+    x, w, b = (rng.normal(size=shape) for shape in (x_shape, w_shape, b_shape))
+    b.reshape(-1)[:w_shape[-1]] = 0.0
+    x[..., 0, :] = 0.0  # a zero input row over a zero bias: exact-zero pre-activations
+    x[..., 1, 0] = np.nan  # a nan input: nan pre-activations on its row
+    pre = np.matmul(x, w)
+    pre = pre + b
+    assert (pre == 0.0).any() and np.isnan(pre).any()
+    want = np.maximum(pre, 0.0) if relu else pre
+    g = rng.normal(size=pre.shape)
+    g_pre = g * (pre > 0) if relu else g
+    want_gx = np.matmul(g_pre, np.swapaxes(w, -1, -2))
+    want_gw = _sum_leading(np.matmul(np.swapaxes(x, -1, -2), g_pre), len(w_shape))
+    want_gb = reduce_bias(g_pre)
+
+    params = [ad.parameter(a) for a in (x, w, b)]
+    out = ad.dense(*params, relu=relu)
+    assert out.data.tobytes() == want.tobytes()
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    for p, expected in zip(params, (want_gx, want_gw, want_gb)):
+        assert p.grad.shape == p.shape
+        assert p.grad.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_SHAPES))
+def test_dense_matches_finite_differences(case):
+    x_shape, w_shape, b_shape, _ = DENSE_SHAPES[case]
+    rng = np.random.default_rng(14)
+    x, w, b = (ad.parameter(rng.normal(size=shape)) for shape in (x_shape, w_shape, b_shape))
+    while np.abs(np.matmul(x.data, w.data) + b.data).min() < 1e-3:  # away from the kink
+        x.data = rng.normal(size=x_shape)
+    c = rng.normal(size=np.matmul(x.data, w.data).shape)
+    ad.backward(ad.tsum(ad.square(ad.dense(x, w, b, relu=True))) +
+                ad.tsum(ad.mul(ad.dense(x, w, b, relu=False), c)))
+    analytic = [p.grad.copy() for p in (x, w, b)]
+
+    def loss_value():
+        pre = np.matmul(x.data, w.data) + b.data
+        return float((np.maximum(pre, 0.0) ** 2).sum() + (pre * c).sum())
+
+    assert_grads_close(analytic, finite_difference(loss_value, [x, w, b]))
+
+
+def test_dense_skips_gradients_nothing_needs():
+    w = ad.parameter(np.ones((3, 2)))
+    out = ad.dense(np.ones((4, 3)), w, np.zeros(2), relu=True)
+    assert out.bwd(np.ones((4, 2)))[0] is None  # the constant input gets none
+    ad.backward(ad.tsum(out))
+    np.testing.assert_array_equal(w.grad, np.full((3, 2), 4.0))
+
+
+def _op_nodes(root):
+    """Nodes with a backward reachable from ``root``: the tape's length."""
+    seen, todo, ops = {id(root)}, [root], 0
+    while todo:
+        node = todo.pop()
+        ops += node.bwd is not None
+        for parent in node.parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    return ops
+
+
+@pytest.mark.parametrize("sizes", [(3, 2), (3, 5, 2), (3, 5, 4, 2)])
+def test_grouped_mlp_tapes_one_node_per_layer(sizes):
+    """L layers record L + 2 nodes: one dense node per layer and the two swaps."""
+    net = GroupedMlp(2, sizes, np.random.default_rng(0))
+    x = ad.parameter(np.ones((4, 2, sizes[0])))
+    assert _op_nodes(net.forward(x)) == len(sizes) - 1 + 2
+
+
 # -- logsumexp ---------------------------------------------------------------
 
 
@@ -449,6 +544,46 @@ def test_adam_decreases_convex_quadratic_monotonically():
     assert losses[-1] < 1e-3
 
 
+def test_adam_steps_equal_the_textbook_update_and_leave_grads_alone():
+    """Byte-equal to the out-of-place update over 20 steps. A parameter with no
+    grad keeps its data and zero moments; two parameters share one grad array,
+    as ``add``'s backward hands out, and no grad is written into."""
+    rng = np.random.default_rng(15)
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    # values near the step size, so a change in the update's last bit shows
+    params = [ad.parameter(rng.normal(size=shape) * lr)
+              for shape in ((3, 4), (4,), (2, 5), (2, 5))]
+    skipped = params[1]
+    frozen = skipped.data
+    opt = Adam(params, lr=lr)
+    data = [p.data.copy() for p in params]
+    m = [np.zeros_like(d) for d in data]
+    v = [np.zeros_like(d) for d in data]
+    for t in range(1, 21):
+        shared = rng.normal(size=(2, 5))
+        grads = [rng.normal(size=(3, 4)), None, shared, shared]
+        for p, g in zip(params, grads):
+            p.grad = g
+        before = [None if g is None else g.copy() for g in grads]
+        opt.step()
+        for k, g in enumerate(grads):
+            assert params[k].grad is g
+            if g is None:
+                continue
+            assert g.tobytes() == before[k].tobytes()
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            data[k] = data[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in (0, 2, 3):
+            assert params[k].data.tobytes() == data[k].tobytes()
+            assert opt.m[k].tobytes() == m[k].tobytes()
+            assert opt.v[k].tobytes() == v[k].tobytes()
+        assert skipped.data is frozen
+        assert not opt.m[1].any() and not opt.v[1].any()
+
+
 # -- behavior cloning ----------------------------------------------------------
 
 
@@ -491,6 +626,17 @@ def test_checkpoint_roundtrip_exact(tmp_path):
             np.testing.assert_array_equal(a.data, b.data)
 
 
+SIZES_FIELD = "checkpoint field 'sizes' must be a list of at least two ints >= 1, got"
+
+
+def _drop(key):
+    def edit(header, body):
+        fields = json.loads(header)
+        del fields[key]
+        return json.dumps(fields).encode("utf-8"), body
+    return edit
+
+
 def _set(key, value):
     def edit(header, body):
         fields = json.loads(header)
@@ -509,10 +655,23 @@ def _set(key, value):
      "checkpoint has 408 parameter bytes, expected 416 for 2 groups of sizes [3, 4, 2]"),
     (lambda header, body: (header, body + bytes(8)),
      "checkpoint has 424 parameter bytes, expected 416 for 2 groups of sizes [3, 4, 2]"),
+    (_drop("n_groups"), "checkpoint field 'n_groups' must be an int >= 1, got None"),
+    (_set("n_groups", 0), "checkpoint field 'n_groups' must be an int >= 1, got 0"),
+    (_set("n_groups", 2.7), "checkpoint field 'n_groups' must be an int >= 1, got 2.7"),
+    (_set("n_groups", True), "checkpoint field 'n_groups' must be an int >= 1, got True"),
+    (_drop("sizes"), f"{SIZES_FIELD} None"),
+    (_set("sizes", [3, -4, 2]), f"{SIZES_FIELD} [3, -4, 2]"),
+    (_set("sizes", ["3", "4", "2"]), f"{SIZES_FIELD} ['3', '4', '2']"),
+    (_set("sizes", [3]), f"{SIZES_FIELD} [3]"),
+    (_set("sizes", 3), f"{SIZES_FIELD} 3"),
+    (_set("sizes", [10**6, 10**6]), "checkpoint has 416 parameter bytes, expected "
+     "16000016000000 for 2 groups of sizes [1000000, 1000000]"),
 ], ids=["version-2-unknown checkpoint version 2",
         "dtype-float32-parameter dtype 'float32' is not float64",
         "kind-conv-unknown model kind 'conv'", "kind-mlp", "not_json", "truncated",
-        "extra_bytes"])
+        "extra_bytes", "no_n_groups", "n_groups_zero", "n_groups_float", "n_groups_bool",
+        "no_sizes", "negative_size", "string_sizes", "one_size", "sizes_not_a_list",
+        "sizes_larger_than_the_file"])
 def test_load_params_rejects_bad_header(tmp_path, edit, message):
     path = tmp_path / "m.ckpt"
     save_params(path, GroupedMlp(2, (3, 4, 2), np.random.default_rng(0)))
@@ -520,4 +679,19 @@ def test_load_params_rejects_bad_header(tmp_path, edit, message):
     header, body = edit(header, body)
     path.write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index, name", [(0, "weights[0]"), (30, "weights[1]"),
+                                         (44, "biases[0]"), (-1, "biases[1]")])
+def test_load_params_rejects_non_finite_parameters(tmp_path, value, index, name):
+    path = tmp_path / "m.ckpt"
+    save_params(path, GroupedMlp(2, (3, 4, 2), np.random.default_rng(0)))
+    header, _, body = path.read_bytes().partition(b"\n")
+    flat = np.frombuffer(body, dtype=np.float64).copy()  # w0 24, w1 16, b0 8, b1 4 values
+    flat[index] = value
+    path.write_bytes(header + b"\n" + flat.tobytes())
+    message = f"checkpoint parameter {name} holds a non-finite value ({value})"
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
         load_params(path)
