@@ -1,10 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The ops are the learner's: add, sub, mul, dense (an affine layer with an
-optional rectifier), elu, absolute, square, tsum, tmean, logsumexp_t,
-lse_minus_chosen, gather_last, take_rows, reshape and swapaxes, reversed by
-``backward``. Everything is float64; tapes are built eagerly and freed after
-``backward``.
+optional rectifier), square, tsum, tmean, logsumexp_t, lse_minus_chosen,
+gather_last, take_rows, reshape and swapaxes, reversed by ``backward``.
+Everything is float64; tapes are built eagerly and freed after ``backward``.
 
 A result with no grad-requiring parent records no tape: its ``parents`` is
 empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
@@ -161,26 +160,6 @@ def dense(x, w, b, relu: bool) -> Tensor:
     return Tensor(out, (x, w, b), bwd)
 
 
-def elu(x) -> Tensor:
-    x = as_tensor(x)
-    neg = np.exp(np.minimum(x.data, 0.0)) - 1.0
-    out_data = np.where(x.data > 0, x.data, neg)
-
-    def bwd(g):
-        return (g * np.where(x.data > 0, 1.0, neg + 1.0),)
-
-    return Tensor(out_data, (x,), bwd)
-
-
-def absolute(x) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        return (g * np.sign(x.data),)
-
-    return Tensor(np.abs(x.data), (x,), bwd)
-
-
 def square(x) -> Tensor:
     x = as_tensor(x)
 
@@ -190,9 +169,9 @@ def square(x) -> Tensor:
     return Tensor(x.data * x.data, (x,), bwd)
 
 
-def _spread(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+def _spread(g, shape: tuple, axis) -> np.ndarray:
     """The gradient of a sum over ``axis``: ``g`` copied along the summed axis."""
-    if axis is not None and not keepdims:
+    if axis is not None:
         kept = list(shape)
         kept[axis] = 1
         g = g.reshape(kept)
@@ -201,13 +180,13 @@ def _spread(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
     return out
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
 
     def bwd(g):
-        return (_spread(g, x.data.shape, axis, keepdims),)
+        return (_spread(g, x.data.shape, axis),)
 
-    return Tensor(x.data.sum(axis=axis, keepdims=keepdims), (x,), bwd)
+    return Tensor(x.data.sum(axis=axis), (x,), bwd)
 
 
 def tmean(x) -> Tensor:

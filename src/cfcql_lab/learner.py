@@ -5,17 +5,17 @@ Three methods share one TD backbone:
   - macql: joint-action logsumexp penalty estimated from sampled joints
   - naive: plain TD (the penalty switched off)
 
-Execution is decentralized: both mixers are monotone in every per-agent value,
-so the joint greedy action is the tuple of per-agent argmaxes.
+Q_tot is the sum of the per-agent values, so execution is decentralized: the
+joint greedy action is the tuple of per-agent argmaxes.
 
-With the additive mixer both penalties reduce to per-agent terms, so neither
-builds its rows of Q_tot. Row (b, i) of the counterfactual rows is
-Q_i(s, ·) + (sum_j chosen_j - chosen_i), so its logsumexp is
-lse Q_i + sum_j chosen_j - chosen_i, and with lambda on the simplex the cfcql
-penalty is sum_i lambda_i (lse Q_i - chosen_i). The softmax of that row is
-softmax(Q_i(s, ·)), agent i's counterfactual Boltzmann policy. Over every
-joint action, log sum_a exp sum_i Q_i(a_i) = sum_i lse Q_i, so macql's
-enumerated penalty is sum_i (lse Q_i - chosen_i).
+Both penalties reduce to per-agent terms, so neither builds rows of Q_tot.
+The counterfactual row (b, i), which varies agent i's action with the others
+held at the data's, is Q_i(s, ·) + (sum_j chosen_j - chosen_i), so its
+logsumexp is lse Q_i + sum_j chosen_j - chosen_i, and with lambda on the
+simplex the cfcql penalty is sum_i lambda_i (lse Q_i - chosen_i). The softmax
+of that row is softmax(Q_i(s, ·)), agent i's counterfactual Boltzmann policy.
+Over every joint action, log sum_a exp sum_i Q_i(a_i) = sum_i lse Q_i, so
+macql's enumerated penalty is sum_i (lse Q_i - chosen_i).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .core import (
     greedy_policy_from_actions,
 )
 from .divergence import kl_scores
-from .envs import all_joint_actions, make_env
+from .envs import make_env
 from .neural import HIDDEN, Adam, GroupedMlp, softmax, train_bc
 from .rollouts import QValuesActor, evaluate_actor
 
@@ -44,7 +44,6 @@ METHODS = ("cfcql", "macql", "naive")
 METRIC_SUBSAMPLE = 4096  # data rows probed for the in-loop metrics, at most
 BEHAVIOR_SMOOTHING = 1.0  # Laplace count added per action in the tabular beta estimate
 CQL_JOINT_SAMPLES = 32  # macql's sampled joint actions per row, when |A|^n exceeds it
-MIXER_HIDDEN = 16  # hidden width of the monotonic mixer
 
 
 @dataclass
@@ -66,26 +65,28 @@ class TrainConfig:
     total_steps: int = 10_000
     seed: int = 0
     lr: float = 1e-3
-    mixer: str = "additive"  # additive | monotonic
     eval_episodes: int = 16
     record_interval: int = 250
     bc_steps: int = 3000
 
     def __post_init__(self):
+        for name in ("batch_size", "target_interval", "total_steps", "seed", "eval_episodes",
+                     "record_interval", "bc_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("batch_size", "target_interval", "total_steps", "eval_episodes",
                      "record_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (np.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.bc_steps < 0:
             raise ValueError(f"bc_steps must be >= 0, got {self.bc_steps}")
         if self.lambda_mode not in ("uniform", "softmax"):
             raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if self.mixer not in ("additive", "monotonic"):
-            raise ValueError(f"unknown mixer {self.mixer!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -93,37 +94,8 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-class MonotonicMixer:
-    """Small monotone network on per-agent chosen values.
-
-    Weights enter through abs(), so dQ_tot/dQ_i >= 0 and the
-    individual-global-max property is preserved.
-    """
-
-    def __init__(self, n_agents: int, rng: Optional[np.random.Generator] = None):
-        scale = 1.0 / np.sqrt(n_agents)
-        if rng is None:
-            w1 = np.full((n_agents, MIXER_HIDDEN), scale)
-            w2 = np.full((MIXER_HIDDEN, 1), 1.0 / MIXER_HIDDEN)
-        else:
-            w1 = np.abs(rng.normal(0.0, scale, size=(n_agents, MIXER_HIDDEN)))
-            w2 = np.abs(rng.normal(0.0, 1.0 / np.sqrt(MIXER_HIDDEN), size=(MIXER_HIDDEN, 1)))
-        self.w1 = ad.parameter(w1)
-        self.b1 = ad.parameter(np.zeros(MIXER_HIDDEN))
-        self.w2 = ad.parameter(w2)
-        self.b2 = ad.parameter(np.zeros(1))
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def mix(self, chosen: Tensor) -> Tensor:
-        h = ad.elu(ad.dense(chosen, ad.absolute(self.w1), self.b1, relu=False))
-        out = ad.dense(h, ad.absolute(self.w2), self.b2, relu=False)
-        return ad.reshape(out, out.shape[:-1])
-
-
 class FactoredQ:
-    """Per-agent action values plus a mixer producing Q_tot(s, a).
+    """Per-agent action values Q_i(s, a_i), summed to Q_tot(s, a).
 
     ``inputs`` are integer state ids in tabular mode and per-agent feature
     arrays (batch, n_agents, d) in neural mode, where each agent's network has
@@ -132,13 +104,12 @@ class FactoredQ:
 
     def __init__(self, n_agents: int, n_actions: int, mode: str,
                  n_states: Optional[int] = None, feature_dim: Optional[int] = None,
-                 mixer: str = "additive", rng: Optional[np.random.Generator] = None):
+                 rng: Optional[np.random.Generator] = None):
         self.n_agents = n_agents
         self.n_actions = n_actions
         self.mode = mode
         self.n_states = n_states
         self.feature_dim = feature_dim
-        self.mixer_kind = mixer
         if mode == "tabular":
             if n_states is None:
                 raise ValueError("tabular mode needs n_states")
@@ -151,13 +122,9 @@ class FactoredQ:
             self.net = GroupedMlp(n_agents, (feature_dim, *HIDDEN, n_actions), rng)
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        self.mixer = MonotonicMixer(n_agents, rng=rng) if mixer == "monotonic" else None
 
     def parameters(self):
-        params = [self.table] if self.table is not None else self.net.parameters()
-        if self.mixer is not None:
-            params = params + self.mixer.parameters()
-        return params
+        return [self.table] if self.table is not None else self.net.parameters()
 
     def values(self, inputs) -> Tensor:
         if self.mode == "tabular":
@@ -165,9 +132,7 @@ class FactoredQ:
         return self.net.forward(inputs)
 
     def mix(self, chosen: Tensor) -> Tensor:
-        if self.mixer is None:
-            return ad.tsum(chosen, axis=-1)
-        return self.mixer.mix(chosen)
+        return ad.tsum(chosen, axis=-1)
 
     def q_tot_data(self, values: Tensor, actions: np.ndarray) -> Tensor:
         chosen = ad.gather_last(values, actions[:, :, None])
@@ -176,7 +141,7 @@ class FactoredQ:
     def copy(self) -> "FactoredQ":
         clone = FactoredQ(
             self.n_agents, self.n_actions, self.mode,
-            n_states=self.n_states, feature_dim=self.feature_dim, mixer=self.mixer_kind,
+            n_states=self.n_states, feature_dim=self.feature_dim,
         )
         for dst, src in zip(clone.parameters(), self.parameters()):
             dst.data = src.data.copy()
@@ -194,7 +159,6 @@ class Batch:
     actions: np.ndarray  # (B, n)
     rewards: np.ndarray  # (B,)
     next_inputs: np.ndarray
-    beta_probs: Optional[np.ndarray] = None  # (B, n, A)
 
     def __len__(self):
         return len(self.actions)
@@ -211,20 +175,6 @@ def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
     return batch.rewards + gamma * next_tot
 
 
-def counterfactual_rows(q: FactoredQ, values: Tensor, actions: np.ndarray) -> Tensor:
-    """(B, n, A) Q_tot rows: row (b, i) varies agent i's action, the others
-    held at ``actions``."""
-    b, n = actions.shape
-    chosen = ad.gather_last(values, actions[:, :, None])  # (B, n, 1)
-    if q.mixer is None:
-        return values + (ad.tsum(chosen, axis=1, keepdims=True) - chosen)
-    # input[b, i, a, j] = values[b, i, a] if j == i else chosen[b, j]
-    own = np.eye(n)[None, :, None, :]
-    joint = (ad.reshape(values, (b, n, q.n_actions, 1)) * own
-             + ad.reshape(chosen, (b, 1, 1, n)) * (1.0 - own))
-    return q.mixer.mix(joint)
-
-
 def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
                lam: Optional[Callable[[np.ndarray], np.ndarray]], alpha: float, gamma: float):
     """Counterfactual conservative loss; ``alpha=0`` reduces to plain TD.
@@ -233,8 +183,8 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
     (one draw from the behavior policy). ``lam`` maps the (B, n, A)
     counterfactual Boltzmann policy of this forward pass to (B, n) agent
     weights on the simplex, and is called once; ``lam=None`` weighs agents
-    uniformly. On the additive mixer the penalty is
-    alpha * mean_b sum_i lambda_i (lse Q_i - chosen_i) (module docstring).
+    uniformly. The penalty is alpha * mean_b sum_i lambda_i (lse Q_i - chosen_i)
+    (module docstring).
     """
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
@@ -243,17 +193,10 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
     if alpha == 0.0:
         return td, {"td": float(td.data), "penalty": 0.0}
 
-    if q.mixer is None:
-        gap, pi = ad.lse_minus_chosen(values, batch.actions)  # (B, n)
-        weights = _uniform(batch, q) if lam is None else lam(pi)
-        # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
-        penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
-    else:
-        rows = counterfactual_rows(q, values, batch.actions)
-        weights = _uniform(batch, q) if lam is None else lam(softmax(rows.data, axis=-1))
-        lse = ad.logsumexp_t(rows, axis=-1)  # (B, n)
-        penalty_terms = ad.tsum(ad.mul(weights, lse), axis=1) - q_data
-        penalty = ad.mul(ad.tmean(penalty_terms), alpha)
+    gap, pi = ad.lse_minus_chosen(values, batch.actions)  # (B, n)
+    weights = _uniform(batch, q) if lam is None else lam(pi)
+    # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
+    penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
     return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
 
@@ -265,11 +208,10 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
                n_samples: int, rng: Optional[np.random.Generator], gamma: float):
     """Joint-ratio conservative loss with sampled-joint logsumexp.
 
-    With ``n_samples >= |A|^n`` the joint space is enumerated exactly;
-    otherwise the estimator is logsumexp over uniform joints plus the
-    importance constant log(|A|^n / N). Enumerated on the additive mixer,
-    the penalty is sum_i (lse Q_i - chosen_i) and no joint is built (module
-    docstring).
+    With ``n_samples >= |A|^n`` the joint space is enumerated exactly: the
+    penalty is sum_i (lse Q_i - chosen_i) and no joint is built (module
+    docstring). Otherwise the estimator is logsumexp over N uniform joints
+    plus the importance constant log(|A|^n / N).
     """
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
@@ -279,31 +221,20 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
         return td, {"td": float(td.data), "penalty": 0.0}
 
     b = len(batch)
-    n_joint = q.n_actions**q.n_agents
-    if q.mixer is None and n_samples >= n_joint:
+    if n_samples >= q.n_actions**q.n_agents:
         gap, _ = ad.lse_minus_chosen(values, batch.actions)
         # alpha * mean_b sum_i gap_i, in cfcql's form: at n = 1 the two
         # losses are the same bits
         penalty = ad.tsum(ad.mul(gap, alpha / b))
         return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
-    if n_samples >= n_joint:
-        joints = all_joint_actions(q.n_agents, q.n_actions)  # (K, n)
-        sampled = np.broadcast_to(joints[None, :, :], (b, n_joint, q.n_agents))
-        log_const = 0.0
-    else:
-        if rng is None:
-            raise ValueError("sampled joint actions need an rng")
-        sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
-        log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
-    # one gather of every agent's sampled actions: (B, n, K)
+    if rng is None:
+        raise ValueError("sampled joint actions need an rng")
+    sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
+    log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
+    # one gather of every agent's sampled actions: (B, n, K), summed over the
+    # agents without a swapaxes copy; for n < 8 the same bits as the mix
     chosen = ad.gather_last(values, np.swapaxes(sampled, 1, 2))
-    if q.mixer is None:  # no swapaxes copy; for n < 8 the same bits as the mix
-        q_rows = ad.tsum(chosen, axis=1)  # (B, K)
-    else:
-        q_rows = q.mix(ad.swapaxes(chosen, 1, 2))
-    est = ad.logsumexp_t(q_rows, axis=-1)
-    if log_const != 0.0:
-        est = est + log_const
+    est = ad.logsumexp_t(ad.tsum(chosen, axis=1), axis=-1) + log_const  # (B,)
     penalty = ad.mul(ad.tmean(est - q_data), alpha)
     return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
@@ -439,7 +370,7 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
         feature_dim=inputs.shape[2] if mode == "neural" else None,
-        mixer=config.mixer, rng=root.child("init").generator(),
+        rng=root.child("init").generator(),
     )
     target = q.copy()
     opt = Adam(q.parameters(), lr=config.lr)
@@ -457,7 +388,6 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         batch = Batch(
             inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
             next_inputs=next_inputs[idx],
-            beta_probs=None if beta_probs is None else beta_probs[idx],
         )
         opt.zero_grad()
         if method == "macql" and alpha > 0.0:
@@ -465,7 +395,7 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
                                  spec.gamma)
         else:
             lam = (None if beta_probs is None
-                   else functools.partial(batch_lambda, beta_probs=batch.beta_probs))
+                   else functools.partial(batch_lambda, beta_probs=beta_probs[idx]))
             loss, _ = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
         if not np.isfinite(loss.data):
             raise FloatingPointError(f"training diverged at step {step}")

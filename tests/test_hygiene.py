@@ -132,7 +132,6 @@ _WITH_BUDGET = "the datagen tests' small runs; kept or cut together with OnlineT
 OPTIONS_ALLOWED = {
     "TrainConfig.alpha": "the paper's penalty weight, which tests compare at alpha and n * alpha",
     "TrainConfig.lambda_mode": "uniform lambda is the one learner_fixed_point solves for",
-    "TrainConfig.mixer": "the monotonic mixer, which the learner-level claim's oracle work needs",
     "TrainConfig.batch_size": "the converged learner-against-oracle run",
     "TrainConfig.target_interval": "the converged learner-against-oracle run",
     "TrainConfig.lr": "the converged learner-against-oracle run",

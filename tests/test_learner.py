@@ -14,7 +14,6 @@ from cfcql_lab.learner import (
     TrainConfig,
     batch_lambda,
     cfcql_loss,
-    counterfactual_rows,
     encode_transitions,
     evaluate_policy,
     macql_loss,
@@ -22,15 +21,19 @@ from cfcql_lab.learner import (
     td_targets,
     train_offline,
 )
-from cfcql_lab.neural import softmax
+from cfcql_lab.neural import HIDDEN, Adam, GroupedMlp, softmax
 from cfcql_lab.rollouts import RandomActor
 from cfcql_lab.tabular import DEFAULT_TOL, learner_fixed_point
 
 from conftest import make_dataset, random_toy_dataset
 
+# Q_tot is the sum of the per-agent values (VDN's additive mixer); the tests of
+# properties a mixer must have carry its name in their ids.
+ADDITIVE = pytest.mark.parametrize("mixer", ["additive"])
 
-def tabular_q(n_agents, n_actions, n_states, values=None, mixer="additive", rng=None):
-    q = FactoredQ(n_agents, n_actions, "tabular", n_states=n_states, mixer=mixer, rng=rng)
+
+def tabular_q(n_agents, n_actions, n_states, values=None):
+    q = FactoredQ(n_agents, n_actions, "tabular", n_states=n_states)
     if values is not None:
         q.table.data = np.asarray(values, dtype=np.float64).reshape(
             n_states, n_agents, n_actions
@@ -38,13 +41,12 @@ def tabular_q(n_agents, n_actions, n_states, values=None, mixer="additive", rng=
     return q
 
 
-def make_batch(ids, actions, rewards, next_ids, beta=None):
+def make_batch(ids, actions, rewards, next_ids):
     return Batch(
         inputs=np.asarray(ids),
         actions=np.asarray(actions),
         rewards=np.asarray(rewards, dtype=np.float64),
         next_inputs=np.asarray(next_ids),
-        beta_probs=beta,
     )
 
 
@@ -54,7 +56,7 @@ def full_batch(d):
 
 
 def data_and_greedy_q(table, d):
-    """Mean Q_tot of the data's and of the greedy joint actions (additive mixer)."""
+    """Mean Q_tot of the data's and of the greedy joint actions."""
     values = table[d.states]
     chosen = np.take_along_axis(values, d.actions[:, :, None], axis=2)[:, :, 0]
     return chosen.sum(axis=1).mean(), values.max(axis=2).sum(axis=1).mean()
@@ -202,8 +204,8 @@ def assert_gradients_match_finite_differences(params, loss_value):
             assert analytic[pi_].ravel()[k] == pytest.approx(numeric, abs=2e-6, rel=1e-4)
 
 
-def random_q_and_batch(n_agents, n_actions, mixer, rng, n_states=4, b=6):
-    q = tabular_q(n_agents, n_actions, n_states, mixer=mixer, rng=rng,
+def random_q_and_batch(n_agents, n_actions, rng, n_states=4, b=6):
+    q = tabular_q(n_agents, n_actions, n_states,
                   values=rng.normal(size=(n_states, n_agents * n_actions)))
     target = q.copy()
     target.table.data = rng.normal(size=target.table.data.shape)
@@ -216,13 +218,11 @@ def random_q_and_batch(n_agents, n_actions, mixer, rng, n_states=4, b=6):
     return q, target, batch
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@ADDITIVE
 def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
     n_states = 4
-    q = tabular_q(2, 2, n_states, values=rng.normal(size=(n_states, 4)),
-                  mixer=mixer, rng=rng)
-    target = tabular_q(2, 2, n_states, values=rng.normal(size=(n_states, 4)),
-                       mixer=mixer, rng=rng)
+    q = tabular_q(2, 2, n_states, values=rng.normal(size=(n_states, 4)))
+    target = tabular_q(2, 2, n_states, values=rng.normal(size=(n_states, 4)))
     b = 6
     batch = make_batch(
         rng.integers(0, n_states, size=b),
@@ -235,14 +235,14 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
         q.parameters(), lambda: cfcql_loss(batch, q, target, lambda _: lam, 0.8, 0.9)[0])
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@ADDITIVE
 @pytest.mark.parametrize("n_agents, n_actions, n_samples", [(2, 2, 4), (4, 3, 16)],
                          ids=["enumerated", "sampled"])
 def test_macql_loss_gradients_match_finite_differences(mixer, n_agents, n_actions, n_samples,
                                                         rng):
     """n = 2 with 2 actions enumerates its 4 joints; n = 4 samples 16 of 81,
     the same 16 on every evaluation (a fresh generator of one seed)."""
-    q, target, batch = random_q_and_batch(n_agents, n_actions, mixer, rng)
+    q, target, batch = random_q_and_batch(n_agents, n_actions, rng)
     assert_gradients_match_finite_differences(
         q.parameters(),
         lambda: macql_loss(batch, q, target, 0.8, n_samples, np.random.default_rng(5), 0.9)[0])
@@ -259,11 +259,11 @@ def tape_nodes(root):
     return len(seen)
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@ADDITIVE
 def test_macql_tape_does_not_grow_with_agents(mixer, rng):
     counts = []
     for n_agents in (2, 5):
-        q, target, batch = random_q_and_batch(n_agents, 3, mixer, rng)
+        q, target, batch = random_q_and_batch(n_agents, 3, rng)
         loss, _ = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
         counts.append(tape_nodes(loss))
     assert counts[0] == counts[1]
@@ -280,7 +280,7 @@ def loss_and_table_grad(q, loss_of):
 def test_additive_macql_is_cfcql_at_n_times_alpha(n_agents, rng):
     """log sum_a exp sum_i Q_i(a_i) = sum_i logsumexp Q_i, so with every joint
     enumerated, macql at alpha is uniform-lambda cfcql at n * alpha."""
-    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=5, b=12)
+    q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=5, b=12)
     alpha, n_joint = 0.7, q.n_actions**n_agents
     macql, macql_grad = loss_and_table_grad(
         q, lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9)[0])
@@ -293,9 +293,9 @@ def test_additive_macql_is_cfcql_at_n_times_alpha(n_agents, rng):
 # -- structural properties -------------------------------------------------------
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@ADDITIVE
 def test_igm_greedy_matches_joint_argmax(mixer, rng):
-    q = tabular_q(3, 3, 2, values=rng.normal(size=(2, 9)), mixer=mixer, rng=rng)
+    q = tabular_q(3, 3, 2, values=rng.normal(size=(2, 9)))
     vals = q.values(np.array([0, 1])).data
     joints = all_joint_actions(3, 3)
     per_state_best = []
@@ -305,15 +305,44 @@ def test_igm_greedy_matches_joint_argmax(mixer, rng):
     np.testing.assert_array_equal(vals.argmax(axis=2), per_state_best)
 
 
-def neural_q(mixer, rng):
-    return FactoredQ(3, 4, "neural", feature_dim=5, mixer=mixer, rng=rng)
+def neural_q(rng):
+    return FactoredQ(3, 4, "neural", feature_dim=5, rng=rng)
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@pytest.mark.parametrize("mode", ["tabular", "neural"])
+def test_copy_is_an_independent_clone_with_the_same_bytes(mode, rng):
+    if mode == "tabular":
+        q = tabular_q(3, 4, 7, values=rng.normal(size=(7, 12)))
+    else:
+        q = neural_q(rng)
+    clone = q.copy()
+    pairs = list(zip(q.parameters(), clone.parameters()))
+    assert len(pairs) == len(q.parameters()) == len(clone.parameters())
+    before = [p.data.tobytes() for p in q.parameters()]
+    for p, c in pairs:
+        assert c is not p and not np.shares_memory(c.data, p.data)
+        assert (c.data.dtype, c.data.shape, c.data.tobytes()) == (
+            p.data.dtype, p.data.shape, p.data.tobytes())
+        p.grad = rng.normal(size=p.shape)
+    Adam(q.parameters(), lr=0.1).step()
+    for (p, c), old in zip(pairs, before):
+        assert p.data.tobytes() != old
+        assert c.data.tobytes() == old
+
+
+def test_neural_init_draws_only_the_per_agent_networks():
+    n, d, n_actions = 3, 5, 4
+    q = FactoredQ(n, n_actions, "neural", feature_dim=d, rng=np.random.default_rng(21))
+    net = GroupedMlp(n, (d, *HIDDEN, n_actions), np.random.default_rng(21))
+    assert [p.data.tobytes() for p in q.parameters()] == [
+        p.data.tobytes() for p in net.parameters()]
+
+
+@ADDITIVE
 def test_values_and_mix_are_the_same_bytes_under_no_grad(mixer, rng):
-    for q, inputs in ((tabular_q(3, 4, 7, values=rng.normal(size=(7, 12)), mixer=mixer,
-                                 rng=rng), rng.integers(0, 7, size=9)),
-                      (neural_q(mixer, rng), rng.normal(size=(9, 3, 5)))):
+    for q, inputs in ((tabular_q(3, 4, 7, values=rng.normal(size=(7, 12))),
+                       rng.integers(0, 7, size=9)),
+                      (neural_q(rng), rng.normal(size=(9, 3, 5)))):
         values = q.values(inputs)
         mixed = q.mix(values.data.max(axis=2))
         with ad.no_grad():
@@ -324,11 +353,18 @@ def test_values_and_mix_are_the_same_bytes_under_no_grad(mixer, rng):
         assert mixed.data.tobytes() == mixed_ng.data.tobytes()
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+def counterfactual_rows(values, actions):
+    """(B, n, A) Q_tot rows: row (b, i) varies agent i's action, the others
+    held at ``actions``."""
+    chosen = ad.gather_last(values, actions[:, :, None])  # (B, n, 1)
+    return values + (ad.reshape(ad.tsum(chosen, axis=1), (len(actions), 1, 1)) - chosen)
+
+
+@ADDITIVE
 def test_counterfactual_rows_match_bruteforce(mixer, rng):
     b, n, n_actions, n_states = 6, 3, 4, 5
-    # quarter-integer values: the additive sums are exact in any order
-    q = tabular_q(n, n_actions, n_states, mixer=mixer, rng=rng,
+    # quarter-integer values: the sums are exact in any order
+    q = tabular_q(n, n_actions, n_states,
                   values=rng.integers(-40, 40, size=(n_states, n * n_actions)) / 4.0)
     values = q.values(rng.integers(0, n_states, size=b))
     actions = rng.integers(0, n_actions, size=(b, n))
@@ -339,18 +375,15 @@ def test_counterfactual_rows_match_bruteforce(mixer, rng):
             joint[:, i] = a
             chosen = np.take_along_axis(values.data, joint[:, :, None], axis=2)[:, :, 0]
             expected[:, i, a] = q.mix(chosen).data
-    rows = counterfactual_rows(q, values, actions)
+    rows = counterfactual_rows(values, actions)
     assert rows.requires_grad
-    if mixer == "additive":
-        np.testing.assert_array_equal(rows.data, expected)
-    else:
-        np.testing.assert_allclose(rows.data, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rows.data, expected)
 
 
 def boltzmann(q, batch):
     """The counterfactual Boltzmann policy recomputed from Q_tot's rows."""
     with ad.no_grad():
-        return softmax(counterfactual_rows(q, q.values(batch.inputs), batch.actions).data)
+        return softmax(counterfactual_rows(q.values(batch.inputs), batch.actions).data)
 
 
 def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
@@ -358,7 +391,7 @@ def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
     values = q.values(batch.inputs)
     q_data = q.q_tot_data(values, batch.actions)
     td = ad.mul(ad.tmean(ad.square(q_data - td_targets(target, batch, gamma))), 0.5)
-    lse = ad.logsumexp_t(counterfactual_rows(q, values, batch.actions), axis=-1)
+    lse = ad.logsumexp_t(counterfactual_rows(values, batch.actions), axis=-1)
     return ad.mul(ad.tmean(ad.tsum(ad.mul(lam, lse), axis=1) - q_data), alpha) + td
 
 
@@ -367,10 +400,10 @@ def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
 def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng):
     """The per-agent form sum_i lambda_i (lse Q_i - chosen_i) gives the loss
     and table gradient of the rows' logsumexp, to rounding."""
-    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=7, b=16)
-    batch.beta_probs = rng.dirichlet(np.ones(3), size=(16, n_agents))
+    q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=7, b=16)
+    beta = rng.dirichlet(np.ones(3), size=(16, n_agents))
     if mode == "softmax":
-        lam = batch_lambda(boltzmann(q, batch), batch.beta_probs)
+        lam = batch_lambda(boltzmann(q, batch), beta)
     elif mode == "onehot":  # all of each row's weight on one agent
         lam = np.eye(n_agents)[rng.integers(0, n_agents, size=16)]
     else:
@@ -385,26 +418,24 @@ def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng
                                atol=1e-12 * np.abs(want_grad).max())
 
 
-@pytest.mark.parametrize("mixer", ["additive", "monotonic"])
+@ADDITIVE
 @pytest.mark.parametrize("n_agents", [2, 3, 5])
 def test_lambda_from_the_loss_forward_equals_the_recompute(mixer, n_agents, rng):
     """cfcql_loss hands lam the Boltzmann policy of its own forward pass, once:
-    on the additive mixer the softmax of Q_i, on the monotonic one of the rows."""
-    q, target, batch = random_q_and_batch(n_agents, 3, mixer, rng, n_states=7, b=16)
-    batch.beta_probs = rng.dirichlet(np.ones(3), size=(16, n_agents))
+    the softmax of Q_i, which is the softmax of the counterfactual rows."""
+    q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=7, b=16)
+    beta = rng.dirichlet(np.ones(3), size=(16, n_agents))
     seen = []
 
     def lam(pi):
         seen.append(pi)
-        return batch_lambda(pi, batch.beta_probs)
+        return batch_lambda(pi, beta)
 
     cfcql_loss(batch, q, target, lam, 0.8, 0.9)
     assert len(seen) == 1
     recomputed = boltzmann(q, batch)
-    weights = batch_lambda(seen[0], batch.beta_probs)
-    recomputed_weights = batch_lambda(recomputed, batch.beta_probs)
-    if mixer == "monotonic":  # the same computation as the recompute
-        assert seen[0].tobytes() == recomputed.tobytes()
+    weights = batch_lambda(seen[0], beta)
+    recomputed_weights = batch_lambda(recomputed, beta)
     np.testing.assert_allclose(seen[0], recomputed, rtol=0, atol=1e-12)
     np.testing.assert_allclose(weights, recomputed_weights, rtol=0, atol=1e-12)
 
@@ -432,7 +463,7 @@ def joint_bruteforce(values, actions):
 def test_enumerated_additive_macql_matches_joint_bruteforce(n_agents, rng):
     """Every joint enumerated: loss and table gradient equal the explicit
     logsumexp over the |A|^n joints, without building them."""
-    q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng, n_states=5, b=10)
+    q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=5, b=10)
     alpha, gamma, b = 1.3, 0.9, 10
     loss, grad = loss_and_table_grad(
         q, lambda: macql_loss(batch, q, target, alpha, 3**n_agents, None, gamma)[0])
@@ -454,9 +485,9 @@ def test_enumerated_additive_macql_matches_joint_bruteforce(n_agents, rng):
 def test_additive_cfcql_tape_does_not_grow_with_agents(rng):
     counts = []
     for n_agents in (2, 5):
-        q, target, batch = random_q_and_batch(n_agents, 3, "additive", rng)
-        batch.beta_probs = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
-        lam = functools.partial(batch_lambda, beta_probs=batch.beta_probs)
+        q, target, batch = random_q_and_batch(n_agents, 3, rng)
+        beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
+        lam = functools.partial(batch_lambda, beta_probs=beta)
         counts.append(tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]))
     assert counts[0] == counts[1] <= 19
 
@@ -467,7 +498,7 @@ def test_lambda_mode_changes_penalty_not_td(rng):
     b = 10
     beta = rng.dirichlet(np.ones(3), size=(b, 3))
     batch = make_batch(rng.integers(0, 5, size=b), rng.integers(0, 3, size=(b, 3)),
-                       rng.normal(size=b), rng.integers(0, 5, size=b), beta=beta)
+                       rng.normal(size=b), rng.integers(0, 5, size=b))
     _, s1 = cfcql_loss(batch, q, target, None, 1.0, 0.9)
     _, s2 = cfcql_loss(batch, q, target, lambda pi: batch_lambda(pi, beta), 1.0, 0.9)
     assert s1["td"] == s2["td"]
@@ -479,7 +510,7 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
     b = 12
     beta = rng.dirichlet(np.ones(3), size=(b, 4))
     batch = make_batch(rng.integers(0, 6, size=b), rng.integers(0, 3, size=(b, 4)),
-                       rng.normal(size=b), rng.integers(0, 6, size=b), beta=beta)
+                       rng.normal(size=b), rng.integers(0, 6, size=b))
     lam = batch_lambda(boltzmann(q, batch), beta)
     assert lam.shape == (b, 4)
     np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
@@ -495,7 +526,9 @@ def test_batch_lambda_is_simplex_and_modes_differ(rng):
     ("batch_size", 0), ("target_interval", 0), ("total_steps", 0), ("eval_episodes", 0),
     ("record_interval", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
     ("alpha", -0.5), ("alpha", float("nan")), ("bc_steps", -5), ("lambda_mode", "onehot"),
-    ("mixer", "qmix"),
+    ("alpha", float("inf")), ("lr", float("inf")), ("batch_size", 2.5), ("total_steps", 3.5),
+    ("eval_episodes", 1.5), ("seed", 1.5), ("target_interval", 2.5), ("record_interval", 2.5),
+    ("bc_steps", 2.5),
 ])
 def test_train_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=f"^(unknown )?{field}"):

@@ -242,7 +242,7 @@ def test_gather_stack_broadcast_gradients():
         # both copies of the gather side by side, the second one doubled
         pair = ad.reshape(ad.gather_last(x, np.concatenate([idx, idx], axis=1)), (4, 2, 3))
         st_ = ad.mul(pair, np.array([[1.0], [2.0]]))
-        b = ad.tsum(st_, axis=1) + ad.tsum(x, axis=1, keepdims=True)  # (4, 3) + (4, 1)
+        b = ad.tsum(st_, axis=1) + ad.reshape(ad.tsum(x, axis=1), (4, 1))  # (4, 3) + (4, 1)
         return ad.tsum(ad.square(b))
 
     loss = build()
@@ -254,22 +254,6 @@ def test_gather_stack_broadcast_gradients():
         g = np.take_along_axis(x.data, idx, axis=-1)
         s = g + g * 2.0 + x.data.sum(axis=1, keepdims=True)
         return (s**2).sum()
-
-    numeric = finite_difference(loss_value, [x])
-    assert_grads_close(analytic, numeric)
-
-
-def test_elu_abs_gradients():
-    rng = np.random.default_rng(4)
-    x = ad.parameter(rng.normal(size=(6,)))
-    loss = ad.tsum(ad.elu(x) + ad.absolute(x) * 0.5)
-    ad.backward(loss)
-    analytic = [x.grad.copy()]
-
-    def loss_value():
-        v = x.data
-        e = np.where(v > 0, v, np.exp(v) - 1)
-        return (e + 0.5 * np.abs(v)).sum()
 
     numeric = finite_difference(loss_value, [x])
     assert_grads_close(analytic, numeric)
@@ -323,7 +307,7 @@ def test_sub_swapaxes_tmean_match_finite_differences():
 
     def build():
         d = ad.swapaxes(a - b, 0, 1)  # (4, 3, 2)
-        m = ad.tsum(d * w, axis=1, keepdims=True)  # (4, 1, 2)
+        m = ad.reshape(ad.tsum(d * w, axis=1), (4, 1, 2))
         return ad.tmean(ad.square(m - 0.3)) + ad.tmean(1.0 - b)
 
     loss = build()
@@ -351,7 +335,8 @@ def _sum_leading(a, ndim):
 
 
 # (x shape, w shape, b shape, bias reduction): GroupedMlp's (group, batch, d)
-# layer and the monotonic mixer's (B, n) and (B, n, A, n) inputs
+# layer, and one weight matrix and bias shared by every leading index of a
+# (B, n) and a (B, n, A, n) input, where the gradients sum over the broadcast
 DENSE_SHAPES = {
     "grouped": ((3, 5, 4), (3, 4, 6), (3, 1, 6), lambda g: g.sum(axis=1, keepdims=True)),
     "mixer_rows": ((5, 3), (3, 16), (16,), lambda g: g.sum(axis=0)),
