@@ -58,6 +58,23 @@ class MMDPModel:
     initial_distribution: np.ndarray  # (S,) float
     unseen_mask: Optional[np.ndarray] = None  # (S, A_joint) bool
 
+    def __post_init__(self):
+        # gamma = 1 would make I - gamma * P_pi singular and pointer doubling
+        # (tabular._doubling) endless.
+        if not 0.0 <= self.gamma < 1.0:
+            raise ValueError(f"gamma is {self.gamma!r}; it must lie in [0, 1)")
+        cells = (self.n_states, self.n_joint_actions)
+        shape = np.shape(self.next_states)
+        if len(shape) != 3 or shape[:2] != cells or shape[2] < 1:
+            raise ValueError(f"next_states has shape {shape}, expected {cells} + (K,) with K >= 1")
+        if np.shape(self.next_probs) != shape:
+            raise ValueError(f"next_probs has shape {np.shape(self.next_probs)}, expected "
+                             f"next_states' shape {shape}")
+        if np.shape(self.rewards) != cells:
+            raise ValueError(f"rewards has shape {np.shape(self.rewards)}, expected {cells}")
+        if self.next_states.min() < 0 or self.next_states.max() >= self.n_states:
+            raise ValueError(f"next_states must lie in [0, {self.n_states})")
+
     @property
     def n_joint_actions(self) -> int:
         return self.n_actions**self.n_agents
@@ -82,7 +99,13 @@ class MMDPModel:
                            minlength=n * n).reshape(n, n)
 
     def expected_next_values(self, values: np.ndarray) -> np.ndarray:
-        """E_{s'~T(.|s,a)}[values(s')] for every (s, a), shape (S, A_joint)."""
+        """E_{s'~T(.|s,a)}[values(s')] for every (s, a), shape (S, A_joint).
+
+        With one successor slot (K = 1) the product is the sum over a length-1
+        axis, bit for bit, so that axis is dropped.
+        """
+        if self.next_states.shape[2] == 1:
+            return self.next_probs[..., 0] * values[self.next_states[..., 0]]
         return (self.next_probs * values[self.next_states]).sum(axis=2)
 
 

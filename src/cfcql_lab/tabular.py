@@ -8,13 +8,25 @@ iteration on the same direct solve: it stops when the greedy policy stops
 changing. ``learner_fixed_point`` iterates to a sup-norm change <=
 ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted elsewhere.
 
+The direct solve (``_solve_q``) takes one of two paths, chosen from its
+input. When the policy's support has one entry of probability 1 per state
+and that entry moves to one state with probability 1, P_pi is a functional
+graph s -> f(s), and V(s) = sum_t gamma^t r_pi(f^t(s)) comes from pointer
+doubling: about log2 of the effective horizon passes of O(S) each (9 at
+gamma = 0.9). That covers every deterministic policy on deterministic
+dynamics, so every solve ``value_iteration`` makes on the toy models and
+their empirical models. Any other support, a stochastic policy or a
+multi-successor model, takes a dense LU solve of the S x S system. The two
+paths agree to a few ulps of max|r| / (1 - gamma); the LU stays the
+reference the tests compare the doubling against.
+
 The solves see the policy only through its support, the (state, joint
 action, probability) entries of the product policy that are nonzero
 (``joint_policy_support``): P_pi sums S * K cells per support entry
 instead of S * |A|^n * K, and E_pi[x] is one ``np.bincount`` over the
 entries. A deterministic policy, such as pi* or a learned greedy one, has
-one entry per state. On such a policy the results have the bits of the
-dense (S, |A|^n) product; on a stochastic one, E_pi sums a state's entries
+one entry per state. On such a policy E_pi and P_pi have the bits of the
+dense (S, |A|^n) forms; on a stochastic one, E_pi sums a state's entries
 in order rather than numpy's pairwise order, which can move the last bits.
 The penalty tables over every joint action are built one agent at a time
 by outer broadcasting.
@@ -33,7 +45,7 @@ training loop always bootstraps timeouts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +58,7 @@ DEFAULT_TOL = 1e-10
 TIE_EPS = 1e-12  # relative margin within which two Q values count as tied
 DEFAULT_MAX_ITER = 100_000
 MAX_TABLE_CELLS = 50_000_000
+DOUBLING_FLOOR = 1e-18  # gamma^(2^j) at which pointer doubling stops
 
 
 class ConvergenceError(RuntimeError):
@@ -153,18 +166,65 @@ def _expectation(model: MMDPModel, support, x: np.ndarray) -> np.ndarray:
     return np.bincount(rows, weights=probs * x[rows, actions], minlength=model.n_states)
 
 
+def _successors(model: MMDPModel, support) -> Optional[np.ndarray]:
+    """Each state's one successor f(s), or None unless the support has one
+    entry of probability 1 per state and that entry moves to one state with
+    probability 1."""
+    rows, actions, probs = support
+    # Every state has an entry and they are in row-major order, so one entry
+    # per state means rows is 0..S-1.
+    if len(rows) != model.n_states or np.any(probs != 1.0):
+        return None
+    next_probs = model.next_probs[rows, actions]
+    k = np.argmax(next_probs, axis=1)
+    if np.any(next_probs[rows, k] != 1.0) or np.count_nonzero(next_probs) != model.n_states:
+        return None
+    return model.next_states[rows, actions, k]
+
+
+def _doubling(successors: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndarray:
+    """V(s) = sum_t gamma^t r_pi(f^t(s)) along the functional graph s -> f(s),
+    by pointer doubling.
+
+    After pass j, V sums the first 2^j terms, ``ptr`` is f^(2^j) and ``disc``
+    is gamma^(2^j). The rest of the sum is at most ``disc`` times the largest
+    |V|, so the loop stops once ``disc`` <= DOUBLING_FLOOR, far below rounding:
+    9 passes at gamma = 0.9, and at most 60 for any gamma in [0, 1).
+    """
+    v = r_pi.copy()
+    ptr = successors
+    disc = gamma
+    while disc > DOUBLING_FLOOR:
+        v += disc * v[ptr]
+        ptr = ptr[ptr]
+        disc *= disc
+    return v
+
+
 def _solve_q(model: MMDPModel, support, base: np.ndarray) -> np.ndarray:
-    """Q = base + gamma * E[V(s')], with V solving (I - gamma * P_pi) V = E_pi[base]."""
-    system = model.transition_matrix(*support)
-    system *= -model.gamma
-    system.flat[::model.n_states + 1] += 1.0
-    v = np.linalg.solve(system, _expectation(model, support, base))
+    """Q = base + gamma * E[V(s')], with V solving (I - gamma * P_pi) V = E_pi[base].
+
+    When every state has one successor under pi (``_successors``), V comes
+    from pointer doubling in O(S log H); otherwise from a dense LU solve of
+    the S x S system.
+    """
+    r_pi = _expectation(model, support, base)
+    successors = _successors(model, support)
+    if successors is not None:
+        v = _doubling(successors, r_pi, model.gamma)
+    else:
+        system = model.transition_matrix(*support)
+        system *= -model.gamma
+        system.flat[::model.n_states + 1] += 1.0
+        v = np.linalg.solve(system, r_pi)
     return base + model.gamma * model.expected_next_values(v)
 
 
 def _evaluate(model: MMDPModel, support,
               base: np.ndarray) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Solution of Q = base + gamma * E[V(s')], V = E_pi[Q].
+    """Solution of Q = base + gamma * E[V(s')], V = E_pi[Q], by one
+    ``_solve_q``: pointer doubling when pi and the dynamics give each state
+    one successor, the LU otherwise.
 
     The returned V is E_pi of the returned Q; the report's residual is the
     sup-norm Bellman residual of that Q.
@@ -245,12 +305,13 @@ def value_iteration(model: MMDPModel, max_iter: int = DEFAULT_MAX_ITER):
 
     Starting from the reward-greedy joint policy, each step evaluates the
     deterministic policy with one direct solve on its one-entry-per-state
-    support and one Bellman backup. A state then switches joint action only
-    if another one beats its current one by more than the tie margin, and
-    takes the lowest joint action tied with the row max. The loop ends when
-    no state switches; V is then Q at each state's chosen joint action. The
-    report counts the evaluations and gives the Bellman-optimality residual
-    of the returned Q.
+    support (pointer doubling when the model moves each (s, a) to one state
+    with probability 1, the LU otherwise) and one Bellman backup. A state
+    then switches joint action only if another one beats its current one by
+    more than the tie margin, and takes the lowest joint action tied with the
+    row max. The loop ends when no state switches; V is then Q at each
+    state's chosen joint action. The report counts the evaluations and gives
+    the Bellman-optimality residual of the returned Q.
     """
     rows = np.arange(model.n_states)
     ones = np.ones(model.n_states)

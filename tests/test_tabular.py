@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from cfcql_lab.divergence import SupportError, lambda_uniform
 from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, encode_joint
 from cfcql_lab.neural import softmax
 from cfcql_lab.tabular import (
+    DOUBLING_FLOOR,
     TIE_EPS,
     ConvergenceError,
     JointQTable,
@@ -18,6 +20,7 @@ from cfcql_lab.tabular import (
     joint_policy_support,
     learner_fixed_point,
     macql_fixed_point,
+    _lowest_tied,
     value_iteration,
 )
 
@@ -419,25 +422,171 @@ def test_support_and_transition_matrix_equal_dense_forms(case, n, kind, rng):
     assert matrix.tobytes() == dense_transition_matrix(model, joint_pi).tobytes()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_evaluators_equal_dense_evaluate_on_one_hot_policies(n, rng):
-    model = ToyMMDP(n, gamma=0.9).exact_model()
-    pi_d = policy_array("onehot", rng, n, model.n_states, model.n_actions)
-    beta = random_factored_policy(rng, n, model.n_states, model.n_actions, floor=1e-2)
+def doubling_bound(model, base):
+    """Largest gap allowed between pointer doubling and the LU on a model whose
+    one-hot policy gives each state one successor, for V and Q alike.
+
+    With scale = max|base| / (1 - gamma), a bound on every partial sum, each
+    doubling pass rounds once (passes * eps * scale), and the rounded powers
+    gamma^(2^j) add at most sum_j 2^j gamma^(2^j) eps * scale <=
+    cond * eps * scale. The LU's forward error is at most cond * eps * scale,
+    with cond(I - gamma P_pi) <= (1 + gamma) / (1 - gamma) in the sup norm.
+    Q = base + gamma * E[V] rounds once more.
+    """
+    gamma = model.gamma
+    passes = 0 if gamma == 0 else int(np.ceil(np.log2(np.log(DOUBLING_FLOOR) / np.log(gamma))))
+    cond = (1 + gamma) / (1 - gamma)
+    scale = np.max(np.abs(base)) / (1 - gamma)
+    return (passes + 2 * cond + 1) * np.finfo(float).eps * scale
+
+
+def one_hot_evaluator_cases(model, rng, sure=1.0):
+    """The dense joint policy of a random one-hot pi, and the three evaluators
+    on it, each with its dense base. ``sure`` is the one positive entry of
+    each agent's row."""
+    n, n_states = model.n_agents, model.n_states
+    pi_d = sure * policy_array("onehot", rng, n, n_states, model.n_actions)
+    beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
     lam, alpha = lambda_uniform(n), 0.5
     pi = as_policy(pi_d)
-    joint_pi = dense_joint_policy(pi_d)
-    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(model.n_states), lam)
+    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(n_states), lam)
     cases = [
         (exact_policy_eval(model, pi), model.rewards),
         (cfcql_fixed_point(model, pi, beta, lam, alpha), model.rewards - alpha * cf_penalty),
         (macql_fixed_point(model, pi, beta, alpha), model.rewards - alpha * (joint_ratio - 1.0)),
     ]
+    return dense_joint_policy(pi_d), cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_evaluators_equal_dense_evaluate_on_one_hot_policies(n, rng):
+    # Each state has one successor: doubling against the LU, within the bound.
+    model = ToyMMDP(n, gamma=0.9).exact_model()
+    joint_pi, cases = one_hot_evaluator_cases(model, rng)
+    for (q, v, report), base in cases:
+        q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, base)
+        bound = doubling_bound(model, base)
+        np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
+        assert abs(report.residual - residual_ref) <= bound
+
+
+@pytest.mark.parametrize("case", ["two_successor_n1", "two_successor_n2", "toy_sure_below_1"])
+def test_lu_runs_unless_each_state_has_one_sure_successor(case, rng):
+    # Two successors of probability in (0.2, 0.8), or a policy entry of
+    # 1 - 5e-10 (within the row-sum check): the LU, with dense_evaluate's bits.
+    if case.startswith("two_successor"):
+        model, sure = two_successor_model(rng, n_states=5, n_agents=int(case[-1])), 1.0
+    else:
+        model, sure = ToyMMDP(2, gamma=0.9).exact_model(), 1.0 - 5e-10
+    joint_pi, cases = one_hot_evaluator_cases(model, rng, sure)
     for (q, v, report), base in cases:
         q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, base)
         assert q.values.tobytes() == q_ref.tobytes()
         assert v.tobytes() == v_ref.tobytes()
         assert report.residual == residual_ref
+
+
+def test_gamma_zero_gives_the_one_step_reward(rng):
+    model = ToyMMDP(3, gamma=0.0).exact_model()
+    pi_d = policy_array("onehot", rng, 3, model.n_states, model.n_actions)
+    rows, actions, _ = joint_policy_support(pi_d)
+    q, v, _ = exact_policy_eval(model, as_policy(pi_d))
+    assert q.values.tobytes() == model.rewards.tobytes()
+    assert v.tobytes() == model.rewards[rows, actions].tobytes()
+    _, v_star, report = value_iteration(model)
+    assert v_star.tobytes() == model.rewards.max(axis=1).tobytes()
+    assert report.iterations == 1
+
+
+def functional_graph_model(successors, rewards, gamma):
+    """One agent with one action: state s pays rewards[s] and moves to successors[s]."""
+    n_states = len(successors)
+    return MMDPModel(
+        n_states=n_states,
+        n_agents=1,
+        n_actions=1,
+        gamma=gamma,
+        r_max=1.0,
+        next_states=np.asarray(successors, dtype=np.int64)[:, None, None],
+        next_probs=np.ones((n_states, 1, 1)),
+        rewards=np.asarray(rewards, dtype=np.float64)[:, None],
+        initial_distribution=np.full(n_states, 1.0 / n_states),
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("graph", ["ring", "chains"])
+def test_doubling_matches_the_lu_on_rings_and_chains(graph, gamma, rng, monkeypatch):
+    n_states = 1000
+    if graph == "ring":
+        successors = (np.arange(n_states) + 1) % n_states
+    else:
+        # every state points to a lower one, so each chain ends in a self-loop
+        successors = np.concatenate(([0], rng.integers(0, np.arange(1, n_states))))
+        loops = np.flatnonzero(rng.random(n_states) < 0.02)
+        successors[loops] = loops
+    model = functional_graph_model(successors, rng.uniform(-1, 1, n_states), gamma)
+    # a second successor slot of probability 0 leaves one successor per state
+    padded = dataclasses.replace(
+        model, next_states=np.concatenate([model.next_states, model.next_states[::-1]], axis=2),
+        next_probs=np.concatenate([model.next_probs, np.zeros_like(model.next_probs)], axis=2))
+    with monkeypatch.context() as patch:
+        patch.setattr(MMDPModel, "transition_matrix", None)  # the LU's input
+        q, v, _ = exact_policy_eval(model, FactoredPolicy(1, 1))
+        q_padded, _, _ = exact_policy_eval(padded, FactoredPolicy(1, 1))
+    assert q_padded.values.tobytes() == q.values.tobytes()
+    q_ref, v_ref, _ = dense_evaluate(model, np.ones((n_states, 1)), model.rewards)
+    bound = doubling_bound(model, model.rewards)
+    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
+
+
+@pytest.mark.parametrize("gamma", [1 - 1e-12, np.nextafter(1.0, 0.0)])
+def test_doubling_ends_for_gamma_just_below_one(gamma):
+    # State 0 loops paying 1; state 1 pays 0.5 once and moves to it. The
+    # bound is loose this close to 1: the point is that the passes end.
+    model = functional_graph_model([0, 0], [1.0, 0.5], gamma)
+    _, v, _ = exact_policy_eval(model, FactoredPolicy(1, 1))
+    expected = np.array([1.0 / (1.0 - gamma), 0.5 + gamma / (1.0 - gamma)])
+    np.testing.assert_allclose(v, expected, rtol=0, atol=doubling_bound(model, model.rewards))
+
+
+def test_one_successor_backup_has_the_bits_of_the_sum(rng):
+    d = random_toy_dataset(rng, n_agents=3, n_transitions=600, episodes=6)
+    models = [ToyMMDP(3).exact_model(), empirical_model(d, d.header.spec),
+              two_successor_model(rng, n_states=6, n_agents=2)]
+    assert [m.next_states.shape[2] for m in models] == [1, 1, 2]
+    for model in models:
+        values = rng.normal(size=model.n_states)
+        summed = (model.next_probs * values[model.next_states]).sum(axis=2)
+        assert model.expected_next_values(values).tobytes() == summed.tobytes()
+
+
+def model_fields(**changes):
+    fields = dict(n_states=2, n_agents=1, n_actions=2, gamma=0.9, r_max=1.0,
+                  next_states=np.zeros((2, 2, 1), dtype=np.int64), next_probs=np.ones((2, 2, 1)),
+                  rewards=np.zeros((2, 2)), initial_distribution=np.full(2, 0.5))
+    fields.update(changes)
+    return fields
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(gamma=1.0), r"gamma is 1\.0; it must lie in \[0, 1\)"),
+    (dict(gamma=-0.1), r"gamma is -0\.1"),
+    (dict(gamma=float("nan")), r"gamma is nan"),
+    (dict(next_states=np.zeros((2, 2), dtype=np.int64)), r"next_states has shape \(2, 2\)"),
+    (dict(next_states=np.zeros((2, 3, 1), dtype=np.int64)), r"next_states has shape \(2, 3, 1\)"),
+    (dict(next_states=np.zeros((2, 2, 0), dtype=np.int64)), r"next_states has shape \(2, 2, 0\)"),
+    (dict(next_states=np.full((2, 2, 1), 2)), r"next_states must lie in \[0, 2\)"),
+    (dict(next_states=np.full((2, 2, 1), -1)), r"next_states must lie in \[0, 2\)"),
+    (dict(next_probs=np.ones((2, 2, 2))), r"next_probs has shape \(2, 2, 2\)"),
+    (dict(rewards=np.zeros((2, 3))), r"rewards has shape \(2, 3\), expected \(2, 2\)"),
+])
+def test_model_rejects_bad_gamma_and_shapes(changes, message):
+    MMDPModel(**model_fields())
+    with pytest.raises(ValueError, match=message):
+        MMDPModel(**model_fields(**changes))
 
 
 def dense_policy_iteration(model):
@@ -463,8 +612,11 @@ def dense_policy_iteration(model):
     raise AssertionError("dense policy iteration did not stop")
 
 
-@pytest.mark.parametrize("case", ["toy_n2", "toy_n3", "toy_n4", "toy_n5", "empirical_n4"])
+@pytest.mark.parametrize("case", ["toy_n2", "toy_n3", "toy_n4", "toy_n5", "toy_n6",
+                                  "empirical_n4"])
 def test_value_iteration_equals_dense_policy_iteration(case, rng):
+    # Each step evaluates by doubling, the reference by the LU: the same pi*
+    # and step count, values within the bound.
     n = int(case[-1])
     if case.startswith("toy"):
         model = ToyMMDP(n, gamma=0.9).exact_model()
@@ -474,9 +626,11 @@ def test_value_iteration_equals_dense_policy_iteration(case, rng):
         assert model.unseen_mask.any() and not model.unseen_mask.all()
     q, v, report = value_iteration(model)
     q_ref, v_ref, iterations = dense_policy_iteration(model)
-    assert q.values.tobytes() == q_ref.tobytes()
-    assert v.tobytes() == v_ref.tobytes()
+    np.testing.assert_array_equal(_lowest_tied(q.values), _lowest_tied(q_ref))
     assert report.iterations == iterations
+    bound = doubling_bound(model, model.rewards)
+    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
 
 
 @pytest.mark.parametrize("entry, message", [
