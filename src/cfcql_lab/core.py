@@ -284,12 +284,31 @@ def _boundary_violations(dataset: Dataset) -> list:
     return violations
 
 
+def _unique_ints(values: np.ndarray):
+    """``np.unique(values, return_inverse=True)`` of a 1-D int64 array.
+
+    When the range max - min + 1 is at most the length, the distinct values
+    are counted instead of sorted: offset by the minimum, ``np.bincount``
+    marks the present values in ascending order, and the running count of
+    present values maps each entry to its key. The count array is then never
+    larger than the array itself; a wider range, or an empty array, is sorted.
+    """
+    if not len(values) or int(values.max()) - int(values.min()) >= len(values):
+        return np.unique(values, return_inverse=True)
+    low = values.min()
+    offsets = values - low
+    present = np.bincount(offsets) > 0
+    return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
+
+
 def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPolicy:
     """Counting estimate of the per-agent behavior policy.
 
     beta_i(a|s) = (count(s, a_i=a) + smoothing) / (count(s) + smoothing * |A|);
     states absent from the dataset map to the uniform distribution. Table
-    keys are state ids, so the dataset must have discrete states.
+    keys are state ids, so the dataset must have discrete states, and a state
+    outside [0, ``state_count(spec)``) raises a ValueError naming the first
+    such transition and its id.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
@@ -299,8 +318,11 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
     if spec.state_kind != "discrete":
         raise ValueError("empirical_behavior needs discrete (tabular) states; "
                          "estimate a vector-state behavior policy with neural.train_bc")
+    bad_states = _state_violations("state", dataset.states, spec)
+    if bad_states:
+        raise ValueError(f"empirical_behavior: {bad_states[0]}")
     n, n_act = spec.n_agents, spec.n_actions
-    keys, state_index = np.unique(dataset.states, return_inverse=True)
+    keys, state_index = _unique_ints(dataset.states)
     cells = (state_index.reshape(-1, 1) * n + np.arange(n)) * n_act + dataset.actions
     counts = np.bincount(cells.ravel(), minlength=len(keys) * n * n_act)
     counts = counts.reshape(len(keys), n, n_act).astype(np.float64)
@@ -317,10 +339,13 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
 # The writer makes the records column by column. Each distinct value of a
 # column (distinct bit pattern for floats, so 0.0 and -0.0 stay apart) is
 # formatted once, with str for an int and repr for a float, and every entry
-# becomes a NUL-padded fixed-width byte column (_entry_texts). Each entry is
-# followed by its separator (_separators), a constant column. One
-# np.concatenate lays the columns side by side, and bytes.translate deletes
-# the padding, which leaves the records in file order.
+# becomes a NUL-padded fixed-width byte column (_entry_texts). An int
+# column's distinct values are counted when its range fits its length (ids,
+# actions, flags), and sorted otherwise; a float column's are sorted by their
+# bits. Both give the keys in ascending order, so the bytes do not depend on
+# the path. Each entry is followed by its separator (_separators), a constant
+# column. One np.concatenate lays the columns side by side, and
+# bytes.translate deletes the padding, which leaves the records in file order.
 #
 # For a given spec every valid record has the same sequence of separators
 # ("," ";" " " and the newline), so the reader checks the structure of all
@@ -343,12 +368,15 @@ def _entry_texts(column: np.ndarray) -> list:
     as k (N, width) uint8 arrays.
 
     Texts are ASCII, NUL-padded on the right to the longest. Every distinct
-    value is formatted once, an int with str and a float with repr; floats are
-    told apart by their bits, so 0.0 and -0.0 each get their own text.
+    value is formatted once, an int with str and a float with repr. Ints are
+    found by counting when their range fits the column, and sorted otherwise
+    (_unique_ints); floats are sorted by their bits, so 0.0 and -0.0 each get
+    their own text.
     """
     is_float = column.dtype == np.float64
     flat = column.reshape(-1)  # 1-D, so return_inverse is 1-D on every numpy
-    keys, inverse = np.unique(flat.view(np.int64) if is_float else flat, return_inverse=True)
+    keys, inverse = (np.unique(flat.view(np.int64), return_inverse=True) if is_float
+                     else _unique_ints(flat))
     texts = np.array(list(map(repr, keys.view(np.float64).tolist())) if is_float
                      else list(map(str, keys.tolist())), dtype=np.bytes_)
     texts = texts[inverse].view(np.uint8).reshape(*column.shape, texts.itemsize)

@@ -285,9 +285,11 @@ def _tie_floor(q: np.ndarray) -> np.ndarray:
     return row_max - TIE_EPS * np.maximum(1.0, np.abs(row_max))
 
 
-def _lowest_tied(q: np.ndarray) -> np.ndarray:
-    """Per row, the lowest column tied with the row max."""
-    return np.argmax(q >= _tie_floor(q)[:, None], axis=1)
+def _lowest_tied(q: np.ndarray, floor: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per row, the lowest column tied with the row max; ``floor`` is
+    ``_tie_floor(q)``, passed by a caller that has it already."""
+    floor = _tie_floor(q) if floor is None else floor
+    return np.argmax(q >= floor[:, None], axis=1)
 
 
 def _optimality_residual(model: MMDPModel, q: np.ndarray) -> float:
@@ -320,10 +322,11 @@ def value_iteration(model: MMDPModel, max_iter: int = DEFAULT_MAX_ITER):
     for it in range(1, max_iter + 1):
         q = _solve_q(model, (rows, actions, ones), model.rewards)
         chosen = q[rows, actions]
-        switch = chosen < _tie_floor(q)
+        floor = _tie_floor(q)
+        switch = chosen < floor
         if not switch.any():
             return JointQTable(q), chosen, SolveReport(it, _optimality_residual(model, q), True)
-        actions = np.where(switch, _lowest_tied(q), actions)
+        actions = np.where(switch, _lowest_tied(q, floor), actions)
     raise ConvergenceError(max_iter, _optimality_residual(model, q))
 
 

@@ -11,11 +11,14 @@ from cfcql_lab.core import (
     EnvSpec,
     RngStream,
     Tier,
+    _entry_texts,
+    _unique_ints,
     empirical_behavior,
     load_dataset,
     save_dataset,
     validate_dataset,
 )
+from cfcql_lab.datagen import random_dataset
 from cfcql_lab.envs import EqualLine, ToyMMDP
 
 from conftest import make_dataset, random_toy_dataset
@@ -123,6 +126,16 @@ def test_empirical_behavior_matches_bruteforce_count(rng):
     for s, row in counts.items():
         expect = (row + 0.5) / (row.sum(axis=1, keepdims=True) + 0.5 * spec.n_actions)
         np.testing.assert_allclose(beta.probs(s), expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, TOY_SPEC.n_actions**TOY_SPEC.n_agents])
+def test_empirical_behavior_rejects_a_state_outside_the_ids(bad):
+    # a state of -1 would otherwise become a table key that dense() writes
+    # into row S - 1
+    ts = [_transition(0, (1, 0), 0.0, 1), _transition(bad, (0, 2), 0.0, 0),
+          _transition(bad, (1, 1), 0.0, 0, True)]
+    with pytest.raises(ValueError, match=rf"transition 1: state {bad} outside \[0, 9\)"):
+        empirical_behavior(make_dataset(ts, TOY_SPEC))
 
 
 def test_empirical_behavior_rejects_vector_states():
@@ -309,6 +322,26 @@ def _wide_id_dataset():
     return make_dataset(rows, spec, starts=tuple(ids.tolist()))
 
 
+def _far_apart_states_dataset():
+    # two ids 6560 apart in four entries: wider than the column, so sorted
+    spec = ToyMMDP(8).spec()
+    return make_dataset([(0, (0,) * 8, 0.5, 6560, False), (6560, (2,) * 8, 1.0, 0, True)], spec)
+
+
+def _gapped_ids_dataset():
+    # every int column starts above 0 and skips values: states 4..25 in steps
+    # of 7, actions 1 and 2 only, and done flags all 1
+    spec = ToyMMDP(3).spec()
+    rows = [(4 + 7 * (k % 4), (1 + k % 2, 2, 1), k / 16, 4 + 7 * ((k + 1) % 4), True)
+            for k in range(12)]
+    return make_dataset(rows, spec, starts=tuple(range(12)))
+
+
+def _one_action_dataset():
+    rows = [(k % 9, (2, 2), 0.25, (k + 4) % 9, k == 19) for k in range(20)]
+    return make_dataset(rows, TOY_SPEC)
+
+
 def _single_agent_dataset():
     spec = EnvSpec(EnvId.EQUAL_LINE, 1, 11, 0.99, 2.0, 50, "vector", "positions")
     rows = [((x,), (k % 11,), -x / 10, (x + 0.5,), k == 4) for k, x in
@@ -324,14 +357,59 @@ def _single_agent_dataset():
                          EqualLine(2).spec()),
     lambda: make_dataset([], EqualLine(2).spec(), starts=()),
     lambda: make_dataset([], TOY_SPEC, starts=()),
+    _far_apart_states_dataset,
+    _gapped_ids_dataset,
+    _one_action_dataset,
+    lambda: random_dataset(ToyMMDP(4), 30, RngStream(5)),
 ], ids=["hard_floats", "wide_ids", "single_agent", "one_row", "zero_rows_vector",
-        "zero_rows_discrete"])
+        "zero_rows_discrete", "far_apart_states", "gapped_ids", "one_action", "random_tier"])
 def test_save_dataset_matches_a_per_row_formatter(tmp_path, make):
     d = make()
     save_dataset(d, tmp_path / "d.txt")
     header, body = (tmp_path / "d.txt").read_bytes().split(b"\n", 1)
     assert body == _reference_records(d)
     assert json.loads(header)["n_trajectories"] == len(d.starts)
+
+
+BIG = np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.array([-BIG - 1], dtype=np.int64),
+    np.array([-3, 5, -3, 0, 4, 5], dtype=np.int64),
+    np.array([0, 6560, 6560, 0], dtype=np.int64),
+    np.array([-BIG - 1, BIG, 0], dtype=np.int64),
+    np.random.default_rng(3).integers(0, 40, size=40),
+    np.random.default_rng(4).integers(1000, 1100, size=500),
+    np.random.default_rng(5).integers(-50, 50, size=60),
+    np.random.default_rng(6).integers(0, 10**6, size=200),
+], ids=["empty", "one_row", "one_row_int64_min", "negatives", "wide", "int64_extremes",
+        "random_dense", "random_offset", "random_signed", "random_wide"])
+def test_unique_ints_equals_np_unique(values):
+    keys, inverse = _unique_ints(values)
+    ref_keys, ref_inverse = np.unique(values, return_inverse=True)
+    for got, ref in ((keys, ref_keys), (inverse, ref_inverse)):
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
+
+@pytest.mark.parametrize("column", [
+    np.empty((0,), dtype=np.int64),
+    np.empty((0, 3), dtype=np.int64),
+    np.array([[12, 3]], dtype=np.int64),
+    np.random.default_rng(7).integers(0, 729, size=(2000, 2)),
+    np.random.default_rng(8).integers(-5, 3, size=(30, 4)),
+], ids=["empty", "empty_2d", "one_row", "random_ids", "random_signed"])
+def test_entry_texts_of_ints_equal_the_sorted_reference(column):
+    keys, inverse = np.unique(column.reshape(-1), return_inverse=True)
+    texts = np.array([str(k) for k in keys.tolist()], dtype=np.bytes_)[inverse]
+    expected = texts.view(np.uint8).reshape(*column.shape, texts.itemsize)
+    got = _entry_texts(column)
+    assert len(got) == (1 if column.ndim == 1 else column.shape[1])
+    for k, entry in enumerate(got):
+        ref = expected if column.ndim == 1 else expected[:, k]
+        assert (entry.shape, entry.tobytes()) == (ref.shape, ref.tobytes())
 
 
 @pytest.mark.parametrize("starts, message", [
