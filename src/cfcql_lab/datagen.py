@@ -19,19 +19,27 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import Dataset, DatasetHeader, EnvSpec, RngStream, Tier, validate_dataset
-from .learner import Batch, FactoredQ, cfcql_loss, encode_transitions, make_greedy_actor
+from .learner import (Batch, FactoredQ, cfcql_loss, encode_states, encode_transitions,
+                      make_greedy_actor)
 from .neural import Adam
-from .rollouts import QValuesActor, RandomActor, evaluate_actor, rollout_episodes
+from .rollouts import RandomActor, evaluate_actor, rollout_episodes
 
 
 class MediumThresholdError(RuntimeError):
-    def __init__(self, best_return: float, threshold: float):
+    """No checkpoint before the expert reaches the medium threshold, or the
+    expert's own return is <= 0, so that no checkpoint counts as medium."""
+
+    def __init__(self, best_return: float, threshold: float, expert_return: float):
         self.best_return = best_return
         self.threshold = threshold
-        super().__init__(
-            f"training budget too small to reach the medium threshold "
-            f"{threshold:.4g}: best evaluation return achieved was {best_return:.4g}"
-        )
+        if expert_return <= 0:
+            cause = (f"the expert (final checkpoint) has a non-positive evaluation return "
+                     f"{expert_return:.4g}, so no checkpoint can be medium")
+        else:
+            cause = (f"training budget too small to reach the medium threshold "
+                     f"{threshold:.4g}")
+        super().__init__(f"{cause}: best evaluation return before the expert was "
+                         f"{best_return:.4g}")
 
 
 ONLINE_BATCH_SIZE = 64
@@ -76,12 +84,6 @@ class OnlineResult:
     seed: int
 
 
-def _encode_inputs(env, mode: str, raw: np.ndarray):
-    if mode == "tabular":
-        return env.encode_batch(raw)
-    return env.per_agent_features(raw)
-
-
 def train_online(env, budget: int, rng: RngStream,
                  config: Optional[OnlineTrainConfig] = None) -> OnlineResult:
     """Epsilon-greedy TD training at the spec's gamma; returns checkpoints
@@ -99,7 +101,7 @@ def train_online(env, budget: int, rng: RngStream,
     horizon = env.episode_limit
     m = config.n_parallel
 
-    blank_input = _encode_inputs(env, mode, np.zeros((1, spec.n_agents)))
+    blank_input = encode_states(env, mode, np.zeros((1, spec.n_agents)))
     q = FactoredQ(
         spec.n_agents, spec.n_actions, mode,
         n_states=env.n_states if mode == "tabular" else None,
@@ -108,7 +110,7 @@ def train_online(env, budget: int, rng: RngStream,
     )
     target = q.copy()
     opt = Adam(q.parameters(), lr=ONLINE_LR)
-    actor = make_greedy_actor(q, env, mode)
+    actor = make_greedy_actor(q, env)
 
     n_blocks = max(1, int(np.ceil(budget / config.updates_per_block)))
     capacity = n_blocks * m * horizon
@@ -132,7 +134,7 @@ def train_online(env, budget: int, rng: RngStream,
 
     def take_checkpoint():
         eval_rng = rng.child(f"eval/{len(checkpoints)}").generator()
-        mean, _ = evaluate_actor(env, make_greedy_actor(q, env, mode),
+        mean, _ = evaluate_actor(env, make_greedy_actor(q, env),
                                  config.eval_episodes, eval_rng)
         checkpoints.append(BehaviorCheckpoint(
             q=q.copy(), level=None, training_steps=updates, eval_return=mean,
@@ -153,7 +155,7 @@ def train_online(env, budget: int, rng: RngStream,
             rewards[sl] = batch_roll.rewards[:, w]
             filled += horizon
         inputs[new_rows], next_inputs[new_rows] = encode_transitions(
-            lambda raw: _encode_inputs(env, mode, raw), states[new_rows], next_states[new_rows])
+            lambda raw: encode_states(env, mode, raw), states[new_rows], next_states[new_rows])
         for _ in range(min(config.updates_per_block, budget - updates)):
             idx = batch_rng.integers(0, filled, size=ONLINE_BATCH_SIZE)
             batch = Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
@@ -179,7 +181,7 @@ def train_online(env, budget: int, rng: RngStream,
             break
     if medium is None:
         best = max((ck.eval_return for ck in checkpoints[:-1]), default=float("-inf"))
-        raise MediumThresholdError(best, threshold)
+        raise MediumThresholdError(best, threshold, expert.eval_return)
     medium.level = Tier.MEDIUM
 
     return OnlineResult(
@@ -234,11 +236,6 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def checkpoint_actor(env, checkpoint: BehaviorCheckpoint) -> QValuesActor:
-    mode = checkpoint.q.mode
-    return make_greedy_actor(checkpoint.q, env, mode)
-
-
 def sample_dataset(env, checkpoint, n_traj: int, rng: RngStream,
                    tier: Tier = Tier.EXPERT) -> Dataset:
     """Roll out ``n_traj`` full episodes of a policy, one trajectory each.
@@ -249,7 +246,7 @@ def sample_dataset(env, checkpoint, n_traj: int, rng: RngStream,
     if n_traj < 1:
         raise ValueError("empty dataset requested (need n_traj >= 1)")
     spec = env.spec()
-    actor = (checkpoint_actor(env, checkpoint)
+    actor = (make_greedy_actor(checkpoint.q, env)
              if isinstance(checkpoint, BehaviorCheckpoint) else checkpoint)
     gen = rng.child("sample").generator()
     horizon = env.episode_limit

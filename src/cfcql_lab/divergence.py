@@ -8,6 +8,9 @@ batch row by softmax_i(-KL_i) (``learner.batch_lambda``), with KL_i from
 
 Ratio products are accumulated in log space: the joint-ratio divergence grows
 exponentially with the number of agents, which is the very effect under test.
+
+The divergences take probabilities agent first and action last: (n, A) at
+one state, or (n, S, A) at every state, as the exact evaluators pass them.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def _check_support(pi: np.ndarray, beta: np.ndarray, state=None) -> None:
 
 
 def log_ratio_factors(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarray:
-    """log E_{a ~ pi_i}[pi_i(a)/beta_i(a)] per agent, for (n, A) prob matrices."""
+    """log E_{a ~ pi_i}[pi_i(a)/beta_i(a)] per agent: (n,) at one state, with
+    ``state`` named in a SupportError, or (n, S) at every state."""
     pi = np.asarray(pi, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     _check_support(pi, beta, state)
@@ -57,13 +61,8 @@ def log_ratio_factors(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarra
     # each agent's sum.
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.where(pi > 0, 2.0 * np.log(pi) - np.log(beta), -np.inf)
-    m = logs.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log(np.exp(logs - m).sum(axis=1))
-
-
-def ratio_scores(pi: np.ndarray, beta: np.ndarray, state=None) -> np.ndarray:
-    """E_{a ~ pi_i}[pi_i(a)/beta_i(a)] per agent; always >= 1."""
-    return np.exp(log_ratio_factors(pi, beta, state))
+    m = logs.max(axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.exp(logs - m).sum(axis=-1))
 
 
 def kl_scores(pi: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -77,16 +76,18 @@ def kl_scores(pi: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (pi * (np.log(np.maximum(pi, 1e-300)) - np.log(beta))).sum(axis=-1)
 
 
-def d_cql_probs(pi: np.ndarray, beta: np.ndarray, state=None) -> float:
-    """Joint-ratio divergence via the per-agent product form."""
-    return float(np.expm1(log_ratio_factors(pi, beta, state).sum()))
+def d_cql_probs(pi: np.ndarray, beta: np.ndarray, state=None):
+    """Joint-ratio divergence prod_i E_{pi_i}[pi_i/beta_i] - 1: a float at
+    one state, an (S,) array at every state."""
+    return np.expm1(log_ratio_factors(pi, beta, state).sum(axis=0))
 
 
-def d_cf_cql_probs(pi: np.ndarray, beta: np.ndarray, lam: np.ndarray, state=None) -> float:
-    """Weighted average of the per-agent divergences; independent of team size."""
-    factors = ratio_scores(pi, beta, state)
-    lam = np.asarray(lam, dtype=np.float64)
-    return float((lam * (factors - 1.0)).sum())
+def d_cf_cql_probs(pi: np.ndarray, beta: np.ndarray, lam: np.ndarray, state=None):
+    """Weighted average of the per-agent divergences, independent of team
+    size: a float at one state, an (S,) array at every state."""
+    log_factors = log_ratio_factors(pi, beta, state)
+    lam = np.asarray(lam, dtype=np.float64).reshape((-1,) + (1,) * (log_factors.ndim - 1))
+    return (lam * (np.exp(log_factors) - 1.0)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,11 @@ def check_ratio_bound_probs(pi: np.ndarray, beta: np.ndarray, state=None,
 
 
 def d_cql(pi: FactoredPolicy, beta: FactoredPolicy, state) -> float:
-    return d_cql_probs(pi.probs(state), beta.probs(state), state)
+    return float(d_cql_probs(pi.probs(state), beta.probs(state), state))
 
 
 def d_cf_cql(pi: FactoredPolicy, beta: FactoredPolicy, lam: np.ndarray, state) -> float:
-    return d_cf_cql_probs(pi.probs(state), beta.probs(state), lam, state)
+    return float(d_cf_cql_probs(pi.probs(state), beta.probs(state), lam, state))
 
 
 # ---------------------------------------------------------------------------

@@ -313,11 +313,16 @@ def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
     return bc.probs(inputs)
 
 
-def make_greedy_actor(q: FactoredQ, env, mode: str) -> QValuesActor:
+def encode_states(env, mode: str, raw: np.ndarray) -> np.ndarray:
+    """Q inputs of raw (N, n) states: state ids in tabular mode, (N, n, F)
+    per-agent features in neural mode."""
+    return env.encode_batch(raw) if mode == "tabular" else env.per_agent_features(raw)
+
+
+def make_greedy_actor(q: FactoredQ, env) -> QValuesActor:
     @ad.no_grad()
     def values(raw):
-        inputs = env.encode_batch(raw) if mode == "tabular" else env.per_agent_features(raw)
-        return q.values(inputs).data
+        return q.values(encode_states(env, q.mode, raw)).data
 
     return QValuesActor(values)
 
@@ -407,11 +412,11 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
             target = q.copy()
 
         if step % config.record_interval == 0 or step == config.total_steps:
-            row = _record_metrics(q, env, mode, inputs, actions, probe, step,
-                                  float(loss.data), config, root, refs)
+            row = _record_metrics(q, env, inputs, actions, probe, step, float(loss.data),
+                                  config, root, refs)
             metrics.append(row)
 
-    actor = make_greedy_actor(q, env, mode)
+    actor = make_greedy_actor(q, env)
     policy = None
     if mode == "tabular":
         with ad.no_grad():
@@ -421,13 +426,12 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
 
 
 @ad.no_grad()
-def _record_metrics(q, env, mode, inputs, actions, probe, step, loss_value,
-                    config, root, refs):
+def _record_metrics(q, env, inputs, actions, probe, step, loss_value, config, root, refs):
     values = q.values(inputs[probe]).data
     chosen = np.take_along_axis(values, actions[probe][:, :, None], axis=2)[:, :, 0]
     mean_data_q = float(q.mix(chosen).data.mean())
     mean_policy_q = float(q.mix(values.max(axis=2)).data.mean())
-    actor = make_greedy_actor(q, env, mode)
+    actor = make_greedy_actor(q, env)
     eval_rng = root.child(f"eval/{step}").generator()
     result = evaluate_policy(env, actor, config.eval_episodes, eval_rng, refs)
     return {

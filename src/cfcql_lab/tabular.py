@@ -8,7 +8,7 @@ iteration on the same direct solve: it stops when the greedy policy stops
 changing. ``learner_fixed_point`` iterates to a sup-norm change <=
 ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted elsewhere.
 
-The direct solve (``_solve_q``) takes one of two paths, chosen from its
+The direct solve (``_solve_v``) takes one of two paths, chosen from its
 input. When the policy's support has one entry of probability 1 per state
 and that entry moves to one state with probability 1, P_pi is a functional
 graph s -> f(s), and V(s) = sum_t gamma^t r_pi(f^t(s)) comes from pointer
@@ -28,8 +28,11 @@ entries. A deterministic policy, such as pi* or a learned greedy one, has
 one entry per state. On such a policy E_pi and P_pi have the bits of the
 dense (S, |A|^n) forms; on a stochastic one, E_pi sums a state's entries
 in order rather than numpy's pairwise order, which can move the last bits.
-The penalty tables over every joint action are built one agent at a time
-by outer broadcasting.
+
+The penalized evaluators build no table over joint actions: E_pi of their
+penalty at a state is D_CF(s) or D_CQL(s), which ``divergence`` gives for
+every state from the (n, S, A) policies, and one solve with r_pi - alpha * D
+gives V. They return that per-state D where ``exact_policy_eval`` returns Q.
 
 Greedy choices (``value_iteration``, ``greedy_policy_from_q``) take the lowest
 joint action within ``TIE_EPS`` * max(1, |row max|) of the row max, so that
@@ -50,7 +53,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import Dataset, EnvSpec, FactoredPolicy, greedy_policy_from_actions, state_count
-from .divergence import SupportError, _check_support
+from .divergence import SupportError, d_cf_cql_probs, d_cql_probs
 from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
 
@@ -138,28 +141,6 @@ def joint_policy_support(per_agent: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
     return rows, joint, probs
 
 
-def _agent_fold(start: float, terms: np.ndarray, combine) -> np.ndarray:
-    """(S, A^n) table combine(...combine(start, terms[0][s, a_0])...,
-    terms[n-1][s, a_{n-1}]) over every joint action a.
-
-    Built one agent at a time by outer broadcasting, (S, A^k) with (S, A)
-    to (S, A^(k+1)), agent k the most significant digit; the fold order is
-    the same at every cell.
-    """
-    n_states = terms.shape[1]
-    table = np.full((n_states, 1), start)
-    for term in terms:
-        table = combine(table[:, None, :], term[:, :, None]).reshape(n_states, -1)
-    return table
-
-
-def _support_checked_ratios(pi_d: np.ndarray, beta_d: np.ndarray) -> np.ndarray:
-    """Per-agent pi/beta tables with the 0/0 := 0 convention, (n, S, A)."""
-    _check_support(pi_d, beta_d)
-    safe_beta = np.where(beta_d > 0, beta_d, 1.0)
-    return np.where(pi_d > 0, pi_d / safe_beta, 0.0)
-
-
 def _expectation(model: MMDPModel, support, x: np.ndarray) -> np.ndarray:
     """E_pi[x(s, .)] per state, summed over the support entries in order."""
     rows, actions, probs = support
@@ -201,45 +182,59 @@ def _doubling(successors: np.ndarray, r_pi: np.ndarray, gamma: float) -> np.ndar
     return v
 
 
-def _solve_q(model: MMDPModel, support, base: np.ndarray) -> np.ndarray:
-    """Q = base + gamma * E[V(s')], with V solving (I - gamma * P_pi) V = E_pi[base].
+def _solve_v(model: MMDPModel, support, r_pi: np.ndarray) -> np.ndarray:
+    """V solving (I - gamma * P_pi) V = r_pi.
 
     When every state has one successor under pi (``_successors``), V comes
     from pointer doubling in O(S log H); otherwise from a dense LU solve of
     the S x S system.
     """
-    r_pi = _expectation(model, support, base)
     successors = _successors(model, support)
     if successors is not None:
-        v = _doubling(successors, r_pi, model.gamma)
-    else:
-        system = model.transition_matrix(*support)
-        system *= -model.gamma
-        system.flat[::model.n_states + 1] += 1.0
-        v = np.linalg.solve(system, r_pi)
+        return _doubling(successors, r_pi, model.gamma)
+    system = model.transition_matrix(*support)
+    system *= -model.gamma
+    system.flat[::model.n_states + 1] += 1.0
+    return np.linalg.solve(system, r_pi)
+
+
+def _solve_q(model: MMDPModel, support, base: np.ndarray) -> np.ndarray:
+    """Q = base + gamma * E[V(s')], with V solving (I - gamma * P_pi) V = E_pi[base]."""
+    v = _solve_v(model, support, _expectation(model, support, base))
     return base + model.gamma * model.expected_next_values(v)
 
 
-def _evaluate(model: MMDPModel, support,
-              base: np.ndarray) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
-    """Solution of Q = base + gamma * E[V(s')], V = E_pi[Q], by one
-    ``_solve_q``: pointer doubling when pi and the dynamics give each state
-    one successor, the LU otherwise.
-
-    The returned V is E_pi of the returned Q; the report's residual is the
-    sup-norm Bellman residual of that Q.
-    """
-    q = _solve_q(model, support, base)
-    v = _expectation(model, support, q)
-    residual = float(np.max(np.abs(base + model.gamma * model.expected_next_values(v) - q)))
-    return q, v, SolveReport(1, residual, True)
-
-
 def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy):
-    """Unpenalized policy evaluation: the true-value oracle."""
+    """Unpenalized policy evaluation: the true-value oracle.
+
+    Returns Q, V = E_pi[Q] and a report whose residual is the sup-norm
+    Bellman residual of that Q.
+    """
     support = joint_policy_support(_policy_dense(model, pi))
-    q, v, report = _evaluate(model, support, model.rewards)
-    return JointQTable(q), v, report
+    q = _solve_q(model, support, model.rewards)
+    v = _expectation(model, support, q)
+    residual = float(np.max(np.abs(
+        model.rewards + model.gamma * model.expected_next_values(v) - q)))
+    return JointQTable(q), v, SolveReport(1, residual, True)
+
+
+def _penalized_eval(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy, alpha: float,
+                    divergence) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
+    """V solving (I - gamma * P_pi) V = r_pi - alpha * D, D = divergence(pi, beta)
+    per state from the (n, S, A) policies. Returns D, V and a report whose
+    residual is the sup-norm residual of that equation at V."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    pi_d = _policy_dense(model, pi)
+    d = divergence(pi_d, _policy_dense(model, beta))
+    support = joint_policy_support(pi_d)
+    r_pi = _expectation(model, support, model.rewards) - alpha * d
+    v = _solve_v(model, support, r_pi)
+    # P_pi V over the support entries' successors, with no (S, S) matrix
+    rows, actions, probs = support
+    nexts = (model.next_probs[rows, actions] * v[model.next_states[rows, actions]]).sum(axis=1)
+    p_v = np.bincount(rows, weights=probs * nexts, minlength=model.n_states)
+    return d, v, SolveReport(1, float(np.max(np.abs(r_pi + model.gamma * p_v - v))), True)
 
 
 def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
@@ -247,31 +242,26 @@ def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
     """Penalized evaluation with the per-agent counterfactual ratio penalty.
 
     The fixed point of Q = T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1),
-    with one (n,) weight vector ``lam`` at every state.
+    with one (n,) weight vector ``lam`` on the simplex at every state. Returns
+    the (S,) D_CF = E_pi of that penalty, V and the report of ``_penalized_eval``.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
     if np.shape(lam) != (model.n_agents,):
         raise ValueError(f"lambda has shape {np.shape(lam)}, expected ({model.n_agents},)")
-    pi_d = _policy_dense(model, pi)
-    ratios = _support_checked_ratios(pi_d, _policy_dense(model, beta))
-    penalty = _agent_fold(-1.0, lam[:, None, None] * ratios, np.add)
-    base = model.rewards - alpha * penalty
-    q, v, report = _evaluate(model, joint_policy_support(pi_d), base)
-    return JointQTable(q), v, report
+    lam = np.asarray(lam, dtype=np.float64)
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0) or abs(lam.sum() - 1.0) > 1e-9:
+        raise ValueError(f"lambda is {lam.tolist()!r}; it must be finite, >= 0 and sum to 1 "
+                         "within 1e-9")
+    return _penalized_eval(model, pi, beta, alpha, lambda p, b: d_cf_cql_probs(p, b, lam))
 
 
 def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
                       alpha: float):
-    """Penalized evaluation with the joint-ratio penalty pi(a|s)/beta(a|s) - 1."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    pi_d = _policy_dense(model, pi)
-    ratios = _support_checked_ratios(pi_d, _policy_dense(model, beta))
-    joint_ratio = _agent_fold(1.0, ratios, np.multiply)
-    base = model.rewards - alpha * (joint_ratio - 1.0)
-    q, v, report = _evaluate(model, joint_policy_support(pi_d), base)
-    return JointQTable(q), v, report
+    """Penalized evaluation with the joint-ratio penalty pi(a|s)/beta(a|s) - 1.
+
+    Returns the (S,) D_CQL = E_pi of that penalty, V and the report of
+    ``_penalized_eval``.
+    """
+    return _penalized_eval(model, pi, beta, alpha, d_cql_probs)
 
 
 def _tie_floor(q: np.ndarray) -> np.ndarray:

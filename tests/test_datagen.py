@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cfcql_lab import datagen
 from cfcql_lab.core import RngStream, Tier, validate_dataset
 from cfcql_lab.datagen import (
+    MediumThresholdError,
     OnlineTrainConfig,
     make_replay_dataset,
     mix,
@@ -118,3 +120,34 @@ def test_random_dataset_is_deterministic(env):
 def test_train_online_rejects_a_config_with_another_budget(env):
     with pytest.raises(ValueError, match=r"budget 500 != config.budget 600"):
         train_online(env, 500, RngStream(2, "online"), ONLINE)
+
+
+# Two evaluated checkpoints: one after the first 50 updates, then the expert.
+TWO_CHECKPOINTS = OnlineTrainConfig(budget=100, n_parallel=2, updates_per_block=50,
+                                    eval_episodes=2, medium_fraction=0.5)
+
+
+def scripted_returns(monkeypatch, returns):
+    """Make each checkpoint evaluation return the next of ``returns``."""
+    script = iter(returns)
+    monkeypatch.setattr(datagen, "evaluate_actor",
+                        lambda env, actor, episodes, rng: (next(script), 0.0))
+
+
+def test_medium_threshold_error_names_a_collapsed_expert(env, monkeypatch):
+    # an earlier checkpoint reached 4.53, but the expert collapsed to -0.1
+    scripted_returns(monkeypatch, [4.53, -0.1])
+    with pytest.raises(MediumThresholdError,
+                       match=r"expert \(final checkpoint\) has a non-positive evaluation return "
+                             r"-0\.1, .*best evaluation return before the expert was 4\.53"):
+        train_online(env, 100, RngStream(3, "online"), TWO_CHECKPOINTS)
+
+
+def test_medium_threshold_error_names_an_unreached_threshold(env, monkeypatch):
+    scripted_returns(monkeypatch, [0.1, 4.0])
+    with pytest.raises(MediumThresholdError,
+                       match=r"budget too small to reach the medium threshold 2: .* was 0\.1"):
+        train_online(env, 100, RngStream(3, "online"), TWO_CHECKPOINTS)
+    scripted_returns(monkeypatch, [2.0, 4.0])  # the threshold itself counts
+    online = train_online(env, 100, RngStream(3, "online"), TWO_CHECKPOINTS)
+    assert online.medium.eval_return == 2.0

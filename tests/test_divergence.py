@@ -145,6 +145,24 @@ def test_log_ratio_factors_match_per_agent_loop(n_actions, rng):
             np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_divergences_at_every_state_have_the_per_state_bits(n, rng):
+    # (n, S, A) inputs give each state's value with the bits of its (n, A) call
+    n_states, n_actions = 11, 3
+    pi = rng.dirichlet(np.ones(n_actions), size=(n, n_states))
+    pi[rng.random(pi.shape) < 0.3] = 0.0
+    pi[..., 0] += pi.sum(axis=2) == 0
+    pi /= pi.sum(axis=2, keepdims=True)
+    beta = rng.dirichlet(np.ones(n_actions), size=(n, n_states))
+    lam = rng.dirichlet(np.ones(n))
+    d_cf, d_cql = d_cf_cql_probs(pi, beta, lam), d_cql_probs(pi, beta)
+    assert d_cf.shape == d_cql.shape == (n_states,)
+    assert d_cf.tobytes() == np.array(
+        [d_cf_cql_probs(pi[:, s], beta[:, s], lam) for s in range(n_states)]).tobytes()
+    assert d_cql.tobytes() == np.array(
+        [d_cql_probs(pi[:, s], beta[:, s]) for s in range(n_states)]).tobytes()
+
+
 def test_d_cf_zero_at_equal_policies(rng):
     pi = random_simplexes(rng, 4, 3)
     lam = rng.dirichlet(np.ones(4))

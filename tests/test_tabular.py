@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,31 +211,35 @@ def test_evaluators_match_reference_sweeps(case, rng):
     beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
     lam = lambda_uniform(n)
     alpha = 0.5
-    pi_d, beta_d = pi.dense(n_states), beta.dense(n_states)
-    joint_pi = np.ones((n_states, model.n_joint_actions))
-    cf_penalty = np.full((n_states, model.n_joint_actions), -1.0)
-    joint_ratio = np.ones((n_states, model.n_joint_actions))
-    for a, digits in enumerate(all_joint_actions(n, model.n_actions)):
-        for i, b in enumerate(digits):
-            ratio = pi_d[i, :, b] / beta_d[i, :, b]
-            joint_pi[:, a] *= pi_d[i, :, b]
-            cf_penalty[:, a] += lam[i] * ratio
-            joint_ratio[:, a] *= ratio
-    cases = [
-        (exact_policy_eval(model, pi), model.rewards),
-        (cfcql_fixed_point(model, pi, beta, lam, alpha), model.rewards - alpha * cf_penalty),
-        (macql_fixed_point(model, pi, beta, alpha), model.rewards - alpha * (joint_ratio - 1.0)),
-    ]
-    for (q, v, report), base in cases:
-        expected = reference_sweeps(model, joint_pi, base)
+    pi_d = pi.dense(n_states)
+    joint_pi = dense_joint_policy(pi_d)
+    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(n_states), lam)
+
+    q, v, report = exact_policy_eval(model, pi)
+    expected = reference_sweeps(model, joint_pi, model.rewards)
+    scale = max(1.0, np.max(np.abs(expected)))
+    np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-11 * scale)
+    np.testing.assert_allclose(v, (joint_pi * expected).sum(axis=1), rtol=0, atol=1e-11 * scale)
+    bellman = model.rewards + model.gamma * model.expected_next_values(
+        (joint_pi * q.values).sum(axis=1)) - q.values
+    assert report.iterations == 1 and report.converged
+    assert report.residual == pytest.approx(np.max(np.abs(bellman)), rel=0, abs=1e-14 * scale)
+
+    # The penalized evaluators return E_pi of the dense penalty, per state,
+    # and the V of the penalized sweeps.
+    for (d, v, report), penalty in [
+        (cfcql_fixed_point(model, pi, beta, lam, alpha), cf_penalty),
+        (macql_fixed_point(model, pi, beta, alpha), joint_ratio - 1.0),
+    ]:
+        np.testing.assert_allclose(d, (joint_pi * penalty).sum(axis=1), rtol=1e-12, atol=1e-12)
+        expected = reference_sweeps(model, joint_pi, model.rewards - alpha * penalty)
         scale = max(1.0, np.max(np.abs(expected)))
-        np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-11 * scale)
         np.testing.assert_allclose(v, (joint_pi * expected).sum(axis=1), rtol=0,
                                    atol=1e-11 * scale)
-        bellman = base + model.gamma * model.expected_next_values(
-            (joint_pi * q.values).sum(axis=1)) - q.values
+        r_pi = (joint_pi * model.rewards).sum(axis=1) - alpha * d
+        equation = r_pi + model.gamma * (joint_pi * model.expected_next_values(v)).sum(axis=1) - v
         assert report.iterations == 1 and report.converged
-        assert report.residual == pytest.approx(np.max(np.abs(bellman)), rel=0,
+        assert report.residual == pytest.approx(np.max(np.abs(equation)), rel=0,
                                                 abs=1e-14 * scale)
 
 
@@ -252,11 +257,21 @@ def test_support_error_identifies_agent_state_action():
 
 
 def test_cfcql_fixed_point_rejects_per_state_lambda(rng):
-    # an (S, n) table with n == |A| would broadcast against the (S, A) ratios
     model = ToyMMDP(3).exact_model()
     pi = random_factored_policy(rng, 3, model.n_states, 3)
-    with pytest.raises(ValueError, match=r"lambda has shape \(27, 3\), expected \(3,\)"):
-        cfcql_fixed_point(model, pi, pi, np.full((model.n_states, 3), 1 / 3), alpha=1.0)
+    for lam, message in [
+        # an (S, n) table with n == |A| would broadcast against (S, A) arrays
+        (np.full((27, 3), 1 / 3), r"lambda has shape \(27, 3\), expected \(3,\)"),
+        # D_CF is E_pi of the penalty only when lambda lies on the simplex
+        ([0.5, 0.5, np.nan], r"lambda is \[0\.5, 0\.5, nan\]"),
+        ([0.5, 0.5, np.inf], r"lambda is \[0\.5, 0\.5, inf\]"),
+        ([0.75, 0.5, -0.25], r"lambda is \[0\.75, 0\.5, -0\.25\]"),
+        ([0.5, 0.5, 0.5], r"lambda is \[0\.5, 0\.5, 0\.5\]; it must be finite, >= 0 and sum"),
+        ([0.5, 0.5, 1e-8], r"lambda is \[0\.5, 0\.5, 1e-08\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            cfcql_fixed_point(model, pi, pi, np.asarray(lam), alpha=1.0)
+    cfcql_fixed_point(model, pi, pi, np.array([0.5, 0.5, 1e-10]), alpha=1.0)  # within 1e-9
 
 
 def detour_model(gamma=0.9):
@@ -353,12 +368,23 @@ def dense_transition_matrix(model, joint_pi):
     return np.bincount(cells.ravel(), weights=weights.ravel(), minlength=n * n).reshape(n, n)
 
 
-def dense_evaluate(model, joint_pi, base):
-    """Direct solve on the dense policy: Q, V = E_pi[Q] and the Bellman residual."""
+def dense_solve_v(model, joint_pi, r_pi):
+    """V solving (I - gamma * P_pi) V = r_pi by the LU, with the dense P_pi."""
     system = dense_transition_matrix(model, joint_pi)
     system *= -model.gamma
     system.flat[::model.n_states + 1] += 1.0
-    v = np.linalg.solve(system, (joint_pi * base).sum(axis=1))
+    return np.linalg.solve(system, r_pi)
+
+
+def dense_v_residual(model, joint_pi, r_pi, v):
+    """Sup-norm residual of (I - gamma * P_pi) V = r_pi, with the dense P_pi."""
+    return float(np.max(np.abs(r_pi + model.gamma * dense_transition_matrix(model, joint_pi) @ v
+                               - v)))
+
+
+def dense_evaluate(model, joint_pi, base):
+    """Direct solve on the dense policy: Q, V = E_pi[Q] and the Bellman residual."""
+    v = dense_solve_v(model, joint_pi, (joint_pi * base).sum(axis=1))
     q = base + model.gamma * model.expected_next_values(v)
     v = (joint_pi * q).sum(axis=1)
     residual = float(np.max(np.abs(base + model.gamma * model.expected_next_values(v) - q)))
@@ -440,51 +466,89 @@ def doubling_bound(model, base):
     return (passes + 2 * cond + 1) * np.finfo(float).eps * scale
 
 
+ALPHA = 0.5  # penalty weight of the one-hot evaluator cases
+
+
 def one_hot_evaluator_cases(model, rng, sure=1.0):
-    """The dense joint policy of a random one-hot pi, and the three evaluators
-    on it, each with its dense base. ``sure`` is the one positive entry of
-    each agent's row."""
+    """The dense joint policy of a random one-hot pi, exact_policy_eval on it,
+    and the two penalized evaluators on it, each with E_pi of its dense
+    penalty table. ``sure`` is the one positive entry of each agent's row."""
     n, n_states = model.n_agents, model.n_states
     pi_d = sure * policy_array("onehot", rng, n, n_states, model.n_actions)
     beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
-    lam, alpha = lambda_uniform(n), 0.5
+    lam = lambda_uniform(n)
     pi = as_policy(pi_d)
+    joint_pi = dense_joint_policy(pi_d)
     cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(n_states), lam)
-    cases = [
-        (exact_policy_eval(model, pi), model.rewards),
-        (cfcql_fixed_point(model, pi, beta, lam, alpha), model.rewards - alpha * cf_penalty),
-        (macql_fixed_point(model, pi, beta, alpha), model.rewards - alpha * (joint_ratio - 1.0)),
+    penalized = [
+        (cfcql_fixed_point(model, pi, beta, lam, ALPHA), (joint_pi * cf_penalty).sum(axis=1)),
+        (macql_fixed_point(model, pi, beta, ALPHA),
+         (joint_pi * (joint_ratio - 1.0)).sum(axis=1)),
     ]
-    return dense_joint_policy(pi_d), cases
+    return joint_pi, exact_policy_eval(model, pi), penalized
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_evaluators_equal_dense_evaluate_on_one_hot_policies(n, rng):
     # Each state has one successor: doubling against the LU, within the bound.
     model = ToyMMDP(n, gamma=0.9).exact_model()
-    joint_pi, cases = one_hot_evaluator_cases(model, rng)
-    for (q, v, report), base in cases:
-        q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, base)
-        bound = doubling_bound(model, base)
-        np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    joint_pi, (q, v, report), penalized = one_hot_evaluator_cases(model, rng)
+    q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, model.rewards)
+    bound = doubling_bound(model, model.rewards)
+    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
+    assert abs(report.residual - residual_ref) <= bound
+    for (d, v, report), d_ref in penalized:
+        np.testing.assert_allclose(d, d_ref, rtol=1e-13, atol=0)
+        r_pi = (joint_pi * model.rewards).sum(axis=1) - ALPHA * d
+        v_ref = dense_solve_v(model, joint_pi, r_pi)
+        bound = doubling_bound(model, r_pi)
         np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
-        assert abs(report.residual - residual_ref) <= bound
+        assert abs(report.residual - dense_v_residual(model, joint_pi, r_pi, v)) <= bound
 
 
 @pytest.mark.parametrize("case", ["two_successor_n1", "two_successor_n2", "toy_sure_below_1"])
 def test_lu_runs_unless_each_state_has_one_sure_successor(case, rng):
     # Two successors of probability in (0.2, 0.8), or a policy entry of
-    # 1 - 5e-10 (within the row-sum check): the LU, with dense_evaluate's bits.
+    # 1 - 5e-10 (within the row-sum check): the LU, with the dense LU's bits.
     if case.startswith("two_successor"):
         model, sure = two_successor_model(rng, n_states=5, n_agents=int(case[-1])), 1.0
     else:
         model, sure = ToyMMDP(2, gamma=0.9).exact_model(), 1.0 - 5e-10
-    joint_pi, cases = one_hot_evaluator_cases(model, rng, sure)
-    for (q, v, report), base in cases:
-        q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, base)
-        assert q.values.tobytes() == q_ref.tobytes()
-        assert v.tobytes() == v_ref.tobytes()
-        assert report.residual == residual_ref
+    joint_pi, (q, v, report), penalized = one_hot_evaluator_cases(model, rng, sure)
+    q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, model.rewards)
+    assert q.values.tobytes() == q_ref.tobytes()
+    assert v.tobytes() == v_ref.tobytes()
+    assert report.residual == residual_ref
+    # D's product form takes each agent's row to sum to 1; rows that sum to
+    # sure move it by about n * (1 - sure) * (1 + D)
+    slack = 4 * model.n_agents * (1.0 - sure)
+    for (d, v, report), d_ref in penalized:
+        np.testing.assert_allclose(d, d_ref, rtol=1e-13 + slack, atol=slack)
+        r_pi = (joint_pi * model.rewards).sum(axis=1) - ALPHA * d
+        assert v.tobytes() == dense_solve_v(model, joint_pi, r_pi).tobytes()
+        # P_pi V sums over the support here and over every column there
+        assert abs(report.residual - dense_v_residual(model, joint_pi, r_pi, v)) <= (
+            doubling_bound(model, r_pi))
+
+
+def test_penalized_evaluators_build_no_joint_action_table(rng):
+    # At toy n = 6 one (S, |A|^n) float64 table is 4.25 MB; the evaluators
+    # need only (n, S, A) arrays and the policy's support.
+    n = 6
+    model = ToyMMDP(n, gamma=0.9).exact_model()
+    pi = as_policy(policy_array("onehot", rng, n, model.n_states, model.n_actions))
+    beta = random_factored_policy(rng, n, model.n_states, model.n_actions, floor=1e-2)
+    lam = lambda_uniform(n)
+    for solve in (lambda: cfcql_fixed_point(model, pi, beta, lam, ALPHA),
+                  lambda: macql_fixed_point(model, pi, beta, ALPHA)):
+        tracemalloc.start()
+        try:
+            solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.rewards.nbytes
 
 
 def test_gamma_zero_gives_the_one_step_reward(rng):
