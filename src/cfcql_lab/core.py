@@ -10,6 +10,13 @@ records as fixed-width byte columns. ``load_dataset`` checks the separators
 of all records at once, then parses them with one ``np.loadtxt`` call,
 reading integer fields as integers. A malformed or invalid file raises
 a ``ValueError`` naming the path and, for a malformed record, its line.
+
+A tabular policy, the behavior estimate ``empirical_behavior`` included, is
+a plain float64 (n, S, A) array, agent first: row ``[i, s]`` is agent i's
+action distribution at state s, and the joint policy is the product over
+agents. No class wraps it. The exact solvers in ``tabular`` check the array
+they are given: shape (n, S, A), every entry finite and >= 0, every row
+summing to 1.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -167,39 +174,9 @@ class RngStream:
         return RngStream(self.seed, f"{self.stream_id}/{label}")
 
 
-@dataclass
-class FactoredPolicy:
-    """Per-agent categorical action distributions conditioned on state.
-
-    The joint policy is the product over agents. States missing from the
-    table fall back to the uniform distribution.
-    """
-
-    n_agents: int
-    n_actions: int
-    table: dict = field(default_factory=dict)
-
-    def probs(self, state) -> np.ndarray:
-        row = self.table.get(state)
-        if row is None:
-            return np.full((self.n_agents, self.n_actions), 1.0 / self.n_actions)
-        return row
-
-    def dense(self, n_states: int) -> np.ndarray:
-        """Materialize (n_agents, n_states, n_actions) for integer states."""
-        out = np.full((self.n_agents, n_states, self.n_actions), 1.0 / self.n_actions)
-        for s, row in self.table.items():
-            out[:, s, :] = row
-        return out
-
-
-def greedy_policy_from_actions(actions: np.ndarray, n_actions: int) -> FactoredPolicy:
-    """One-hot FactoredPolicy over states 0..S-1 from their (S, n) actions."""
-    actions = np.asarray(actions, dtype=np.int64)
-    n_states, n_agents = actions.shape
-    onehot = np.zeros((n_states, n_agents, n_actions))
-    onehot[np.arange(n_states)[:, None], np.arange(n_agents), actions] = 1.0
-    return FactoredPolicy(n_agents, n_actions, dict(enumerate(onehot)))
+def greedy_policy_from_actions(actions: np.ndarray, n_actions: int) -> np.ndarray:
+    """One-hot (n, S, A) policy over states 0..S-1 from their (S, n) actions."""
+    return np.eye(n_actions)[np.asarray(actions, dtype=np.int64).T]
 
 
 def state_count(spec: EnvSpec) -> int:
@@ -301,14 +278,14 @@ def _unique_ints(values: np.ndarray):
     return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
 
 
-def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPolicy:
-    """Counting estimate of the per-agent behavior policy.
+def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> np.ndarray:
+    """Counting estimate of the per-agent behavior policy, as an (n, S, A) array.
 
     beta_i(a|s) = (count(s, a_i=a) + smoothing) / (count(s) + smoothing * |A|);
-    states absent from the dataset map to the uniform distribution. Table
-    keys are state ids, so the dataset must have discrete states, and a state
-    outside [0, ``state_count(spec)``) raises a ValueError naming the first
-    such transition and its id.
+    a state absent from the dataset holds exactly 1 / |A|. The states index
+    the array, so the dataset must have discrete states, and a state outside
+    [0, ``state_count(spec)``) raises a ValueError naming the first such
+    transition and its id.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
@@ -321,13 +298,16 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> FactoredPoli
     bad_states = _state_violations("state", dataset.states, spec)
     if bad_states:
         raise ValueError(f"empirical_behavior: {bad_states[0]}")
-    n, n_act = spec.n_agents, spec.n_actions
-    keys, state_index = _unique_ints(dataset.states)
-    cells = (state_index.reshape(-1, 1) * n + np.arange(n)) * n_act + dataset.actions
-    counts = np.bincount(cells.ravel(), minlength=len(keys) * n * n_act)
-    counts = counts.reshape(len(keys), n, n_act).astype(np.float64)
-    probs = (counts + smoothing) / (counts.sum(axis=2, keepdims=True) + smoothing * n_act)
-    return FactoredPolicy(n, n_act, dict(zip(keys.tolist(), probs)))
+    n, n_states, n_act = spec.n_agents, state_count(spec), spec.n_actions
+    cells = (np.arange(n) * n_states + dataset.states[:, None]) * n_act + dataset.actions
+    counts = np.bincount(cells.ravel(), minlength=n * n_states * n_act)
+    counts = counts.reshape(n, n_states, n_act).astype(np.float64)
+    visits = counts.sum(axis=2, keepdims=True)
+    probs = np.full(counts.shape, 1.0 / n_act)
+    # an unvisited state keeps 1 / |A|, with no 0 / 0 at smoothing 0
+    np.divide(counts + smoothing, visits + smoothing * n_act, out=probs,
+              where=visits > 0)
+    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -52,21 +52,32 @@ N_CHECKPOINTS = 40  # evaluated checkpoints over the budget, at most
 
 @dataclass
 class OnlineTrainConfig:
+    """Online training settings; bad values raise a ValueError naming the field."""
+
     budget: int = 60_000  # gradient updates
     n_parallel: int = 8  # lockstep episode workers
     updates_per_block: int = 100
     eval_episodes: int = 32
     medium_fraction: float = 0.5
 
+    def __post_init__(self):
+        for name in ("budget", "n_parallel", "updates_per_block", "eval_episodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if not (np.isfinite(self.medium_fraction) and 0.0 < self.medium_fraction <= 1.0):
+            raise ValueError(f"medium_fraction must be finite and in (0, 1], "
+                             f"got {self.medium_fraction}")
+
 
 @dataclass
 class BehaviorCheckpoint:
     q: FactoredQ
-    level: Optional[Tier]
     training_steps: int
     eval_return: float
     buffer_len: int
-    episode_count: int
 
 
 @dataclass
@@ -137,8 +148,7 @@ def train_online(env, budget: int, rng: RngStream,
         mean, _ = evaluate_actor(env, make_greedy_actor(q, env),
                                  config.eval_episodes, eval_rng)
         checkpoints.append(BehaviorCheckpoint(
-            q=q.copy(), level=None, training_steps=updates, eval_return=mean,
-            buffer_len=filled, episode_count=len(episode_starts),
+            q=q.copy(), training_steps=updates, eval_return=mean, buffer_len=filled,
         ))
 
     for block in range(n_blocks):
@@ -172,7 +182,6 @@ def train_online(env, budget: int, rng: RngStream,
 
     take_checkpoint()  # final checkpoint = expert
     expert = checkpoints[-1]
-    expert.level = Tier.EXPERT
     threshold = config.medium_fraction * expert.eval_return
     medium = None
     for ck in checkpoints[:-1]:
@@ -182,7 +191,6 @@ def train_online(env, budget: int, rng: RngStream,
     if medium is None:
         best = max((ck.eval_return for ck in checkpoints[:-1]), default=float("-inf"))
         raise MediumThresholdError(best, threshold, expert.eval_return)
-    medium.level = Tier.MEDIUM
 
     return OnlineResult(
         spec=spec, checkpoints=checkpoints, expert=expert, medium=medium,

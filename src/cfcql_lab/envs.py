@@ -51,11 +51,9 @@ class MMDPModel:
     n_agents: int
     n_actions: int
     gamma: float
-    r_max: float
     next_states: np.ndarray  # (S, A_joint, K) int
     next_probs: np.ndarray  # (S, A_joint, K) float
     rewards: np.ndarray  # (S, A_joint) float
-    initial_distribution: np.ndarray  # (S,) float
     unseen_mask: Optional[np.ndarray] = None  # (S, A_joint) bool
 
     def __post_init__(self):
@@ -211,11 +209,9 @@ class ToyMMDP:
             n_agents=n,
             n_actions=TOY_N_CELLS,
             gamma=self.gamma,
-            r_max=1.0,
             next_states=next_states[:, :, None],
             next_probs=np.ones((n_states, n_joint, 1)),
             rewards=rewards,
-            initial_distribution=np.full(n_states, 1.0 / n_states),
         )
 
 

@@ -28,13 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import (
-    Dataset,
-    FactoredPolicy,
-    RngStream,
-    empirical_behavior,
-    greedy_policy_from_actions,
-)
+from .core import Dataset, RngStream, empirical_behavior, greedy_policy_from_actions
 from .divergence import kl_scores
 from .envs import make_env
 from .neural import HIDDEN, Adam, GroupedMlp, softmax, train_bc
@@ -283,9 +277,8 @@ class EvalResult:
 @dataclass
 class TrainResult:
     q: FactoredQ
-    actor: QValuesActor
     metrics: list
-    policy: Optional[FactoredPolicy] = None  # materialized in tabular mode
+    policy: Optional[np.ndarray] = None  # one-hot (n, S, A) greedy policy in tabular mode
     losses: Optional[np.ndarray] = None
 
 
@@ -307,7 +300,7 @@ def _behavior_probs(dataset: Dataset, env, mode: str, inputs,
     spec = dataset.header.spec
     if mode == "tabular":
         beta = empirical_behavior(dataset, smoothing=BEHAVIOR_SMOOTHING)
-        return np.swapaxes(beta.dense(env.n_states)[:, dataset.states], 0, 1)
+        return np.swapaxes(beta[:, dataset.states], 0, 1)
     bc = train_bc(inputs, dataset.actions, spec.n_actions, rng_stream.generator(),
                   steps=config.bc_steps)
     return bc.probs(inputs)
@@ -416,13 +409,12 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
                                   config, root, refs)
             metrics.append(row)
 
-    actor = make_greedy_actor(q, env)
     policy = None
     if mode == "tabular":
         with ad.no_grad():
             greedy = q.values(np.arange(env.n_states)).data.argmax(axis=2)
         policy = greedy_policy_from_actions(greedy, spec.n_actions)
-    return TrainResult(q=q, actor=actor, metrics=metrics, policy=policy, losses=losses)
+    return TrainResult(q=q, metrics=metrics, policy=policy, losses=losses)
 
 
 @ad.no_grad()

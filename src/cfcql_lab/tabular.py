@@ -1,11 +1,18 @@
 """Exact enumeration-based policy evaluation and conservative fixed points.
 
-These solvers are the ground-truth engine. The three policy evaluators
-(``exact_policy_eval``, ``cfcql_fixed_point``, ``macql_fixed_point``) solve
-the linear system (I - gamma * P_pi) V = r_pi of their Bellman recursion
-directly. ``value_iteration``, the optimal-value oracle, is Howard policy
-iteration on the same direct solve: it stops when the greedy policy stops
-changing. ``learner_fixed_point`` iterates to a sup-norm change <=
+These solvers are the ground-truth engine. They take policies as the plain
+float64 (n, S, A) arrays of ``core`` and check each one on entry
+(``_checked_policy``): the shape, with the agent first, finite entries >= 0,
+and rows that sum to 1. ``value_iteration`` and ``exact_policy_eval``
+return Q as a plain (S, |A|^n) array, the joint action indexed with agent 0
+as the least significant digit, and ``greedy_policy_from_q`` turns such a Q
+back into a one-hot (n, S, A) policy.
+
+The three policy evaluators (``exact_policy_eval``, ``cfcql_fixed_point``,
+``macql_fixed_point``) solve the linear system (I - gamma * P_pi) V = r_pi
+of their Bellman recursion directly. ``value_iteration``, the optimal-value
+oracle, is Howard policy iteration on the same direct solve: it stops when
+the greedy policy stops changing. ``learner_fixed_point`` iterates to a sup-norm change <=
 ``DEFAULT_TOL`` (1e-10), far below every tolerance asserted elsewhere.
 
 The direct solve (``_solve_v``) takes one of two paths, chosen from its
@@ -52,7 +59,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Dataset, EnvSpec, FactoredPolicy, greedy_policy_from_actions, state_count
+from .core import Dataset, EnvSpec, greedy_policy_from_actions, state_count
 from .divergence import SupportError, d_cf_cql_probs, d_cql_probs
 from .envs import MMDPModel, all_joint_actions, decode_joint, encode_joint
 from .neural import softmax
@@ -77,25 +84,26 @@ class ConvergenceError(RuntimeError):
 class SolveReport:
     iterations: int
     residual: float
-    converged: bool
 
 
-@dataclass(frozen=True)
-class JointQTable:
-    values: np.ndarray  # (n_states, n_joint_actions)
+def _check_alpha(alpha: float) -> None:
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
 
-def _policy_dense(model: MMDPModel, policy: FactoredPolicy) -> np.ndarray:
-    """(n, S, A) per-agent probabilities of ``policy``, checked.
+def _checked_policy(model: MMDPModel, policy: np.ndarray) -> np.ndarray:
+    """The caller's (n, S, A) per-agent probabilities as float64, checked.
 
-    Every entry must be finite and >= 0, and every agent's row must sum to 1
-    within 1e-9. The solvers see a policy only through its positive entries
-    (``joint_policy_support``), so a nan or negative entry would otherwise be
-    dropped without notice.
+    The shape must be (n, S, A), agent first; every entry must be finite and
+    >= 0, and every agent's row must sum to 1 within 1e-9. The solvers see a
+    policy only through its positive entries (``joint_policy_support``), so
+    a nan or negative entry would otherwise be dropped without notice.
     """
-    dense = policy.dense(model.n_states)
-    if dense.shape != (model.n_agents, model.n_states, model.n_actions):
-        raise ValueError("policy dimensions do not match the model")
+    expected = (model.n_agents, model.n_states, model.n_actions)
+    if np.shape(policy) != expected:
+        raise ValueError(f"policy has shape {np.shape(policy)}, expected (n, S, A) = "
+                         f"{expected}")
+    dense = np.asarray(policy, dtype=np.float64)
     bad = ~np.isfinite(dense) | (dense < 0)
     if bad.any():
         agent, state, action = np.argwhere(bad)[0]
@@ -204,29 +212,28 @@ def _solve_q(model: MMDPModel, support, base: np.ndarray) -> np.ndarray:
     return base + model.gamma * model.expected_next_values(v)
 
 
-def exact_policy_eval(model: MMDPModel, pi: FactoredPolicy):
-    """Unpenalized policy evaluation: the true-value oracle.
+def exact_policy_eval(model: MMDPModel, pi: np.ndarray):
+    """Unpenalized policy evaluation of an (n, S, A) policy: the true-value oracle.
 
-    Returns Q, V = E_pi[Q] and a report whose residual is the sup-norm
-    Bellman residual of that Q.
+    Returns the (S, |A|^n) Q, V = E_pi[Q] and a report whose residual is the
+    sup-norm Bellman residual of that Q.
     """
-    support = joint_policy_support(_policy_dense(model, pi))
+    support = joint_policy_support(_checked_policy(model, pi))
     q = _solve_q(model, support, model.rewards)
     v = _expectation(model, support, q)
     residual = float(np.max(np.abs(
         model.rewards + model.gamma * model.expected_next_values(v) - q)))
-    return JointQTable(q), v, SolveReport(1, residual, True)
+    return q, v, SolveReport(1, residual)
 
 
-def _penalized_eval(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy, alpha: float,
+def _penalized_eval(model: MMDPModel, pi: np.ndarray, beta: np.ndarray, alpha: float,
                     divergence) -> Tuple[np.ndarray, np.ndarray, SolveReport]:
     """V solving (I - gamma * P_pi) V = r_pi - alpha * D, D = divergence(pi, beta)
     per state from the (n, S, A) policies. Returns D, V and a report whose
     residual is the sup-norm residual of that equation at V."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    pi_d = _policy_dense(model, pi)
-    d = divergence(pi_d, _policy_dense(model, beta))
+    _check_alpha(alpha)
+    pi_d = _checked_policy(model, pi)
+    d = divergence(pi_d, _checked_policy(model, beta))
     support = joint_policy_support(pi_d)
     r_pi = _expectation(model, support, model.rewards) - alpha * d
     v = _solve_v(model, support, r_pi)
@@ -234,11 +241,11 @@ def _penalized_eval(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy, 
     rows, actions, probs = support
     nexts = (model.next_probs[rows, actions] * v[model.next_states[rows, actions]]).sum(axis=1)
     p_v = np.bincount(rows, weights=probs * nexts, minlength=model.n_states)
-    return d, v, SolveReport(1, float(np.max(np.abs(r_pi + model.gamma * p_v - v))), True)
+    return d, v, SolveReport(1, float(np.max(np.abs(r_pi + model.gamma * p_v - v))))
 
 
-def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
-                      lam: np.ndarray, alpha: float):
+def cfcql_fixed_point(model: MMDPModel, pi: np.ndarray, beta: np.ndarray, lam: np.ndarray,
+                      alpha: float):
     """Penalized evaluation with the per-agent counterfactual ratio penalty.
 
     The fixed point of Q = T_pi Q - alpha * (sum_i lambda_i pi_i/beta_i - 1),
@@ -254,8 +261,7 @@ def cfcql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy
     return _penalized_eval(model, pi, beta, alpha, lambda p, b: d_cf_cql_probs(p, b, lam))
 
 
-def macql_fixed_point(model: MMDPModel, pi: FactoredPolicy, beta: FactoredPolicy,
-                      alpha: float):
+def macql_fixed_point(model: MMDPModel, pi: np.ndarray, beta: np.ndarray, alpha: float):
     """Penalized evaluation with the joint-ratio penalty pi(a|s)/beta(a|s) - 1.
 
     Returns the (S,) D_CQL = E_pi of that penalty, V and the report of
@@ -315,15 +321,15 @@ def value_iteration(model: MMDPModel, max_iter: int = DEFAULT_MAX_ITER):
         floor = _tie_floor(q)
         switch = chosen < floor
         if not switch.any():
-            return JointQTable(q), chosen, SolveReport(it, _optimality_residual(model, q), True)
+            return q, chosen, SolveReport(it, _optimality_residual(model, q))
         actions = np.where(switch, _lowest_tied(q, floor), actions)
     raise ConvergenceError(max_iter, _optimality_residual(model, q))
 
 
-def greedy_policy_from_q(model: MMDPModel, q: JointQTable) -> FactoredPolicy:
-    """One-hot factored policy from the joint argmax of a JointQTable, ties
+def greedy_policy_from_q(model: MMDPModel, q: np.ndarray) -> np.ndarray:
+    """One-hot (n, S, A) policy from the joint argmax of an (S, |A|^n) Q, ties
     broken to the lowest joint index."""
-    actions = decode_joint(_lowest_tied(q.values), model.n_agents, model.n_actions)
+    actions = decode_joint(_lowest_tied(q), model.n_agents, model.n_actions)
     return greedy_policy_from_actions(actions, model.n_actions)
 
 
@@ -363,22 +369,14 @@ def empirical_model(dataset: Dataset, spec: EnvSpec) -> MMDPModel:
     seen = visit > 0
     rewards = np.where(seen, reward_sum / np.maximum(visit, 1), 0.0)
 
-    starts = np.bincount(dataset.states[dataset.starts], minlength=n_states).astype(np.float64)
-    if starts.sum() > 0:
-        starts /= starts.sum()
-    else:
-        starts[:] = 1.0 / n_states
-
     return MMDPModel(
         n_states=n_states,
         n_agents=spec.n_agents,
         n_actions=spec.n_actions,
         gamma=spec.gamma,
-        r_max=spec.r_max,
         next_states=next_states.reshape(n_states, n_joint, k_max),
         next_probs=next_probs.reshape(n_states, n_joint, k_max),
         rewards=rewards.reshape(n_states, n_joint),
-        initial_distribution=starts,
         unseen_mask=~seen.reshape(n_states, n_joint),
     )
 
@@ -410,8 +408,7 @@ def learner_fixed_point(dataset: Dataset, alpha: float, max_iter: int = DEFAULT_
     agent's actions: the penalty's gradient on that entry is always
     positive, so no finite stationary point exists.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    _check_alpha(alpha)
     spec = dataset.header.spec
     model = empirical_model(dataset, spec)
     n, n_act = spec.n_agents, spec.n_actions
@@ -451,5 +448,5 @@ def learner_fixed_point(dataset: Dataset, alpha: float, max_iter: int = DEFAULT_
         q = q - step
         residual = float(np.max(np.abs(step)))
         if residual <= DEFAULT_TOL:
-            return q.reshape(model.n_states, n, n_act), SolveReport(it, residual, True)
+            return q.reshape(model.n_states, n, n_act), SolveReport(it, residual)
     raise ConvergenceError(max_iter, residual)

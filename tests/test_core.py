@@ -99,13 +99,13 @@ def test_empirical_behavior_counting():
         _transition(0, (0, 0), 0.0, 0, True),
     ]
     beta = empirical_behavior(make_dataset(ts, TOY_SPEC), smoothing=0.0)
-    assert beta.probs(0)[0, 1] == pytest.approx(0.75)
+    assert beta[0, 0, 1] == pytest.approx(0.75)
 
 
 def test_empirical_behavior_laplace_smoothing():
     ts = [_transition(0, (1, 0), 0.0, 0) for _ in range(4)]
     beta = empirical_behavior(make_dataset(ts, TOY_SPEC), smoothing=1.0)
-    np.testing.assert_allclose(beta.probs(0)[0], [1 / 7, 5 / 7, 1 / 7])
+    np.testing.assert_allclose(beta[0, 0], [1 / 7, 5 / 7, 1 / 7])
 
 
 def test_empirical_behavior_empty_dataset():
@@ -117,21 +117,22 @@ def test_empirical_behavior_matches_bruteforce_count(rng):
     d = random_toy_dataset(rng, n_agents=3, n_transitions=1000, episodes=10)
     spec = d.header.spec
     beta = empirical_behavior(d, smoothing=0.5)
+    assert beta.shape == (spec.n_agents, 27, spec.n_actions) and beta.dtype == np.float64
     # independent counting pass
     counts = {}
     for state, joint_action in zip(d.states.tolist(), d.actions.tolist()):
         row = counts.setdefault(state, np.zeros((spec.n_agents, spec.n_actions)))
         for i, a in enumerate(joint_action):
             row[i, a] += 1
-    for s, row in counts.items():
+    for s in range(27):
+        row = counts.get(s, np.zeros((spec.n_agents, spec.n_actions)))
         expect = (row + 0.5) / (row.sum(axis=1, keepdims=True) + 0.5 * spec.n_actions)
-        np.testing.assert_allclose(beta.probs(s), expect, atol=1e-12)
+        np.testing.assert_allclose(beta[:, s], expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("bad", [-1, TOY_SPEC.n_actions**TOY_SPEC.n_agents])
 def test_empirical_behavior_rejects_a_state_outside_the_ids(bad):
-    # a state of -1 would otherwise become a table key that dense() writes
-    # into row S - 1
+    # a state of -1 would otherwise count into another state's row
     ts = [_transition(0, (1, 0), 0.0, 1), _transition(bad, (0, 2), 0.0, 0),
           _transition(bad, (1, 1), 0.0, 0, True)]
     with pytest.raises(ValueError, match=rf"transition 1: state {bad} outside \[0, 9\)"):
@@ -144,10 +145,14 @@ def test_empirical_behavior_rejects_vector_states():
         empirical_behavior(d)
 
 
-def test_empirical_behavior_unseen_state_is_uniform(rng):
-    d = random_toy_dataset(rng, n_transitions=20, episodes=2)
-    beta = empirical_behavior(d)
-    np.testing.assert_allclose(beta.probs(10**6), 1.0 / 3.0)
+def test_empirical_behavior_unseen_state_is_uniform():
+    # states 0 and 4 are visited, the other 7 of the 9 are not
+    ts = [_transition(0, (1, 0), 0.0, 4), _transition(4, (2, 2), 0.0, 0, True)]
+    for smoothing in (0.0, 1.0):  # 0 would divide 0 by 0 at an unvisited state
+        beta = empirical_behavior(make_dataset(ts, TOY_SPEC), smoothing=smoothing)
+        unseen = [1, 2, 3, 5, 6, 7, 8]
+        assert np.all(beta[:, unseen] == 1.0 / 3.0)
+        assert beta[0, 0, 1] == (1.0 + smoothing) / (1.0 + 3 * smoothing)
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,10 +160,9 @@ def test_empirical_behavior_unseen_state_is_uniform(rng):
 def test_empirical_behavior_is_simplex(seed, smoothing):
     d = random_toy_dataset(np.random.default_rng(seed), n_transitions=60, episodes=3)
     beta = empirical_behavior(d, smoothing=smoothing)
-    rows = np.stack(list(beta.table.values()))
-    assert rows.shape[1:] == (beta.n_agents, beta.n_actions)
-    assert np.all(rows >= 0)
-    np.testing.assert_allclose(rows.sum(axis=2), 1.0, rtol=0, atol=1e-9)
+    assert beta.shape == (2, 9, 3)
+    assert np.all(beta >= 0)
+    np.testing.assert_allclose(beta.sum(axis=2), 1.0, rtol=0, atol=1e-9)
 
 
 def test_dataset_roundtrip_discrete(tmp_path, rng):

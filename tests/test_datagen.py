@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,6 @@ def tiers(env, online):
 def test_medium_is_first_checkpoint_over_threshold(online):
     threshold = ONLINE.medium_fraction * online.expert.eval_return
     assert online.expert is online.checkpoints[-1]
-    assert online.expert.level == Tier.EXPERT and online.medium.level == Tier.MEDIUM
     first = next(ck for ck in online.checkpoints[:-1] if ck.eval_return >= threshold)
     assert online.medium is first
     assert online.checkpoints.index(online.medium) > 0
@@ -120,6 +121,26 @@ def test_random_dataset_is_deterministic(env):
 def test_train_online_rejects_a_config_with_another_budget(env):
     with pytest.raises(ValueError, match=r"budget 500 != config.budget 600"):
         train_online(env, 500, RngStream(2, "online"), ONLINE)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("budget", 0, "budget must be >= 1, got 0"),
+    ("n_parallel", 0, "n_parallel must be >= 1, got 0"),
+    ("updates_per_block", 0, "updates_per_block must be >= 1, got 0"),
+    ("eval_episodes", -1, "eval_episodes must be >= 1, got -1"),
+    ("updates_per_block", 2.5, "updates_per_block must be an integer, got 2.5"),
+    ("n_parallel", True, "n_parallel must be an integer, got True"),
+    ("medium_fraction", float("nan"), "medium_fraction must be finite and in (0, 1], got nan"),
+    ("medium_fraction", 0.0, "medium_fraction must be finite and in (0, 1], got 0.0"),
+    ("medium_fraction", 1.5, "medium_fraction must be finite and in (0, 1], got 1.5"),
+    ("medium_fraction", float("inf"), "medium_fraction must be finite and in (0, 1], got inf"),
+])
+def test_online_config_rejects_bad_values(field, value, message):
+    # updates_per_block=0 used to divide by zero, n_parallel=0 to fail in
+    # numpy and medium_fraction=nan to raise MediumThresholdError
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OnlineTrainConfig(**{field: value})
+    OnlineTrainConfig(medium_fraction=1.0, n_parallel=np.int64(2))
 
 
 # Two evaluated checkpoints: one after the first 50 updates, then the expert.

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a cfcql_lab module imports is used in it, and
-every public name it defines is used in the package or the benchmark."""
+"""Source hygiene: every name a cfcql_lab module imports is used in it,
+every public name it defines is used in the package or the benchmark, every
+option is set there, and every field of a public dataclass is read there."""
 
 import ast
 import math
@@ -256,6 +257,76 @@ def test_options_allowlist_names_only_unset_options():
     assert not gone, f"allowed options that no longer exist: {', '.join(gone)}"
     now_set = sorted(option for option in OPTIONS_ALLOWED if found[option][1])
     assert not now_set, f"allowed options that a call sets now: {', '.join(now_set)}"
+
+
+# Fields of public dataclasses that nothing in the package or the benchmark
+# reads as an attribute, each with the reason it stays. Reads are matched by
+# attribute name, as calls are for UNCALLED_ALLOWED; an assignment to
+# ``obj.field`` is not a read.
+_RATIO_BOUND = "the report of check_ratio_bound_probs, which is on UNCALLED_ALLOWED"
+FIELDS_ALLOWED = {
+    "SolveReport.residual": "the solvers' self-check of their own equation, which tests assert",
+    "RatioBoundReport.lhs": _RATIO_BOUND,
+    "RatioBoundReport.rhs": _RATIO_BOUND,
+    "RatioBoundReport.argmax_agent": _RATIO_BOUND,
+    "RatioBoundReport.holds": _RATIO_BOUND,
+}
+
+
+def dataclass_fields(tree):
+    """(Class.field, field, line) of every field of a public dataclass."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and _is_dataclass(node)):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{node.name}.{member.target.id}", member.target.id, member.lineno
+
+
+def attribute_reads(paths):
+    """Attribute names read (loaded, not assigned or deleted) anywhere in ``paths``."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def fields():
+    """{Class.field: (where, read as an attribute in the package or the benchmark)}."""
+    reads = attribute_reads(CALLERS)
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for key, name, line in dataclass_fields(tree):
+            out[key] = (f"{path.name}:{line}", name in reads)
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    unread = [f"{key} ({where})" for key, (where, is_read) in sorted(fields().items())
+              if not is_read and key not in FIELDS_ALLOWED]
+    assert not unread, ("dataclass fields nothing in src/cfcql_lab or bench reads; delete "
+                        "each or allow it: " + ", ".join(unread))
+
+
+def test_fields_allowlist_names_only_unread_fields():
+    found = fields()
+    gone = sorted(set(FIELDS_ALLOWED) - set(found))
+    assert not gone, f"allowed fields that no longer exist: {', '.join(gone)}"
+    now_read = sorted(key for key in FIELDS_ALLOWED if found[key][1])
+    assert not now_read, f"allowed fields that something reads now: {', '.join(now_read)}"
+
+
+def test_field_walk_counts_only_reads(tmp_path):
+    tree = ast.parse("@dataclass\nclass C:\n    x: int\n    y: int = 0\n    Z = 1\n"
+                     "class Plain:\n    w: int\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass _Private:\n    v: int\n")
+    assert [key for key, _, _ in dataclass_fields(tree)] == ["C.x", "C.y"]
+    code = tmp_path / "code.py"
+    code.write_text("c.x = 1\ndel c.y\nprint(c.z.w)\n")
+    assert attribute_reads([code]) == {"z", "w"}
 
 
 def test_option_walk_sees_every_way_to_set_an_option(tmp_path):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfcql_lab.core import FactoredPolicy, empirical_behavior
+from cfcql_lab.core import empirical_behavior
 from cfcql_lab.divergence import SupportError, lambda_uniform
 from cfcql_lab.envs import EqualLine, MMDPModel, ToyMMDP, all_joint_actions, encode_joint
 from cfcql_lab.neural import softmax
@@ -13,7 +13,6 @@ from cfcql_lab.tabular import (
     DOUBLING_FLOOR,
     TIE_EPS,
     ConvergenceError,
-    JointQTable,
     cfcql_fixed_point,
     empirical_model,
     exact_policy_eval,
@@ -29,13 +28,18 @@ from conftest import make_dataset, random_toy_dataset
 
 
 def random_factored_policy(rng, n_agents, n_states, n_actions, floor=0.0):
-    table = {}
-    for s in range(n_states):
+    """(n, S, A) per-agent probabilities, drawn state by state."""
+    rows = []
+    for _ in range(n_states):
         probs = rng.dirichlet(np.ones(n_actions), size=n_agents)
         if floor > 0:
             probs = (1 - floor * n_actions) * probs + floor
-        table[s] = probs
-    return FactoredPolicy(n_agents, n_actions, table)
+        rows.append(probs)
+    return np.stack(rows, axis=1)
+
+
+def uniform_policy(n_agents, n_states, n_actions):
+    return np.full((n_agents, n_states, n_actions), 1.0 / n_actions)
 
 
 def single_state_model(reward=1.0, gamma=0.9):
@@ -44,11 +48,9 @@ def single_state_model(reward=1.0, gamma=0.9):
         n_agents=1,
         n_actions=2,
         gamma=gamma,
-        r_max=abs(reward) or 1.0,
         next_states=np.zeros((1, 2, 1), dtype=np.int64),
         next_probs=np.ones((1, 2, 1)),
         rewards=np.full((1, 2), reward),
-        initial_distribution=np.ones(1),
     )
 
 
@@ -64,11 +66,9 @@ def two_successor_model(rng, n_states=4, n_actions=3, n_agents=1):
         n_agents=n_agents,
         n_actions=n_actions,
         gamma=0.9,
-        r_max=1.0,
         next_states=next_states,
         next_probs=np.stack([p, 1 - p], axis=2),
         rewards=rng.uniform(-1, 1, size=(n_states, n_joint)),
-        initial_distribution=np.full(n_states, 1.0 / n_states),
     )
 
 
@@ -87,24 +87,23 @@ def reference_sweeps(model, joint_pi, base):
 
 def test_zero_reward_model_gives_zero_q():
     model = single_state_model(reward=0.0)
-    q, v, report = exact_policy_eval(model, FactoredPolicy(1, 2))
-    assert report.converged
-    np.testing.assert_allclose(q.values, 0.0)
+    q, v, report = exact_policy_eval(model, uniform_policy(1, 1, 2))
+    assert report.iterations == 1
+    np.testing.assert_allclose(q, 0.0)
     np.testing.assert_allclose(v, 0.0)
 
 
 def test_geometric_series_value():
     model = single_state_model(reward=1.0, gamma=0.9)
-    q, v, _ = exact_policy_eval(model, FactoredPolicy(1, 2))
-    np.testing.assert_allclose(q.values, 10.0, atol=1e-8)
+    q, v, _ = exact_policy_eval(model, uniform_policy(1, 1, 2))
+    np.testing.assert_allclose(q, 10.0, atol=1e-8)
     np.testing.assert_allclose(v, 10.0, atol=1e-8)
 
 
 def test_policy_eval_matches_monte_carlo():
     env = ToyMMDP(2, gamma=0.9)
     model = env.exact_model()
-    pi = FactoredPolicy(2, 3)
-    _, v, _ = exact_policy_eval(model, pi)
+    _, v, _ = exact_policy_eval(model, uniform_policy(2, model.n_states, 3))
 
     rng = np.random.default_rng(77)
     episodes, horizon, start = 100_000, 200, 4
@@ -211,18 +210,17 @@ def test_evaluators_match_reference_sweeps(case, rng):
     beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
     lam = lambda_uniform(n)
     alpha = 0.5
-    pi_d = pi.dense(n_states)
-    joint_pi = dense_joint_policy(pi_d)
-    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(n_states), lam)
+    joint_pi = dense_joint_policy(pi)
+    cf_penalty, joint_ratio = dense_penalties(pi, beta, lam)
 
     q, v, report = exact_policy_eval(model, pi)
     expected = reference_sweeps(model, joint_pi, model.rewards)
     scale = max(1.0, np.max(np.abs(expected)))
-    np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-11 * scale)
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-11 * scale)
     np.testing.assert_allclose(v, (joint_pi * expected).sum(axis=1), rtol=0, atol=1e-11 * scale)
     bellman = model.rewards + model.gamma * model.expected_next_values(
-        (joint_pi * q.values).sum(axis=1)) - q.values
-    assert report.iterations == 1 and report.converged
+        (joint_pi * q).sum(axis=1)) - q
+    assert report.iterations == 1
     assert report.residual == pytest.approx(np.max(np.abs(bellman)), rel=0, abs=1e-14 * scale)
 
     # The penalized evaluators return E_pi of the dense penalty, per state,
@@ -238,7 +236,7 @@ def test_evaluators_match_reference_sweeps(case, rng):
                                    atol=1e-11 * scale)
         r_pi = (joint_pi * model.rewards).sum(axis=1) - alpha * d
         equation = r_pi + model.gamma * (joint_pi * model.expected_next_values(v)).sum(axis=1) - v
-        assert report.iterations == 1 and report.converged
+        assert report.iterations == 1
         assert report.residual == pytest.approx(np.max(np.abs(equation)), rel=0,
                                                 abs=1e-14 * scale)
 
@@ -246,11 +244,9 @@ def test_evaluators_match_reference_sweeps(case, rng):
 def test_support_error_identifies_agent_state_action():
     env = ToyMMDP(2, gamma=0.9)
     model = env.exact_model()
-    pi_table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(9)}
-    beta_table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(9)}
-    beta_table[4] = np.array([[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
-    pi = FactoredPolicy(2, 3, pi_table)
-    beta = FactoredPolicy(2, 3, beta_table)
+    pi = uniform_policy(2, 9, 3)
+    beta = uniform_policy(2, 9, 3)
+    beta[:, 4] = [[0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]]
     with pytest.raises(SupportError) as err:
         cfcql_fixed_point(model, pi, beta, lambda_uniform(2), alpha=1.0)
     assert (err.value.agent, err.value.state, err.value.action) == (0, 4, 2)
@@ -285,11 +281,9 @@ def detour_model(gamma=0.9):
         n_agents=1,
         n_actions=2,
         gamma=gamma,
-        r_max=1.0,
         next_states=next_states,
         next_probs=np.ones((3, 2, 1)),
         rewards=np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]),
-        initial_distribution=np.full(3, 1.0 / 3.0),
     )
 
 
@@ -299,7 +293,7 @@ def test_nonconvergence_raises():
         value_iteration(model, max_iter=1)
     assert err.value.iterations == 1
     _, v, report = value_iteration(model, max_iter=2)
-    assert report.converged and report.iterations == 2
+    assert report.iterations == 2
     np.testing.assert_allclose(v, [0.9 / (1 - 0.9), 0.0, 1 / (1 - 0.9)], rtol=0, atol=1e-12)
 
 
@@ -322,10 +316,9 @@ def test_value_iteration_matches_reference_sweeps(case, rng):
     q, v, report = value_iteration(model)
     expected = reference_value_iteration(model)
     scale = max(1.0, np.max(np.abs(expected)))
-    np.testing.assert_allclose(q.values, expected, rtol=0, atol=1e-9 * scale)
-    assert report.converged and report.residual <= 1e-10
-    bellman = model.rewards + model.gamma * model.expected_next_values(
-        q.values.max(axis=1)) - q.values
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-9 * scale)
+    assert report.residual <= 1e-10
+    bellman = model.rewards + model.gamma * model.expected_next_values(q.max(axis=1)) - q
     assert report.residual == np.max(np.abs(bellman))
     _, v_greedy, _ = exact_policy_eval(model, greedy_policy_from_q(model, q))
     np.testing.assert_allclose(v_greedy, v, rtol=0, atol=1e-10)
@@ -342,8 +335,10 @@ def test_greedy_policy_breaks_ties_to_lowest_joint_index():
     q[3, [1, 7]] = [1e6, 1e6 + 1e-3]  # not tied
     best = np.argmax(q, axis=1)
     assert list(best[:4]) == [5, 4, 7, 7]  # np.argmax lets rounding decide
-    policy = greedy_policy_from_q(model, JointQTable(q))
-    chosen = encode_joint(np.stack([policy.probs(s).argmax(axis=1) for s in range(4)]), 3)
+    policy = greedy_policy_from_q(model, q)
+    assert policy.shape == (2, model.n_states, 3) and policy.dtype == np.float64
+    np.testing.assert_array_equal(policy.sum(axis=2), 1.0)
+    chosen = encode_joint(policy[:, :4].argmax(axis=2).T, 3)
     assert list(chosen) == [2, 3, 1, 7]
 
 
@@ -418,11 +413,6 @@ def policy_array(kind, rng, n_agents, n_states, n_actions):
     return probs
 
 
-def as_policy(per_agent):
-    n, n_states, n_actions = per_agent.shape
-    return FactoredPolicy(n, n_actions, {s: per_agent[:, s] for s in range(n_states)})
-
-
 def support_case_model(case, n, rng):
     if case == "toy":
         return ToyMMDP(n, gamma=0.9).exact_model()
@@ -474,12 +464,11 @@ def one_hot_evaluator_cases(model, rng, sure=1.0):
     and the two penalized evaluators on it, each with E_pi of its dense
     penalty table. ``sure`` is the one positive entry of each agent's row."""
     n, n_states = model.n_agents, model.n_states
-    pi_d = sure * policy_array("onehot", rng, n, n_states, model.n_actions)
+    pi = sure * policy_array("onehot", rng, n, n_states, model.n_actions)
     beta = random_factored_policy(rng, n, n_states, model.n_actions, floor=1e-2)
     lam = lambda_uniform(n)
-    pi = as_policy(pi_d)
-    joint_pi = dense_joint_policy(pi_d)
-    cf_penalty, joint_ratio = dense_penalties(pi_d, beta.dense(n_states), lam)
+    joint_pi = dense_joint_policy(pi)
+    cf_penalty, joint_ratio = dense_penalties(pi, beta, lam)
     penalized = [
         (cfcql_fixed_point(model, pi, beta, lam, ALPHA), (joint_pi * cf_penalty).sum(axis=1)),
         (macql_fixed_point(model, pi, beta, ALPHA),
@@ -495,7 +484,7 @@ def test_evaluators_equal_dense_evaluate_on_one_hot_policies(n, rng):
     joint_pi, (q, v, report), penalized = one_hot_evaluator_cases(model, rng)
     q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, model.rewards)
     bound = doubling_bound(model, model.rewards)
-    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
     assert abs(report.residual - residual_ref) <= bound
     for (d, v, report), d_ref in penalized:
@@ -517,7 +506,7 @@ def test_lu_runs_unless_each_state_has_one_sure_successor(case, rng):
         model, sure = ToyMMDP(2, gamma=0.9).exact_model(), 1.0 - 5e-10
     joint_pi, (q, v, report), penalized = one_hot_evaluator_cases(model, rng, sure)
     q_ref, v_ref, residual_ref = dense_evaluate(model, joint_pi, model.rewards)
-    assert q.values.tobytes() == q_ref.tobytes()
+    assert q.tobytes() == q_ref.tobytes()
     assert v.tobytes() == v_ref.tobytes()
     assert report.residual == residual_ref
     # D's product form takes each agent's row to sum to 1; rows that sum to
@@ -537,7 +526,7 @@ def test_penalized_evaluators_build_no_joint_action_table(rng):
     # need only (n, S, A) arrays and the policy's support.
     n = 6
     model = ToyMMDP(n, gamma=0.9).exact_model()
-    pi = as_policy(policy_array("onehot", rng, n, model.n_states, model.n_actions))
+    pi = policy_array("onehot", rng, n, model.n_states, model.n_actions)
     beta = random_factored_policy(rng, n, model.n_states, model.n_actions, floor=1e-2)
     lam = lambda_uniform(n)
     for solve in (lambda: cfcql_fixed_point(model, pi, beta, lam, ALPHA),
@@ -555,8 +544,8 @@ def test_gamma_zero_gives_the_one_step_reward(rng):
     model = ToyMMDP(3, gamma=0.0).exact_model()
     pi_d = policy_array("onehot", rng, 3, model.n_states, model.n_actions)
     rows, actions, _ = joint_policy_support(pi_d)
-    q, v, _ = exact_policy_eval(model, as_policy(pi_d))
-    assert q.values.tobytes() == model.rewards.tobytes()
+    q, v, _ = exact_policy_eval(model, pi_d)
+    assert q.tobytes() == model.rewards.tobytes()
     assert v.tobytes() == model.rewards[rows, actions].tobytes()
     _, v_star, report = value_iteration(model)
     assert v_star.tobytes() == model.rewards.max(axis=1).tobytes()
@@ -571,11 +560,9 @@ def functional_graph_model(successors, rewards, gamma):
         n_agents=1,
         n_actions=1,
         gamma=gamma,
-        r_max=1.0,
         next_states=np.asarray(successors, dtype=np.int64)[:, None, None],
         next_probs=np.ones((n_states, 1, 1)),
         rewards=np.asarray(rewards, dtype=np.float64)[:, None],
-        initial_distribution=np.full(n_states, 1.0 / n_states),
     )
 
 
@@ -597,12 +584,12 @@ def test_doubling_matches_the_lu_on_rings_and_chains(graph, gamma, rng, monkeypa
         next_probs=np.concatenate([model.next_probs, np.zeros_like(model.next_probs)], axis=2))
     with monkeypatch.context() as patch:
         patch.setattr(MMDPModel, "transition_matrix", None)  # the LU's input
-        q, v, _ = exact_policy_eval(model, FactoredPolicy(1, 1))
-        q_padded, _, _ = exact_policy_eval(padded, FactoredPolicy(1, 1))
-    assert q_padded.values.tobytes() == q.values.tobytes()
+        q, v, _ = exact_policy_eval(model, uniform_policy(1, n_states, 1))
+        q_padded, _, _ = exact_policy_eval(padded, uniform_policy(1, n_states, 1))
+    assert q_padded.tobytes() == q.tobytes()
     q_ref, v_ref, _ = dense_evaluate(model, np.ones((n_states, 1)), model.rewards)
     bound = doubling_bound(model, model.rewards)
-    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
 
 
@@ -611,7 +598,7 @@ def test_doubling_ends_for_gamma_just_below_one(gamma):
     # State 0 loops paying 1; state 1 pays 0.5 once and moves to it. The
     # bound is loose this close to 1: the point is that the passes end.
     model = functional_graph_model([0, 0], [1.0, 0.5], gamma)
-    _, v, _ = exact_policy_eval(model, FactoredPolicy(1, 1))
+    _, v, _ = exact_policy_eval(model, uniform_policy(1, 2, 1))
     expected = np.array([1.0 / (1.0 - gamma), 0.5 + gamma / (1.0 - gamma)])
     np.testing.assert_allclose(v, expected, rtol=0, atol=doubling_bound(model, model.rewards))
 
@@ -628,9 +615,9 @@ def test_one_successor_backup_has_the_bits_of_the_sum(rng):
 
 
 def model_fields(**changes):
-    fields = dict(n_states=2, n_agents=1, n_actions=2, gamma=0.9, r_max=1.0,
+    fields = dict(n_states=2, n_agents=1, n_actions=2, gamma=0.9,
                   next_states=np.zeros((2, 2, 1), dtype=np.int64), next_probs=np.ones((2, 2, 1)),
-                  rewards=np.zeros((2, 2)), initial_distribution=np.full(2, 0.5))
+                  rewards=np.zeros((2, 2)))
     fields.update(changes)
     return fields
 
@@ -690,10 +677,10 @@ def test_value_iteration_equals_dense_policy_iteration(case, rng):
         assert model.unseen_mask.any() and not model.unseen_mask.all()
     q, v, report = value_iteration(model)
     q_ref, v_ref, iterations = dense_policy_iteration(model)
-    np.testing.assert_array_equal(_lowest_tied(q.values), _lowest_tied(q_ref))
+    np.testing.assert_array_equal(_lowest_tied(q), _lowest_tied(q_ref))
     assert report.iterations == iterations
     bound = doubling_bound(model, model.rewards)
-    np.testing.assert_allclose(q.values, q_ref, rtol=0, atol=bound)
+    np.testing.assert_allclose(q, q_ref, rtol=0, atol=bound)
     np.testing.assert_allclose(v, v_ref, rtol=0, atol=bound)
 
 
@@ -704,9 +691,9 @@ def test_value_iteration_equals_dense_policy_iteration(case, rng):
 ])
 def test_solvers_reject_a_negative_or_non_finite_probability(entry, message):
     model = ToyMMDP(2).exact_model()
-    table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(model.n_states)}
-    table[4] = np.array([[1 / 3, 1 / 3, 1 / 3], [0.75, 0.5, entry]])
-    bad, good = FactoredPolicy(2, 3, table), FactoredPolicy(2, 3)
+    good = uniform_policy(2, model.n_states, 3)
+    bad = good.copy()
+    bad[:, 4] = [[1 / 3, 1 / 3, 1 / 3], [0.75, 0.5, entry]]
     lam = lambda_uniform(2)
     for solve in (lambda: exact_policy_eval(model, bad),
                   lambda: cfcql_fixed_point(model, bad, good, lam, 1.0),
@@ -718,14 +705,47 @@ def test_solvers_reject_a_negative_or_non_finite_probability(entry, message):
 
 def test_solvers_reject_a_row_that_does_not_sum_to_one():
     model = ToyMMDP(2).exact_model()
-    table = {s: np.full((2, 3), 1.0 / 3.0) for s in range(model.n_states)}
-    table[7] = np.array([[0.5, 0.5, 1e-8], [1 / 3, 1 / 3, 1 / 3]])
+    good = uniform_policy(2, model.n_states, 3)
+    bad = good.copy()
+    bad[:, 7] = [[0.5, 0.5, 1e-8], [1 / 3, 1 / 3, 1 / 3]]
     with pytest.raises(ValueError, match=r"agent 0 at state 7 sum to 1\.00000001, not 1"):
-        exact_policy_eval(model, FactoredPolicy(2, 3, table))
+        exact_policy_eval(model, bad)
     with pytest.raises(ValueError, match=r"agent 0 at state 7 sum to"):
-        macql_fixed_point(model, FactoredPolicy(2, 3), FactoredPolicy(2, 3, table), 1.0)
-    table[7] = np.array([[0.5, 0.5, 1e-10], [1 / 3, 1 / 3, 1 / 3]])  # within 1e-9
-    exact_policy_eval(model, FactoredPolicy(2, 3, table))
+        macql_fixed_point(model, good, bad, 1.0)
+    bad[:, 7] = [[0.5, 0.5, 1e-10], [1 / 3, 1 / 3, 1 / 3]]  # within 1e-9
+    exact_policy_eval(model, bad)
+
+
+@pytest.mark.parametrize("shape", [(9, 2, 3), (2, 8, 3)], ids=["transposed", "wrong_S"])
+def test_solvers_reject_a_policy_of_another_shape(shape):
+    # the (S, n, A) layout, or one state short, names the expected (n, S, A)
+    model = ToyMMDP(2).exact_model()
+    good = uniform_policy(2, model.n_states, 3)
+    bad = np.full(shape, 1.0 / 3.0)
+    lam = lambda_uniform(2)
+    message = re.escape(f"policy has shape {shape}, expected (n, S, A) = (2, 9, 3)")
+    for solve in (lambda: exact_policy_eval(model, bad),
+                  lambda: cfcql_fixed_point(model, bad, good, lam, 1.0),
+                  lambda: cfcql_fixed_point(model, good, bad, lam, 1.0),
+                  lambda: macql_fixed_point(model, bad, good, 1.0),
+                  lambda: macql_fixed_point(model, good, bad, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            solve()
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, -0.5])
+def test_solvers_reject_a_non_finite_or_negative_alpha(alpha, rng):
+    # nan used to give a nan V from the evaluators and a LinAlgError from
+    # learner_fixed_point
+    model = ToyMMDP(2).exact_model()
+    pi = uniform_policy(2, model.n_states, 3)
+    message = re.escape(f"alpha must be finite and >= 0, got {alpha}")
+    d = random_toy_dataset(rng, n_agents=2, n_transitions=200, episodes=10)
+    for solve in (lambda: cfcql_fixed_point(model, pi, pi, lambda_uniform(2), alpha),
+                  lambda: macql_fixed_point(model, pi, pi, alpha),
+                  lambda: learner_fixed_point(d, alpha)):
+        with pytest.raises(ValueError, match=message):
+            solve()
 
 
 # -- empirical model -----------------------------------------------------------
@@ -757,7 +777,6 @@ def test_empirical_model_flags_unseen_as_self_loop():
     assert hat.unseen_mask[0, 0]
     assert hat.next_states[3, 0, 0] == 3  # self loop
     assert hat.rewards[3, 0] == 0.0
-    assert hat.initial_distribution[0] == 1.0
 
 
 def test_empirical_model_concentrates_on_truth(rng):
@@ -793,9 +812,9 @@ def fully_seen_single_agent_dataset(rng):
 def test_learner_fixed_point_single_agent_alpha_zero_is_value_iteration(rng):
     d, model = fully_seen_single_agent_dataset(rng)
     table, report = learner_fixed_point(d, 0.0)
-    assert report.converged and report.residual <= 1e-10
+    assert report.residual <= 1e-10
     q_star, _, _ = value_iteration(model)
-    np.testing.assert_allclose(table[:, 0, :], q_star.values, atol=1e-8, rtol=0)
+    np.testing.assert_allclose(table[:, 0, :], q_star, atol=1e-8, rtol=0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 2.0])
@@ -805,7 +824,7 @@ def test_learner_fixed_point_single_agent_penalty_equation(alpha, rng):
     table, _ = learner_fixed_point(d, alpha)
     q = table[:, 0, :]
     y = model.rewards + model.gamma * model.expected_next_values(q.max(axis=1))
-    beta = empirical_behavior(d).dense(model.n_states)[0]
+    beta = empirical_behavior(d)[0]
     expected = y - alpha * (softmax(q, axis=1) / beta - 1.0)
     np.testing.assert_allclose(q, expected, atol=1e-8, rtol=0)
 
