@@ -287,8 +287,8 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> np.ndarray:
     [0, ``state_count(spec)``) raises a ValueError naming the first such
     transition and its id.
     """
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not (np.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and >= 0, got {smoothing}")
     if not len(dataset):
         raise ValueError("empty dataset")
     spec = dataset.header.spec

@@ -127,15 +127,24 @@ def check_ratio_bound_probs(pi: np.ndarray, beta: np.ndarray, state=None,
 # -- One-state wrappers over (n, S, A) policies ------------------------------
 # Each copies its (n, A) rows out of the strided pi[:, state] view: numpy's
 # ufuncs on such small arrays ran about 40% slower on the view (toy n = 6,
-# numpy 2.4.6), and the copy gives the same bits.
+# numpy 2.4.6), and the copy gives the same bits. A state outside [0, S)
+# raises a ValueError naming it, where numpy would wrap -1 to S - 1.
+
+
+def _state_rows(pi: np.ndarray, beta: np.ndarray, state: int):
+    n_states = pi.shape[1]
+    if not 0 <= state < n_states:
+        raise ValueError(f"state {state} is not in [0, S) with S = {n_states}")
+    return pi[:, state].copy(), beta[:, state].copy()
 
 
 def d_cql(pi: np.ndarray, beta: np.ndarray, state: int) -> float:
-    return float(d_cql_probs(pi[:, state].copy(), beta[:, state].copy(), state))
+    return float(d_cql_probs(*_state_rows(pi, beta, state), state))
 
 
 def d_cf_cql(pi: np.ndarray, beta: np.ndarray, lam: np.ndarray, state: int) -> float:
-    return float(d_cf_cql_probs(pi[:, state].copy(), beta[:, state].copy(), lam, state))
+    pi_s, beta_s = _state_rows(pi, beta, state)
+    return float(d_cf_cql_probs(pi_s, beta_s, lam, state))
 
 
 # ---------------------------------------------------------------------------

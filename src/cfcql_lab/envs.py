@@ -183,7 +183,16 @@ class ToyMMDP:
         return feats
 
     def exact_model(self) -> MMDPModel:
-        """Enumerate the full (state, joint action) table; requires n <= 8."""
+        """Enumerate the full (state, joint action) table; requires n <= 8.
+
+        The table is built one agent at a time, in n passes over (S, |A|^n):
+        a state id and a joint-action id decode alike (base 3, agent 0 least
+        significant), so agent i's cell and action are both ``id // 3**i % 3``.
+        Each pass adds agent i's next cell times 3**i to the next-state ids
+        and counts its landings on the target cell; the reward is that count
+        over n, the bits of ``step_batch``'s mean. No (S, |A|^n, n) array is
+        made: the passes hold two int64 tables and one int8 count.
+        """
         n = self.n_agents
         if n > TOY_MAX_AGENTS_EXACT:
             raise CapacityError(
@@ -192,18 +201,18 @@ class ToyMMDP:
             )
         n_states = self.n_states
         n_joint = n_states  # |A|^n == 3^n == |S|
-        joint = decode_joint(np.arange(n_joint), n, TOY_N_CELLS)  # (A, n)
-        deltas = _TOY_DELTA[joint]  # (A, n)
-        weights = TOY_N_CELLS ** np.arange(n, dtype=np.int64)
-        next_states = np.empty((n_states, n_joint), dtype=np.int64)
-        rewards = np.empty((n_states, n_joint))
-        chunk = max(1, 2**22 // max(n_joint, 1))
-        for lo in range(0, n_states, chunk):
-            hi = min(lo + chunk, n_states)
-            cells = decode_joint(np.arange(lo, hi), n, TOY_N_CELLS)  # (c, n)
-            nxt = np.clip(cells[:, None, :] + deltas[None, :, :], 0, TOY_N_CELLS - 1)
-            next_states[lo:hi] = nxt @ weights
-            rewards[lo:hi] = (nxt == TOY_TARGET_CELL).mean(axis=2)
+        ids = np.arange(n_states, dtype=np.int64)
+        next_states = np.zeros((n_states, n_joint), dtype=np.int64)
+        hits = np.zeros((n_states, n_joint), dtype=np.int8)
+        for i in range(n):
+            weight = TOY_N_CELLS**i
+            digit = ids // weight % TOY_N_CELLS  # agent i's cell, and its action
+            nxt = digit[:, None] + _TOY_DELTA[digit][None, :]
+            np.clip(nxt, 0, TOY_N_CELLS - 1, out=nxt)
+            hits += nxt == TOY_TARGET_CELL
+            nxt *= weight
+            next_states += nxt
+        rewards = hits / n
         return MMDPModel(
             n_states=n_states,
             n_agents=n,

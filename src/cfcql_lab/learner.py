@@ -31,7 +31,7 @@ from .autodiff import Tensor
 from .core import Dataset, RngStream, empirical_behavior, greedy_policy_from_actions
 from .divergence import kl_scores
 from .envs import make_env
-from .neural import HIDDEN, Adam, GroupedMlp, softmax, train_bc
+from .neural import HIDDEN, Adam, GroupedMlp, forward_in_blocks, softmax, train_bc
 from .rollouts import QValuesActor, evaluate_actor
 
 METHODS = ("cfcql", "macql", "naive")
@@ -419,7 +419,8 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
 
 @ad.no_grad()
 def _record_metrics(q, env, inputs, actions, probe, step, loss_value, config, root, refs):
-    values = q.values(inputs[probe]).data
+    rows = inputs[probe]
+    values = q.values(rows).data if q.mode == "tabular" else forward_in_blocks(q.net, rows)
     chosen = np.take_along_axis(values, actions[probe][:, :, None], axis=2)[:, :, 0]
     mean_data_q = float(q.mix(chosen).data.mean())
     mean_policy_q = float(q.mix(values.max(axis=2)).data.mean())

@@ -4,6 +4,18 @@ behavior cloning — the differentiable kit behind the practical learner.
 All parameters are float64. ``GroupedMlp`` stacks one independent network per
 agent so a whole team evaluates in a single batched matmul; one group is a
 plain network.
+
+Inference over a whole dataset (``forward_in_blocks``: behavior probabilities,
+the learner's metric probe) runs untaped in ``max(1, rows // 2048)`` near-equal
+row blocks, so each block holds 2048 to 4095 rows, or all of them when there
+are fewer than 2048. The activations then stay a few MB whatever the dataset
+size, where a whole forward of 10 000 rows of four agents holds two 20 MB
+hidden layers. The floor of 2048 rows keeps the bits: the matmuls of a block
+run the same BLAS kernels as a whole forward, so the blocked output equals the
+whole one byte for byte. With OpenBLAS 0.3.31 (numpy 2.4), 10 000 rows in
+blocks of about 1100 rows or fewer moved outputs by up to 4.4e-15, since small
+row counts take other kernels. A 3-wide output layer also changes kernel past
+about 4096 rows, so there only outputs of up to 4096 rows keep their bits.
 """
 
 from __future__ import annotations
@@ -21,12 +33,20 @@ HIDDEN = (64, 64)  # hidden layer sizes of every per-agent network the package t
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 BC_BATCH_SIZE = 256
 BC_LR = 1e-3
+INFERENCE_BLOCK_ROWS = 2048  # least rows per block of an untaped forward; see the module docstring
 
 
 def softmax(v, axis: int = -1) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    shifted = np.exp(arr - arr.max(axis=axis, keepdims=True))
-    return shifted / shifted.sum(axis=axis, keepdims=True)
+    return _softmax_in_place(np.array(v, dtype=np.float64), axis)
+
+
+def _softmax_in_place(arr: np.ndarray, axis: int) -> np.ndarray:
+    """softmax of the float64 ``arr``, written over it: the ops of
+    ``exp(x - max) / sum``, so the same bits, with no second array of its size."""
+    arr -= arr.max(axis=axis, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=axis, keepdims=True)
+    return arr
 
 
 def _he_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -64,6 +84,20 @@ class GroupedMlp:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = ad.dense(h, w, b, relu=k != last)
         return ad.swapaxes(h, 0, 1)
+
+
+def forward_in_blocks(net: GroupedMlp, x: np.ndarray) -> np.ndarray:
+    """``net.forward(x).data`` with no tape, over ``max(1, rows //
+    INFERENCE_BLOCK_ROWS)`` near-equal row blocks written into one output
+    array: the same bytes with a bounded working set (module docstring)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((len(x), net.n_groups, net.sizes[-1]))
+    n_blocks = max(1, len(x) // INFERENCE_BLOCK_ROWS)
+    bounds = np.arange(n_blocks + 1) * len(x) // n_blocks
+    with ad.no_grad():
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            out[lo:hi] = net.forward(x[lo:hi]).data
+    return out
 
 
 class Adam:
@@ -126,12 +160,18 @@ class BcModel:
     def __init__(self, net: GroupedMlp):
         self.net = net
 
-    @ad.no_grad()
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return self.net.forward(features).data
+        return forward_in_blocks(self.net, features)
 
     def probs(self, features: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(features), axis=-1)
+        """(rows, n, A) action probabilities of every agent at each feature row.
+
+        The forward runs in blocks of INFERENCE_BLOCK_ROWS (2048) to 4095 rows,
+        each with the bits of a whole forward (the module docstring says why
+        the floor is 2048), and the softmax runs in place on the logits, so
+        the working set beyond the output is about one block's activations.
+        """
+        return _softmax_in_place(self.logits(features), axis=-1)
 
 
 def train_bc(features: np.ndarray, actions: np.ndarray, n_actions: int,

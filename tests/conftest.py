@@ -5,6 +5,16 @@ from cfcql_lab.core import Dataset, DatasetHeader, Tier
 from cfcql_lab.envs import ToyMMDP
 
 
+def pytest_report_header(config):
+    """Name numpy and its BLAS: bit-level results depend on the BLAS kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_text = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas_text = "unknown"
+    return f"numpy {np.__version__}, BLAS {blas_text}"
+
+
 def make_dataset(rows, spec, starts=None, tier=Tier.EXPERT, seed=0):
     """Dataset from (state, joint action, reward, next state, done) rows."""
     if starts is None:

@@ -108,6 +108,15 @@ def test_empirical_behavior_laplace_smoothing():
     np.testing.assert_allclose(beta[0, 0], [1 / 7, 5 / 7, 1 / 7])
 
 
+@pytest.mark.parametrize("smoothing", [float("nan"), float("inf"), -1.0])
+def test_empirical_behavior_rejects_a_non_finite_or_negative_smoothing(smoothing):
+    # nan passes a plain `smoothing < 0` check and inf gives inf / inf: both
+    # would return nan rows for every visited state
+    ts = [_transition(0, (1, 0), 0.0, 4), _transition(4, (2, 2), 0.0, 0, True)]
+    with pytest.raises(ValueError, match=rf"smoothing must be finite and >= 0, got {smoothing}"):
+        empirical_behavior(make_dataset(ts, TOY_SPEC), smoothing=smoothing)
+
+
 def test_empirical_behavior_empty_dataset():
     with pytest.raises(ValueError, match="empty dataset"):
         empirical_behavior(make_dataset([], TOY_SPEC, starts=()))

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from cfcql_lab.divergence import (
     SupportError,
     check_ratio_bound_probs,
+    d_cf_cql,
     d_cf_cql_probs,
+    d_cql,
     d_cql_probs,
     kl_scores,
     lambda_uniform,
@@ -161,6 +163,18 @@ def test_divergences_at_every_state_have_the_per_state_bits(n, rng):
         [d_cf_cql_probs(pi[:, s], beta[:, s], lam) for s in range(n_states)]).tobytes()
     assert d_cql.tobytes() == np.array(
         [d_cql_probs(pi[:, s], beta[:, s]) for s in range(n_states)]).tobytes()
+
+
+@pytest.mark.parametrize("state", [-1, 9])
+def test_one_state_divergences_reject_a_state_outside_the_policy(state, rng):
+    # numpy would read -1 as state S - 1 and raise its own IndexError at S
+    pi = rng.dirichlet(np.ones(3), size=(2, 9))
+    beta = rng.dirichlet(np.ones(3), size=(2, 9))
+    message = rf"state {state} is not in \[0, S\) with S = 9"
+    with pytest.raises(ValueError, match=message):
+        d_cql(pi, beta, state)
+    with pytest.raises(ValueError, match=message):
+        d_cf_cql(pi, beta, lambda_uniform(2), state)
 
 
 def test_d_cf_zero_at_equal_policies(rng):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,14 +77,16 @@ def test_toy_episode_limit():
 
 
 def test_toy_exact_model_matches_single_steps():
-    env = ToyMMDP(1)
-    model = env.exact_model()
-    assert model.n_states == 3
-    for s in range(3):
-        for a in range(3):
-            nxt, r = env.step_batch(np.array([[s]]), np.array([[a]]))
-            assert model.next_states[s, a, 0] == env.encode_batch(nxt)[0]
-            assert model.rewards[s, a] == pytest.approx(r[0])
+    # every (state, joint action) cell, byte for byte, at n = 1..6
+    for n in range(1, 7):
+        env = ToyMMDP(n)
+        model = env.exact_model()
+        ids = np.arange(env.n_states)
+        states, joint = np.repeat(ids, len(ids)), np.tile(ids, len(ids))
+        nxt, rewards = env.step_batch(decode_joint(states, n, 3), decode_joint(joint, n, 3))
+        assert model.next_states.shape == (env.n_states, env.n_states, 1)
+        assert model.next_states[:, :, 0].ravel().tobytes() == env.encode_batch(nxt).tobytes()
+        assert model.rewards.ravel().tobytes() == rewards.tobytes()
 
 
 def test_toy_exact_model_agrees_with_step_on_random_probes():
@@ -102,6 +106,19 @@ def test_toy_exact_model_agrees_with_step_on_random_probes():
         model.next_states[states, joint, 0], env.encode_batch(nxt)
     )
     np.testing.assert_allclose(model.rewards[states, joint], rewards)
+
+
+def test_toy_exact_model_builds_no_per_agent_table():
+    # At n = 6 one (S, |A|^n) int64 table is 4.25 MB; an (S, |A|^n, n) one
+    # would be 25.5 MB. Agent by agent the build holds a few 2-D tables.
+    env = ToyMMDP(6)
+    tracemalloc.start()
+    try:
+        env.exact_model()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_toy_exact_model_rows_are_one_hot():

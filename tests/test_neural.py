@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from cfcql_lab import autodiff as ad
 from cfcql_lab.neural import (
+    HIDDEN,
     Adam,
+    BcModel,
     GroupedMlp,
     load_params,
     save_params,
@@ -596,6 +599,43 @@ def test_train_bc_deterministic_behavior_and_seeding():
     assert chosen.mean() > 0.95
     for a, b in zip(m1.net.parameters(), m2.net.parameters()):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+def line_bc_model(seed):
+    """A BC model of EqualLine's shape at n = 4: 7 features, 11 actions."""
+    return BcModel(GroupedMlp(4, (7, *HIDDEN, 11), np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("rows", [20_000, 40_000])
+def test_bc_probs_working_set_is_bounded(rows):
+    # A whole forward holds two (rows, 4, 64) float64 hidden layers, 41 MB
+    # at 20 000 rows; in row blocks the working set beyond the output stays
+    # about one block's activations at any row count.
+    model = line_bc_model(0)
+    features = np.random.default_rng(1).normal(size=(rows, 4, 7))
+    tracemalloc.start()
+    try:
+        probs = model.probs(features)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (rows, 4, 11)
+    assert peak - probs.nbytes < 16e6
+
+
+@pytest.mark.parametrize("rows", [2047, 2048, 4097, 10_007])
+def test_bc_probs_in_blocks_equal_the_whole_forward_byte_for_byte(rows):
+    # Blocks of 2048 to 4095 rows run the BLAS kernels of the whole forward.
+    # This pins that regime: a platform whose BLAS breaks it also moves the
+    # seeded outputs of every neural run. The in-place softmax keeps the bits
+    # of the textbook exp(x - max) / sum.
+    model = line_bc_model(2)
+    features = np.random.default_rng(3).normal(size=(rows, 4, 7))
+    with ad.no_grad():
+        whole = model.net.forward(features).data
+    shifted = np.exp(whole - whole.max(axis=-1, keepdims=True))
+    assert model.logits(features).tobytes() == whole.tobytes()
+    assert model.probs(features).tobytes() == (shifted / shifted.sum(axis=-1, keepdims=True)).tobytes()
 
 
 # -- checkpoints ---------------------------------------------------------------
