@@ -1,9 +1,18 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The ops are the learner's: add, sub, mul, dense (an affine layer with an
-optional rectifier), square, tsum, tmean, logsumexp_t, lse_minus_chosen,
-gather_last, take_rows, reshape and swapaxes, reversed by ``backward``.
-Everything is float64; tapes are built eagerly and freed after ``backward``.
+optional rectifier), tsum, tmean, logsumexp_t, gather_last, take_rows, reshape
+and swapaxes, reversed by ``backward``. Everything is float64; tapes are built
+eagerly and freed after ``backward``.
+
+A loss term is one node: ``td_loss`` (the TD term), ``lse_minus_chosen`` (a
+weighted logsumexp-minus-chosen penalty) and ``sampled_lse_td`` (a sampled
+joint logsumexp penalty together with the TD term it shares Q_tot with). Each
+computes its value and writes out its backward with the float ops, in the
+order, of the op chain it stands for, so values and gradients keep that
+chain's bits while a step tapes a few nodes instead of about twenty; a tape
+node costs microseconds to build and reverse, more than a small term's
+arithmetic.
 
 A result with no grad-requiring parent records no tape: its ``parents`` is
 empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
@@ -160,15 +169,6 @@ def dense(x, w, b, relu: bool) -> Tensor:
     return Tensor(out, (x, w, b), bwd)
 
 
-def square(x) -> Tensor:
-    x = as_tensor(x)
-
-    def bwd(g):
-        return (g * 2.0 * x.data,)
-
-    return Tensor(x.data * x.data, (x,), bwd)
-
-
 def _spread(g, shape: tuple, axis) -> np.ndarray:
     """The gradient of a sum over ``axis``: ``g`` copied along the summed axis."""
     if axis is not None:
@@ -215,47 +215,150 @@ def logsumexp_t(x, axis: int = -1) -> Tensor:
     return Tensor(out_data, (x,), bwd)
 
 
-def lse_minus_chosen(x, index: np.ndarray):
-    """``logsumexp(x[..., :]) - x[..., index]`` as one node, and the softmax
-    of ``x`` over its last axis as a plain array: ``(gap, softmax)``.
+def _flat_positions(op: str, shape: tuple, idx: np.ndarray) -> np.ndarray:
+    """Positions in ``x.ravel()`` of ``x[..., idx[...]]`` for an (…, A) ``x`` of
+    ``shape``: ``idx`` holds x's leading shape, plus at most one axis of picks
+    per row. An index outside 0..A-1 raises a ValueError naming ``op`` and it."""
+    width = shape[-1]
+    # one reduction: viewed as unsigned, a negative index is at least 2**63
+    if idx.size and idx.view(np.uint64).max() >= width:
+        bad = idx[(idx < 0) | (idx >= width)][0]
+        raise ValueError(f"{op} index {bad} is outside 0..{width - 1}")
+    picks = (1,) * (idx.ndim - len(shape) + 1)
+    rows = np.arange(0, math.prod(shape), width).reshape(shape[:-1] + picks)
+    return (idx + rows).ravel()
 
-    The max and the sum run over the leading axis of an (A, ...) copy, which
-    numpy reduces several times faster than a short last axis. For A < 8 it
-    adds the terms in the same order, so ``gap`` has the bits of
-    ``logsumexp_t(x) - gather_last(x, index[..., None])[..., 0]``. The
-    backward is ``g * (softmax - onehot(index))``.
-    """
-    x = as_tensor(x)
+
+def _index_of_rows(op: str, shape: tuple, index) -> tuple:
+    """``index`` as int64, one entry per row of an (…, A) ``x``, and its flat positions."""
     idx = np.asarray(index, dtype=np.int64)
-    shape = x.data.shape
     if idx.shape != shape[:-1]:
         raise ValueError(f"index shape {idx.shape} != {shape[:-1]}")
-    width = shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= width):
-        bad = idx[(idx < 0) | (idx >= width)][0]
-        raise ValueError(f"lse_minus_chosen index {bad} is outside 0..{width - 1}")
-    flat = idx.ravel() + np.arange(0, x.data.size, width)
-    ndim = x.data.ndim
-    lead = x.data.transpose((ndim - 1, *range(ndim - 1))).copy()  # (A, ...)
-    m = lead.max(axis=0)
-    shifted = np.exp(lead - m)
-    total = shifted.sum(axis=0)
-    soft = (shifted / total).transpose((*range(1, ndim), 0))  # (..., A), a view
-    out_data = m + np.log(total) - x.data.reshape(-1)[flat].reshape(idx.shape)
-
-    def bwd(g):
-        grad = np.empty(shape)
-        np.multiply(soft, g[..., None], out=grad)
-        grad.reshape(-1)[flat] -= g.ravel()
-        return (grad,)
-
-    return Tensor(out_data, (x,), bwd), soft
+    return idx, _flat_positions(op, shape, idx)
 
 
 def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     """``g`` summed into zeros of ``shape`` at flat positions ``flat``, one by
     one in index order (as ``np.add.at`` adds, so duplicates give its bits)."""
     return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
+def _td_rows(op: str, x: Tensor, index, y) -> tuple:
+    """Checked (B, n) ``index`` of a (B, n, A) ``x``, its flat positions, and
+    ``d = sum_i x[b, i, index[b, i]] - y[b]``, the TD term's per-row error."""
+    shape = x.data.shape
+    if len(shape) != 3:
+        raise ValueError(f"{op} expects (B, n, A) values, got shape {shape}")
+    idx, flat = _index_of_rows(op, shape, index)
+    if np.shape(y) != shape[:1]:
+        raise ValueError(f"{op}: targets of shape {np.shape(y)} for {shape[0]} rows")
+    q = x.data.reshape(-1)[flat].reshape(idx.shape).sum(axis=-1)
+    return flat, q, q - y
+
+
+def _td_grad(g, d: np.ndarray, scale: float) -> np.ndarray:
+    """The TD term's gradient in each row's Q_tot, ``full(B, g * 0.5 * scale)
+    * 2.0 * d``: the backward of ``mul(0.5)``, ``tmean`` and the square in turn.
+    Doubling is exact, so the constant is doubled before the one pass over d."""
+    return d * (g * 0.5 * scale * 2.0)
+
+
+def td_loss(x, index, y) -> Tensor:
+    """``0.5 * mean_b (sum_i x[b, i, index[b, i]] - y[b])**2`` as one node, for
+    (B, n, A) ``x``, (B, n) ``index`` and (B,) targets ``y``.
+
+    The forward gathers, sums over agents, then takes ``d = q - y`` and
+    ``(d * d).sum() * (1 / B) * 0.5``; the backward is
+    ``full(B, g * 0.5 * (1 / B)) * 2.0 * d``, copied over the agents and
+    scattered as ``gather_last``'s backward scatters. These are the float ops
+    of gather_last, reshape, tsum, sub, a square (``x * x``, backward
+    ``g * 2.0 * x``), tmean and mul in turn, so the value and gradient have
+    that chain's bits.
+    """
+    x = as_tensor(x)
+    shape = x.data.shape
+    flat, _, d = _td_rows("td_loss", x, index, y)
+    scale = 1.0 / len(d)
+
+    def bwd(g):
+        return (_scatter_add(flat, np.repeat(_td_grad(g, d, scale), shape[1]), shape),)
+
+    return Tensor((d * d).sum() * scale * 0.5, (x,), bwd)
+
+
+def lse_minus_chosen(x, index: np.ndarray, weigh) -> Tensor:
+    """``sum(w * (logsumexp(x[..., :]) - x[..., index]))`` as one node, where
+    ``w = weigh(softmax)`` is computed from the softmax of ``x`` over its last
+    axis (a plain array) and broadcasts against ``index``.
+
+    The max and the sum run over the leading axis of an (A, ...) copy, which
+    numpy reduces several times faster than a short last axis. For A < 8 it
+    adds the terms in the same order, so the value has the bits of
+    ``tsum(mul(w, logsumexp_t(x) - gather_last(x, index[..., None])[..., 0]))``.
+    The backward is ``g * w * (softmax - onehot(index))``.
+    """
+    x = as_tensor(x)
+    shape = x.data.shape
+    idx, flat = _index_of_rows("lse_minus_chosen", shape, index)
+    ndim = x.data.ndim
+    lead = x.data.transpose((ndim - 1, *range(ndim - 1))).copy()  # (A, ...)
+    m = lead.max(axis=0)
+    shifted = np.exp(lead - m)
+    total = shifted.sum(axis=0)
+    soft = (shifted / total).transpose((*range(1, ndim), 0))  # (..., A), a view
+    gap = m + np.log(total) - x.data.reshape(-1)[flat].reshape(idx.shape)
+    w = weigh(soft)
+
+    def bwd(g):
+        gw = np.broadcast_to(g * w, idx.shape)
+        grad = np.empty(shape)
+        np.multiply(soft, gw[..., None], out=grad)
+        grad.reshape(-1)[flat] -= gw.ravel()
+        return (grad,)
+
+    return Tensor((w * gap).sum(), (x,), bwd)
+
+
+def sampled_lse_td(x, index, y, joints, log_const: float, alpha: float):
+    """``alpha * mean_b (logsumexp_k sum_i x[b, i, joints[b, k, i]] + log_const
+    - q_b) + td_loss(x, index, y)`` as one node, with q_b the TD term's
+    ``sum_i x[b, i, index[b, i]]``; returns ``(loss, td, penalty)``, the last
+    two as floats. ``joints`` is (B, K, n), K joint actions per row.
+
+    Both terms take q_b, and the op chain sums their gradients in q_b before
+    one scatter into ``x``, so one node holds both: two nodes would scatter
+    twice and round differently. The float ops are those of gather_last,
+    tsum(axis=1), logsumexp_t, add, sub, tmean and mul for the penalty and of
+    ``td_loss`` for the TD term, so the loss and gradient have the chain's
+    bits; duplicate joints accumulate in index order.
+    """
+    x = as_tensor(x)
+    shape = x.data.shape
+    flat, q, d = _td_rows("sampled_lse_td", x, index, y)
+    joints = np.asarray(joints, dtype=np.int64)
+    if joints.ndim != 3 or joints.shape[::2] != shape[:-1]:
+        raise ValueError(f"joints shape {joints.shape} is not (B, K, n) for (B, n) = "
+                         f"{shape[:-1]}")
+    picks = np.swapaxes(joints, 1, 2)  # (B, n, K)
+    flat_joints = _flat_positions("sampled_lse_td", shape, picks)
+    scale = 1.0 / len(d)
+    td = (d * d).sum() * scale * 0.5
+    joint_q = x.data.reshape(-1)[flat_joints].reshape(picks.shape).sum(axis=1)  # (B, K)
+    m = np.max(joint_q, axis=-1, keepdims=True)
+    shifted = np.exp(joint_q - m)
+    total = shifted.sum(axis=-1, keepdims=True)
+    est = (m + np.log(total)).squeeze(-1) + log_const
+    penalty = (est - q).sum() * scale * alpha
+
+    def bwd(g):
+        g_est = np.full(d.shape, g * alpha * scale)
+        spread = np.empty(picks.shape)
+        spread[...] = (g_est.reshape(total.shape) * (shifted / total))[:, None, :]
+        g_q = -g_est + _td_grad(g, d, scale)
+        return (_scatter_add(flat_joints, spread, shape)
+                + _scatter_add(flat, np.repeat(g_q, shape[1]), shape),)
+
+    return Tensor(penalty + td, (x,), bwd), float(td), float(penalty)
 
 
 def gather_last(x, index: np.ndarray) -> Tensor:
@@ -265,12 +368,7 @@ def gather_last(x, index: np.ndarray) -> Tensor:
     shape = x.data.shape
     if idx.shape[:-1] != shape[:-1]:
         raise ValueError(f"index leading dims {idx.shape[:-1]} != {shape[:-1]}")
-    width = shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= width):
-        bad = idx[(idx < 0) | (idx >= width)][0]
-        raise ValueError(f"gather_last index {bad} is outside 0..{width - 1}")
-    rows = np.arange(0, x.data.size, width).reshape(shape[:-1] + (1,))
-    flat = (idx + rows).ravel()
+    flat = _flat_positions("gather_last", shape, idx)
 
     def bwd(g):
         return (_scatter_add(flat, g, shape),)
@@ -334,7 +432,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(loss): np.ones(loss.data.shape)}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:

@@ -22,7 +22,6 @@ summing to 1.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +44,18 @@ class Tier(str, Enum):
     MIXED = "mixed"
 
 
+def _check_types(fields, ints: tuple, numbers: tuple) -> None:
+    """Raise a ValueError naming the first attribute of ``fields`` listed in
+    ``ints`` that is not an integer, or in ``numbers`` that is not a real
+    number; a bool is neither."""
+    for names, kinds, what in ((ints, (int, np.integer), "an integer"),
+                               (numbers, (int, float, np.integer, np.floating), "a number")):
+        for name in names:
+            value = getattr(fields, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvSpec:
     """Complete static description of a finite multi-agent MDP."""
@@ -59,6 +70,7 @@ class EnvSpec:
     state_codec: str  # human-readable description of the encoding
 
     def __post_init__(self):
+        _check_types(self, ("n_agents", "n_actions", "episode_limit"), ("gamma", "r_max"))
         if self.n_agents < 1:
             raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.n_actions < 2:
@@ -89,6 +101,9 @@ class DatasetHeader:
     n_trajectories: int
     generator_version: str = GENERATOR_VERSION
     format_version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        _check_types(self, ("seed", "n_trajectories", "format_version"), ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,8 +488,10 @@ def _read_records(path, body: str, spec: EnvSpec) -> np.ndarray:
     separators = data.translate(None, delete=_NOT_SEPARATOR)
     if separators == _separators(spec).encode("ascii") * data.count(b"\n"):
         try:
-            return np.loadtxt(io.StringIO(data.translate(_TO_COMMA).decode("utf-8")),
-                              dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            # the lines as a list: an io.StringIO of the body would hold it as
+            # UCS4, four times its size, and split "\n" only, as split does
+            lines = data.translate(_TO_COMMA).decode("utf-8").split("\n")[:-1]
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             pass
     for k, line in enumerate(body.split("\n")[:-1]):
@@ -482,11 +499,28 @@ def _read_records(path, body: str, spec: EnvSpec) -> np.ndarray:
     raise AssertionError(f"{path}: records rejected, but no line is malformed")
 
 
+def _not_utf8(path) -> str:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end as the text reader ends them: at \n, \r\n or \r
+        before = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = before.count(b"\n") + 1
+        return f"{path}: line {line}: not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})"
+    raise AssertionError(f"{path}: decoding failed, but the bytes are UTF-8")
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset file; a malformed or invalid file raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        body = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            body = fh.read()
+    except UnicodeDecodeError:
+        raise ValueError(_not_utf8(path)) from None
     try:
         meta = json.loads(first)
     except json.JSONDecodeError as exc:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .core import Dataset, DatasetHeader, EnvSpec, RngStream, Tier, validate_dataset
-from .learner import (Batch, FactoredQ, cfcql_loss, encode_states, encode_transitions,
-                      make_greedy_actor)
+from .learner import (Batch, FactoredQ, encode_states, encode_transitions, make_greedy_actor,
+                      td_targets)
 from .neural import Adam
 from .rollouts import RandomActor, evaluate_actor, rollout_episodes
 
@@ -143,6 +143,20 @@ def train_online(env, budget: int, rng: RngStream,
     anneal_updates = max(1, int(budget * EPSILON_ANNEAL_FRAC))
     updates = 0
 
+    def batch(idx) -> Batch:
+        return Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
+                     next_inputs=next_inputs[idx])
+
+    def batch_targets(rows) -> np.ndarray:
+        """The (k, B) TD targets of the batches of buffer rows ``rows`` under
+        ``target``. Tabular values are a gather, so one pass over all k * B
+        rows gives each row the bits of its own batch's pass; a network
+        forward's bits depend on its row count, so neural targets are taken
+        batch by batch."""
+        if mode == "tabular":
+            return td_targets(target, batch(rows.ravel()), spec.gamma).reshape(rows.shape)
+        return np.stack([td_targets(target, batch(idx), spec.gamma) for idx in rows])
+
     def take_checkpoint():
         eval_rng = rng.child(f"eval/{len(checkpoints)}").generator()
         mean, _ = evaluate_actor(env, make_greedy_actor(q, env),
@@ -166,15 +180,22 @@ def train_online(env, budget: int, rng: RngStream,
             filled += horizon
         inputs[new_rows], next_inputs[new_rows] = encode_transitions(
             lambda raw: encode_states(env, mode, raw), states[new_rows], next_states[new_rows])
-        for _ in range(min(config.updates_per_block, budget - updates)):
-            idx = batch_rng.integers(0, filled, size=ONLINE_BATCH_SIZE)
-            batch = Batch(inputs=inputs[idx], actions=actions[idx], rewards=rewards[idx],
-                          next_inputs=next_inputs[idx])
-            opt.zero_grad()
-            loss, _ = cfcql_loss(batch, q, target, None, 0.0, spec.gamma)
-            ad.backward(loss)
-            opt.step()
-            updates += 1
+        # The block's TD updates. One draw gives every batch's rows (the bit
+        # generator buffers its 32-bit halves, so the stream is the one
+        # per-update draws give). The updates up to the next target copy
+        # share one target network, so their TD targets are computed first
+        # (batch_targets). Each update is then cfcql_loss at alpha = 0 less
+        # its target pass: one TD node, its backward and an Adam step.
+        n_updates = min(config.updates_per_block, budget - updates)
+        block_rows = batch_rng.integers(0, filled, size=(n_updates, ONLINE_BATCH_SIZE))
+        while len(block_rows):
+            shared = ONLINE_TARGET_INTERVAL - updates % ONLINE_TARGET_INTERVAL
+            rows, block_rows = block_rows[:shared], block_rows[shared:]
+            for idx, y in zip(rows, batch_targets(rows)):
+                opt.zero_grad()
+                ad.backward(ad.td_loss(q.values(inputs[idx]), actions[idx], y))
+                opt.step()
+                updates += 1
             if updates % ONLINE_TARGET_INTERVAL == 0:
                 target = q.copy()
         if (block + 1) % checkpoint_every == 0 and updates < budget:

@@ -16,6 +16,13 @@ simplex the cfcql penalty is sum_i lambda_i (lse Q_i - chosen_i). The softmax
 of that row is softmax(Q_i(s, ·)), agent i's counterfactual Boltzmann policy.
 Over every joint action, log sum_a exp sum_i Q_i(a_i) = sum_i lse Q_i, so
 macql's enumerated penalty is sum_i (lse Q_i - chosen_i).
+
+Each loss term is one autodiff node with a written-out backward: the TD term
+is ``td_loss``, both per-agent penalties are ``lse_minus_chosen`` with their
+weights, and sampled macql, whose penalty subtracts the TD term's Q_tot, is
+one ``sampled_lse_td`` node for both terms. A step tapes the per-agent values,
+at most two loss nodes and their sum, whatever n is, and each node repeats
+the float ops of the op chain it replaces, so training keeps its bits.
 """
 
 from __future__ import annotations
@@ -128,10 +135,6 @@ class FactoredQ:
     def mix(self, chosen: Tensor) -> Tensor:
         return ad.tsum(chosen, axis=-1)
 
-    def q_tot_data(self, values: Tensor, actions: np.ndarray) -> Tensor:
-        chosen = ad.gather_last(values, actions[:, :, None])
-        return self.mix(ad.reshape(chosen, actions.shape))
-
     def copy(self) -> "FactoredQ":
         clone = FactoredQ(
             self.n_agents, self.n_actions, self.mode,
@@ -165,8 +168,8 @@ def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
     # max over actions as a reduction over the leading axis of an (A, B, n)
     # copy: numpy reduces a short last axis several times slower
     next_values = np.ascontiguousarray(q_target.values(batch.next_inputs).data.transpose(2, 0, 1))
-    next_tot = q_target.mix(next_values.max(axis=0)).data
-    return batch.rewards + gamma * next_tot
+    # the target's Q_tot, summed over agents as ``mix`` sums, with no Tensor
+    return batch.rewards + gamma * next_values.max(axis=0).sum(axis=-1)
 
 
 def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
@@ -181,16 +184,17 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
     (module docstring).
     """
     values = q.values(batch.inputs)
-    q_data = q.q_tot_data(values, batch.actions)
-    y = td_targets(q_target, batch, gamma)
-    td = ad.mul(ad.tmean(ad.square(q_data - y)), 0.5)
+    td = ad.td_loss(values, batch.actions, td_targets(q_target, batch, gamma))
     if alpha == 0.0:
         return td, {"td": float(td.data), "penalty": 0.0}
 
-    gap, pi = ad.lse_minus_chosen(values, batch.actions)  # (B, n)
-    weights = _uniform(batch, q) if lam is None else lam(pi)
-    # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
-    penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
+    scale = alpha / len(batch)
+
+    def weigh(pi):
+        # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
+        return (_uniform(batch, q) if lam is None else lam(pi)) * scale
+
+    penalty = ad.lse_minus_chosen(values, batch.actions, weigh)
     return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
 
@@ -208,28 +212,24 @@ def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
     plus the importance constant log(|A|^n / N).
     """
     values = q.values(batch.inputs)
-    q_data = q.q_tot_data(values, batch.actions)
     y = td_targets(q_target, batch, gamma)
-    td = ad.mul(ad.tmean(ad.square(q_data - y)), 0.5)
+    b = len(batch)
+    if alpha != 0.0 and n_samples < q.n_actions**q.n_agents:
+        if rng is None:
+            raise ValueError("sampled joint actions need an rng")
+        sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
+        log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
+        # the penalty's -Q_tot(data) is the TD term's, so one node holds both
+        # terms (autodiff.sampled_lse_td says why)
+        loss, td, penalty = ad.sampled_lse_td(values, batch.actions, y, sampled, log_const,
+                                              alpha)
+        return loss, {"td": td, "penalty": penalty}
+    td = ad.td_loss(values, batch.actions, y)
     if alpha == 0.0:
         return td, {"td": float(td.data), "penalty": 0.0}
-
-    b = len(batch)
-    if n_samples >= q.n_actions**q.n_agents:
-        gap, _ = ad.lse_minus_chosen(values, batch.actions)
-        # alpha * mean_b sum_i gap_i, in cfcql's form: at n = 1 the two
-        # losses are the same bits
-        penalty = ad.tsum(ad.mul(gap, alpha / b))
-        return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
-    if rng is None:
-        raise ValueError("sampled joint actions need an rng")
-    sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
-    log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
-    # one gather of every agent's sampled actions: (B, n, K), summed over the
-    # agents without a swapaxes copy; for n < 8 the same bits as the mix
-    chosen = ad.gather_last(values, np.swapaxes(sampled, 1, 2))
-    est = ad.logsumexp_t(ad.tsum(chosen, axis=1), axis=-1) + log_const  # (B,)
-    penalty = ad.mul(ad.tmean(est - q_data), alpha)
+    # alpha * mean_b sum_i gap_i, in cfcql's form: at n = 1 the two losses
+    # are the same bits
+    penalty = ad.lse_minus_chosen(values, batch.actions, lambda pi: alpha / b)
     return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
 

@@ -1,0 +1,92 @@
+"""The per-op chains that the loss nodes of ``autodiff`` replace, rebuilt from
+the ops that remain plus numpy copies of the deleted ones, so tests can hold
+each node to its chain's bits in value and gradient."""
+
+import numpy as np
+
+from cfcql_lab import autodiff as ad
+from cfcql_lab.autodiff import Tensor
+from cfcql_lab.learner import _uniform, td_targets
+
+
+def square(x):
+    """The deleted ``square`` op: ``x * x``, backward ``g * 2.0 * x``."""
+    x = ad.as_tensor(x)
+    return Tensor(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
+
+
+def lse_gap(x, index):
+    """The deleted two-output ``lse_minus_chosen``: ``(gap, softmax)``, with
+    ``gap = logsumexp(x[..., :]) - x[..., index]`` as one node whose backward
+    is ``g * (softmax - onehot(index))``."""
+    x = ad.as_tensor(x)
+    idx = np.asarray(index, dtype=np.int64)
+    shape, width, ndim = x.data.shape, x.data.shape[-1], x.data.ndim
+    flat = idx.ravel() + np.arange(0, x.data.size, width)
+    lead = x.data.transpose((ndim - 1, *range(ndim - 1))).copy()
+    m = lead.max(axis=0)
+    shifted = np.exp(lead - m)
+    total = shifted.sum(axis=0)
+    soft = (shifted / total).transpose((*range(1, ndim), 0))
+
+    def bwd(g):
+        grad = np.empty(shape)
+        np.multiply(soft, g[..., None], out=grad)
+        grad.reshape(-1)[flat] -= g.ravel()
+        return (grad,)
+
+    gap = m + np.log(total) - x.data.reshape(-1)[flat].reshape(idx.shape)
+    return Tensor(gap, (x,), bwd), soft
+
+
+def q_tot_data(values, actions):
+    """Q_tot of the data's joint actions: gather, reshape and sum over agents."""
+    return ad.tsum(ad.reshape(ad.gather_last(values, actions[:, :, None]), actions.shape),
+                   axis=-1)
+
+
+def td_chain(q_data, y):
+    """``0.5 * mean (q_data - y)**2`` op by op."""
+    return ad.mul(ad.tmean(square(q_data - y)), 0.5)
+
+
+def weighted_gap_chain(x, index, weights):
+    """``sum(weights * gap)``: the penalty chain of both losses."""
+    return ad.tsum(ad.mul(weights, lse_gap(x, index)[0]))
+
+
+def sampled_penalty_chain(values, q_data, joints, log_const, alpha):
+    """macql's sampled penalty op by op, from (B, K, n) joints."""
+    chosen = ad.gather_last(values, np.swapaxes(joints, 1, 2))
+    est = ad.logsumexp_t(ad.tsum(chosen, axis=1), axis=-1) + log_const
+    return ad.mul(ad.tmean(est - q_data), alpha)
+
+
+def cfcql_loss(batch, q, q_target, lam, alpha, gamma):
+    """``learner.cfcql_loss`` as an op chain."""
+    values = q.values(batch.inputs)
+    q_data = q_tot_data(values, batch.actions)
+    td = td_chain(q_data, td_targets(q_target, batch, gamma))
+    if alpha == 0.0:
+        return td, {"td": float(td.data), "penalty": 0.0}
+    gap, pi = lse_gap(values, batch.actions)
+    weights = _uniform(batch, q) if lam is None else lam(pi)
+    penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
+    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
+
+
+def macql_loss(batch, q, q_target, alpha, n_samples, rng, gamma):
+    """``learner.macql_loss`` as an op chain."""
+    values = q.values(batch.inputs)
+    q_data = q_tot_data(values, batch.actions)
+    td = td_chain(q_data, td_targets(q_target, batch, gamma))
+    if alpha == 0.0:
+        return td, {"td": float(td.data), "penalty": 0.0}
+    b = len(batch)
+    if n_samples >= q.n_actions**q.n_agents:
+        penalty = ad.tsum(ad.mul(lse_gap(values, batch.actions)[0], alpha / b))
+    else:
+        sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
+        log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
+        penalty = sampled_penalty_chain(values, q_data, sampled, log_const, alpha)
+    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}

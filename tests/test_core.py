@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcql_lab.core import (
+    DatasetHeader,
     EnvId,
     EnvSpec,
     RngStream,
@@ -484,6 +486,52 @@ def test_load_dataset_rejects_bad_file(tmp_path, line_no, old, new, message):
     with pytest.raises(ValueError) as err:
         load_dataset(path)
     assert str(err.value).startswith(f"{path}: {message}")
+
+
+HEADER_VALUES = {"n_agents": 2, "n_actions": 3, "episode_limit": 5, "n_trajectories": 3,
+                 "seed": 7, "format_version": 1, "gamma": 0.9, "r_max": 1.0}
+# an integer field as a bool, as a float of its own value, and as a string
+# (format_version is checked against 1 first, so "x" is an unknown version)
+BAD_HEADER_VALUES = [
+    (field, bad, "an integer")
+    for field in ("n_agents", "n_actions", "episode_limit", "n_trajectories", "seed",
+                  "format_version")
+    for bad in ("true", f"{HEADER_VALUES[field]}.0", '"x"')[:2 if field == "format_version" else 3]
+] + [(field, bad, "a number") for field in ("gamma", "r_max") for bad in ("true", '"x"', "null")]
+
+
+@pytest.mark.parametrize("field, bad, kind", BAD_HEADER_VALUES,
+                         ids=[f"{field}={bad}" for field, bad, _ in BAD_HEADER_VALUES])
+def test_load_dataset_rejects_a_header_field_of_the_wrong_type(tmp_path, field, bad, kind):
+    path = _edit_golden(tmp_path, 1, f'"{field}": {json.dumps(HEADER_VALUES[field])}',
+                        f'"{field}": {bad}')
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == (f"{path}: line 1: {field} must be {kind}, "
+                              f"got {json.loads(bad)!r}")
+
+
+@pytest.mark.parametrize("line_no, column", [(1, 12), (4, 2)], ids=["header", "body"])
+def test_load_dataset_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, line_no, column):
+    lines = (DATA / "toy_n2.txt").read_bytes().split(b"\n")
+    lines[line_no - 1] = lines[line_no - 1][:column] + b"\xff" + lines[line_no - 1][column:]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as err:
+        load_dataset(path)
+    assert str(err.value) == (f"{path}: line {line_no}: not UTF-8: byte 0xff "
+                              "(invalid start byte)")
+
+
+def test_env_spec_and_header_reject_fields_of_the_wrong_type():
+    fields = dataclasses.asdict(TOY_SPEC)
+    for name, bad in (("n_agents", np.float64(2.0)), ("episode_limit", True),
+                      ("gamma", "0.9"), ("r_max", None)):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            EnvSpec(**{**fields, name: bad})
+    assert EnvSpec(**{**fields, "n_agents": np.int64(2), "r_max": 1}).n_agents == 2
+    with pytest.raises(ValueError, match="seed must be an integer, got '7'"):
+        DatasetHeader(spec=TOY_SPEC, tier=Tier.RANDOM, seed="7", n_trajectories=1)
 
 
 @pytest.mark.parametrize("name, line_no, old, new, message", [

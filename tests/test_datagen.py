@@ -1,8 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+from cfcql_lab import autodiff as ad
 from cfcql_lab import datagen
 from cfcql_lab.core import RngStream, Tier, validate_dataset
 from cfcql_lab.datagen import (
@@ -15,6 +17,9 @@ from cfcql_lab.datagen import (
     train_online,
 )
 from cfcql_lab.envs import ToyMMDP
+from cfcql_lab.learner import Batch, td_targets
+
+import chains
 
 # Seed 2 at this budget first reaches 0.9 of the expert's return at its third
 # checkpoint, so "the first checkpoint" and "the first one over the threshold"
@@ -116,6 +121,60 @@ def test_random_dataset_is_deterministic(env):
     assert a.header == b.header
     assert same_columns(a, b)
     assert not same_columns(a, c)
+
+
+def _recorded(td_loss, losses):
+    def loss(values, actions, y):
+        out = td_loss(values, actions, y)
+        losses.append(out.data.tobytes())
+        return out
+    return loss
+
+
+@pytest.mark.parametrize("per_block", [50, 70])
+def test_train_online_has_the_bits_of_per_batch_targets_and_op_chain_losses(env, monkeypatch,
+                                                                             per_block):
+    """train_online's updates, with one td_targets pass per shared target
+    network and the TD node, against targets taken batch by batch and the op
+    chain the node replaces (tests/chains.py): the same losses, checkpoints
+    and buffer, byte for byte. With 70 updates a block, target copies (every
+    200) fall inside blocks."""
+    config = dataclasses.replace(ONLINE, updates_per_block=per_block)
+    def chain_td_loss(values, actions, y):
+        return chains.td_chain(chains.q_tot_data(values, actions), y)
+
+    def per_batch_targets(q_target, batch, gamma):
+        size = datagen.ONLINE_BATCH_SIZE
+        return np.concatenate([
+            td_targets(q_target, Batch(*(column[k:k + size] for column in (
+                batch.inputs, batch.actions, batch.rewards, batch.next_inputs))), gamma)
+            for k in range(0, len(batch), size)])
+
+    got, want = [], []
+    monkeypatch.setattr(ad, "td_loss", _recorded(ad.td_loss, got))
+    nodes = train_online(env, config.budget, RngStream(2, "online"), config)
+    monkeypatch.setattr(ad, "td_loss", _recorded(chain_td_loss, want))
+    monkeypatch.setattr(datagen, "td_targets", per_batch_targets)
+    ops = train_online(env, config.budget, RngStream(2, "online"), config)
+    assert len(got) == config.budget and got == want
+    assert [ck.q.table.data.tobytes() for ck in nodes.checkpoints] == \
+        [ck.q.table.data.tobytes() for ck in ops.checkpoints]
+    assert [ck.eval_return for ck in nodes.checkpoints] == \
+        [ck.eval_return for ck in ops.checkpoints]
+    assert nodes.states.tobytes() == ops.states.tobytes()
+
+
+@pytest.mark.parametrize("high", [7, 1000, 2**31 + 1])
+@pytest.mark.parametrize("size", [1, 3, 33, 64])
+def test_one_block_draw_is_the_stream_of_per_update_draws(high, size):
+    """train_online draws a block's batch rows in one call; the bit generator
+    buffers the 32-bit halves of its outputs across calls, so the rows are
+    those of one call per update, rejections included (about half of the
+    draws are rejected below 2**31 + 1)."""
+    block = np.random.default_rng(9).integers(0, high, size=(50, size))
+    per_update = np.random.default_rng(9)
+    assert block.tobytes() == np.stack(
+        [per_update.integers(0, high, size=size) for _ in range(50)]).tobytes()
 
 
 def test_train_online_rejects_a_config_with_another_budget(env):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cfcql_lab import autodiff as ad
+from cfcql_lab import learner
 from cfcql_lab.core import RngStream, Tier
 from cfcql_lab.datagen import random_dataset
 from cfcql_lab.envs import EqualLine, ToyMMDP, all_joint_actions
 from cfcql_lab.learner import (
+    METHODS,
     Batch,
     FactoredQ,
     ScoreRefs,
@@ -25,6 +27,7 @@ from cfcql_lab.neural import HIDDEN, Adam, GroupedMlp, softmax
 from cfcql_lab.rollouts import RandomActor
 from cfcql_lab.tabular import DEFAULT_TOL, learner_fixed_point
 
+import chains
 from conftest import make_dataset, random_toy_dataset
 
 # Q_tot is the sum of the per-agent values (VDN's additive mixer); the tests of
@@ -389,8 +392,8 @@ def boltzmann(q, batch):
 def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
     """The penalty built from the (B, n, A) counterfactual rows of Q_tot."""
     values = q.values(batch.inputs)
-    q_data = q.q_tot_data(values, batch.actions)
-    td = ad.mul(ad.tmean(ad.square(q_data - td_targets(target, batch, gamma))), 0.5)
+    q_data = chains.q_tot_data(values, batch.actions)
+    td = chains.td_chain(q_data, td_targets(target, batch, gamma))
     lse = ad.logsumexp_t(counterfactual_rows(values, batch.actions), axis=-1)
     return ad.mul(ad.tmean(ad.tsum(ad.mul(lam, lse), axis=1) - q_data), alpha) + td
 
@@ -489,7 +492,44 @@ def test_additive_cfcql_tape_does_not_grow_with_agents(rng):
         beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
         lam = functools.partial(batch_lambda, beta_probs=beta)
         counts.append(tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]))
-    assert counts[0] == counts[1] <= 19
+    assert counts[0] == counts[1] == 5
+
+
+@pytest.mark.parametrize("n_agents", [1, 2, 4, 5])
+def test_a_loss_term_is_one_tape_node(n_agents, rng):
+    """The table, its rows, the TD node, one penalty node and their sum: TD
+    alone tapes 3 nodes, a penalised loss 5, and sampled macql's one node for
+    both terms 3, at every n."""
+    q, target, batch = random_q_and_batch(n_agents, 3, rng)
+    beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
+    lam = functools.partial(batch_lambda, beta_probs=beta)
+    sampler = np.random.default_rng(0)
+    assert tape_nodes(cfcql_loss(batch, q, target, None, 0.0, 0.9)[0]) == 3
+    assert tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]) == 5
+    assert tape_nodes(macql_loss(batch, q, target, 1.0, 3**n_agents, None, 0.9)[0]) == 5
+    assert tape_nodes(macql_loss(batch, q, target, 1.0, 2, sampler, 0.9)[0]) == 3
+
+
+@pytest.mark.parametrize("make_env", [lambda: ToyMMDP(2), lambda: ToyMMDP(4),
+                                      lambda: EqualLine(2, episode_limit=5)],
+                         ids=["toy-n2", "toy-n4", "line-n2"])
+def test_training_has_the_bits_of_the_op_chain_losses(make_env, monkeypatch):
+    """train_offline with the loss nodes and with the op chains they replace
+    (tests/chains.py) gives the same losses and parameters, byte for byte,
+    for every method; toy n = 4 samples macql's joints (81 > 32)."""
+    env = make_env()
+    d = random_dataset(env, 12, RngStream(4, "data"))
+    cfg = TrainConfig(alpha=0.7, total_steps=60, batch_size=16, target_interval=20,
+                      record_interval=60, eval_episodes=2, bc_steps=20, seed=5)
+    for method in METHODS:
+        got = train_offline(cfg, d, method)
+        with monkeypatch.context() as patch:
+            patch.setattr(learner, "cfcql_loss", chains.cfcql_loss)
+            patch.setattr(learner, "macql_loss", chains.macql_loss)
+            want = train_offline(cfg, d, method)
+        assert got.losses.tobytes() == want.losses.tobytes(), method
+        for p, r in zip(got.q.parameters(), want.q.parameters(), strict=True):
+            assert p.data.tobytes() == r.data.tobytes(), method
 
 
 def test_lambda_mode_changes_penalty_not_td(rng):

@@ -19,6 +19,8 @@ from cfcql_lab.neural import (
     train_bc,
 )
 
+import chains
+
 
 def finite_difference(loss_of_params, params, h=1e-5):
     """Central finite differences of a scalar function of parameter tensors."""
@@ -66,7 +68,7 @@ def test_no_grad_restores_mode_after_exception():
     with pytest.raises(RuntimeError, match="inside"):
         with ad.no_grad():
             raise RuntimeError("inside")
-    loss = ad.tsum(ad.square(w))
+    loss = ad.tsum(w * w)
     ad.backward(loss)
     np.testing.assert_array_equal(w.grad, 2.0 * np.arange(3.0))
 
@@ -178,7 +180,8 @@ def test_grad_linear_quadratic_analytic():
         for p in net.parameters():
             p.zero_grad()
         out = net.forward(x)
-        ad.backward(ad.tmean(ad.square(out - target)))
+        err = out - target
+        ad.backward(ad.tmean(err * err))
         err = out.data - target
         for g in range(groups):
             expect_w = 2 * x[:, g].T @ err[:, g] / (8 * groups)
@@ -223,7 +226,8 @@ def test_grad_matches_finite_differences_random_nets(seed):
     for p in net.parameters():
         p.zero_grad()
     out = net.forward(x)
-    ad.backward(ad.tmean(ad.square(out - w)) + ad.tmean(ad.logsumexp_t(out, axis=-1)))
+    err = out - w
+    ad.backward(ad.tmean(err * err) + ad.tmean(ad.logsumexp_t(out, axis=-1)))
     analytic = [p.grad.copy() for p in net.parameters()]
 
     def loss_value():
@@ -246,7 +250,7 @@ def test_gather_stack_broadcast_gradients():
         pair = ad.reshape(ad.gather_last(x, np.concatenate([idx, idx], axis=1)), (4, 2, 3))
         st_ = ad.mul(pair, np.array([[1.0], [2.0]]))
         b = ad.tsum(st_, axis=1) + ad.reshape(ad.tsum(x, axis=1), (4, 1))  # (4, 3) + (4, 1)
-        return ad.tsum(ad.square(b))
+        return ad.tsum(b * b)
 
     loss = build()
     x.zero_grad()
@@ -266,7 +270,7 @@ def test_gather_stack_broadcast_gradients():
 
 
 def test_results_of_constants_record_no_tape():
-    c = ad.tmean(ad.square(np.arange(4.0) - 1.0))
+    c = ad.tmean(ad.mul(np.arange(4.0), np.arange(4.0) - 1.0))
     assert c.parents == () and c.bwd is None and not c.requires_grad
     w = ad.parameter(np.ones(4))
     assert ad.mul(np.ones(4), w).parents[1] is w  # one trainable parent is enough
@@ -311,7 +315,8 @@ def test_sub_swapaxes_tmean_match_finite_differences():
     def build():
         d = ad.swapaxes(a - b, 0, 1)  # (4, 3, 2)
         m = ad.reshape(ad.tsum(d * w, axis=1), (4, 1, 2))
-        return ad.tmean(ad.square(m - 0.3)) + ad.tmean(1.0 - b)
+        e = m - 0.3
+        return ad.tmean(e * e) + ad.tmean(1.0 - b)
 
     loss = build()
     assert ad.tmean(a).parents == (a,) and (a - b).parents == (a, b)
@@ -383,7 +388,8 @@ def test_dense_matches_finite_differences(case):
     while np.abs(np.matmul(x.data, w.data) + b.data).min() < 1e-3:  # away from the kink
         x.data = rng.normal(size=x_shape)
     c = rng.normal(size=np.matmul(x.data, w.data).shape)
-    ad.backward(ad.tsum(ad.square(ad.dense(x, w, b, relu=True))) +
+    h = ad.dense(x, w, b, relu=True)
+    ad.backward(ad.tsum(h * h) +
                 ad.tsum(ad.mul(ad.dense(x, w, b, relu=False), c)))
     analytic = [p.grad.copy() for p in (x, w, b)]
 
@@ -460,28 +466,38 @@ def _with_ties(rng, shape, offset):
     return x
 
 
+def _weights_of(w, seen):
+    """A ``weigh`` for ``lse_minus_chosen`` that keeps the softmax it is given."""
+    def weigh(soft):
+        seen.append(soft)
+        return w
+
+    return weigh
+
+
 @pytest.mark.parametrize("shape", [(7, 2), (6, 3, 3), (5, 4, 3), (2, 3, 6)])
 @pytest.mark.parametrize("offset", [0.0, 1e6, -1e8])
 def test_lse_minus_chosen_is_logsumexp_minus_the_gather(shape, offset):
-    """Same bits as the two-node form for A < 8, ties and large offsets included,
-    and the returned softmax is ``softmax`` of the input."""
+    """Same bits as the weighted two-node form for A < 8, ties and large
+    offsets included, and ``weigh`` gets ``softmax`` of the input, once."""
     rng = np.random.default_rng(12)
     x = ad.parameter(_with_ties(rng, shape, offset))
     idx = rng.integers(0, shape[-1], size=shape[:-1])
     idx.ravel()[::2] = 1  # half the rows choose a tied entry
-    gap, soft = ad.lse_minus_chosen(x, idx)
+    w, seen = rng.normal(size=idx.shape), []
+    penalty = ad.lse_minus_chosen(x, idx, _weights_of(w, seen))
     two_node = ad.logsumexp_t(x, axis=-1) - ad.reshape(ad.gather_last(x, idx[..., None]),
                                                         idx.shape)
-    assert gap.data.tobytes() == two_node.data.tobytes()
-    assert soft.shape == shape
-    np.testing.assert_array_equal(soft, softmax(x.data))
+    chain = ad.tsum(ad.mul(w, two_node))
+    assert penalty.data.tobytes() == chain.data.tobytes()
+    assert len(seen) == 1 and seen[0].shape == shape
+    np.testing.assert_array_equal(seen[0], softmax(x.data))
 
-    w = rng.normal(size=idx.shape)
     x.zero_grad()
-    ad.backward(ad.tsum(ad.mul(gap, w)))
+    ad.backward(penalty)
     fused = x.grad.copy()
     x.zero_grad()
-    ad.backward(ad.tsum(ad.mul(two_node, w)))
+    ad.backward(chain)
     np.testing.assert_allclose(fused, x.grad, rtol=1e-12, atol=1e-15)
 
 
@@ -492,7 +508,7 @@ def test_lse_minus_chosen_matches_finite_differences(offset):
     idx = rng.integers(0, 3, size=(4, 3))
     w = rng.normal(size=(4, 3))
     x.zero_grad()
-    ad.backward(ad.tsum(ad.mul(ad.lse_minus_chosen(x, idx)[0], w)))
+    ad.backward(ad.lse_minus_chosen(x, idx, lambda soft: w))
 
     def loss_value():
         chosen = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
@@ -507,9 +523,119 @@ def test_lse_minus_chosen_rejects_bad_indices():
     x = ad.parameter(np.zeros((3, 2)))
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"lse_minus_chosen index {bad} is outside 0..1"):
-            ad.lse_minus_chosen(x, np.array([0, bad, 1]))
+            ad.lse_minus_chosen(x, np.array([0, bad, 1]), lambda soft: 1.0)
     with pytest.raises(ValueError, match=r"index shape \(3, 1\) != \(3,\)"):
-        ad.lse_minus_chosen(x, np.zeros((3, 1), dtype=np.int64))
+        ad.lse_minus_chosen(x, np.zeros((3, 1), dtype=np.int64), lambda soft: 1.0)
+
+
+# -- loss nodes against the op chains they replace -------------------------------
+
+# (n agents, A actions): one agent, the toy's 3 actions, and 11 (A >= 8, where
+# the leading-axis reduction of lse_minus_chosen need not add in the last
+# axis's order, but the chain it replaces makes the same reduction)
+LOSS_SHAPES = [(1, 3), (2, 3), (4, 3), (3, 11)]
+
+
+def _loss_inputs(seed, n, n_actions, b=12, n_states=5):
+    """A table, the batch's rows of it with duplicate state ids (so gradients
+    of repeated rows accumulate), the data's actions and TD targets."""
+    rng = np.random.default_rng(seed)
+    table = ad.parameter(rng.normal(size=(n_states, n, n_actions)))
+    ids = rng.integers(0, n_states, size=b)
+    ids[:3] = ids[3]  # four rows of one state
+    return rng, table, ids, rng.integers(0, n_actions, size=(b, n)), rng.normal(size=b)
+
+
+def _value_and_grad(table, build):
+    """The loss ``build()`` makes and the table gradient of its backward."""
+    table.zero_grad()
+    loss = build()
+    ad.backward(loss)
+    return loss.data.tobytes(), table.grad.tobytes()
+
+
+@pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
+def test_td_loss_has_the_op_chain_bits(n, n_actions):
+    _, table, ids, actions, y = _loss_inputs(21, n, n_actions)
+    node = _value_and_grad(table, lambda: ad.td_loss(ad.take_rows(table, ids), actions, y))
+    chain = _value_and_grad(table, lambda: chains.td_chain(
+        chains.q_tot_data(ad.take_rows(table, ids), actions), y))
+    assert node == chain
+
+
+@pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
+@pytest.mark.parametrize("weights", ["per_row", "constant"])
+def test_lse_minus_chosen_with_td_has_the_op_chain_bits(n, n_actions, weights):
+    """The penalty node plus the TD node against the losses' chains: cfcql's
+    ``tsum(mul(w, gap))`` with per-row weights, macql's ``tsum(mul(gap, c))``
+    with a constant."""
+    rng, table, ids, actions, y = _loss_inputs(22, n, n_actions)
+    w = rng.dirichlet(np.ones(n), size=len(ids)) * 0.05 if weights == "per_row" else 0.05
+
+    def node():
+        values = ad.take_rows(table, ids)
+        return (ad.lse_minus_chosen(values, actions, lambda soft: w)
+                + ad.td_loss(values, actions, y))
+
+    def chain():
+        values = ad.take_rows(table, ids)
+        gap = chains.lse_gap(values, actions)[0]
+        penalty = ad.tsum(ad.mul(w, gap) if weights == "per_row" else ad.mul(gap, w))
+        return penalty + chains.td_chain(chains.q_tot_data(values, actions), y)
+
+    assert _value_and_grad(table, node) == _value_and_grad(table, chain)
+
+
+@pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
+def test_sampled_lse_td_has_the_op_chain_bits(n, n_actions):
+    """K = 40 joints per row: many repeat, and their gradients accumulate in
+    index order as gather_last's do."""
+    rng, table, ids, actions, y = _loss_inputs(23, n, n_actions)
+    joints = rng.integers(0, n_actions, size=(len(ids), 40, n))
+    log_const, alpha, terms = n * np.log(n_actions) - np.log(40), 0.7, []
+
+    def node():
+        loss, td, penalty = ad.sampled_lse_td(ad.take_rows(table, ids), actions, y, joints,
+                                              log_const, alpha)
+        terms.append((td, penalty))
+        return loss
+
+    def chain():
+        values = ad.take_rows(table, ids)
+        q_data = chains.q_tot_data(values, actions)
+        td = chains.td_chain(q_data, y)
+        penalty = chains.sampled_penalty_chain(values, q_data, joints, log_const, alpha)
+        terms.append((float(td.data), float(penalty.data)))
+        return penalty + td
+
+    assert _value_and_grad(table, node) == _value_and_grad(table, chain)
+    assert terms[0] == terms[1]
+
+
+def test_loss_nodes_reject_bad_indices():
+    """Each node names a bad action index as gather_last does, and a bad shape."""
+    x = ad.parameter(np.zeros((3, 2, 2)))
+    y = np.zeros(3)
+    joints = np.zeros((3, 4, 2), dtype=np.int64)
+    for bad in (2, -1):
+        actions = np.array([[0, 1], [bad, 0], [1, 1]])
+        with pytest.raises(ValueError, match=f"td_loss index {bad} is outside 0..1"):
+            ad.td_loss(x, actions, y)
+        with pytest.raises(ValueError, match=f"sampled_lse_td index {bad} is outside 0..1"):
+            ad.sampled_lse_td(x, actions, y, joints, 0.0, 1.0)
+        bad_joints = joints.copy()
+        bad_joints[1, 3, 0] = bad
+        with pytest.raises(ValueError, match=f"sampled_lse_td index {bad} is outside 0..1"):
+            ad.sampled_lse_td(x, np.zeros((3, 2), dtype=np.int64), y, bad_joints, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"index shape \(3, 1\) != \(3, 2\)"):
+        ad.td_loss(x, np.zeros((3, 1), dtype=np.int64), y)
+    with pytest.raises(ValueError, match=r"targets of shape \(3, 1\) for 3 rows"):
+        ad.td_loss(x, np.zeros((3, 2), dtype=np.int64), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"expects \(B, n, A\) values, got shape \(3, 2\)"):
+        ad.td_loss(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), y)
+    with pytest.raises(ValueError, match=r"joints shape \(3, 4, 3\) is not \(B, K, n\)"):
+        ad.sampled_lse_td(x, np.zeros((3, 2), dtype=np.int64), y,
+                          np.zeros((3, 4, 3), dtype=np.int64), 0.0, 1.0)
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -523,7 +649,8 @@ def test_adam_decreases_convex_quadratic_monotonically():
     losses = []
     for _ in range(1500):
         p.zero_grad()
-        loss = ad.tsum(ad.square(p - target))
+        err = p - target
+        loss = ad.tsum(err * err)
         ad.backward(loss)
         opt.step()
         losses.append(float(loss.data))
