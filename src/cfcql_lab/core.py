@@ -44,7 +44,7 @@ class Tier(str, Enum):
     MIXED = "mixed"
 
 
-def _check_types(fields, ints: tuple, numbers: tuple) -> None:
+def check_types(fields, ints: tuple, numbers: tuple) -> None:
     """Raise a ValueError naming the first attribute of ``fields`` listed in
     ``ints`` that is not an integer, or in ``numbers`` that is not a real
     number; a bool is neither."""
@@ -70,7 +70,7 @@ class EnvSpec:
     state_codec: str  # human-readable description of the encoding
 
     def __post_init__(self):
-        _check_types(self, ("n_agents", "n_actions", "episode_limit"), ("gamma", "r_max"))
+        check_types(self, ("n_agents", "n_actions", "episode_limit"), ("gamma", "r_max"))
         if self.n_agents < 1:
             raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
         if self.n_actions < 2:
@@ -103,7 +103,7 @@ class DatasetHeader:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        _check_types(self, ("seed", "n_trajectories", "format_version"), ())
+        check_types(self, ("seed", "n_trajectories", "format_version"), ())
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .core import Dataset, DatasetHeader, EnvSpec, RngStream, Tier, validate_dataset
+from .core import (Dataset, DatasetHeader, EnvSpec, RngStream, Tier, check_types,
+                   validate_dataset)
 from .learner import (Batch, FactoredQ, encode_states, encode_transitions, make_greedy_actor,
                       td_targets)
 from .neural import Adam
@@ -61,12 +62,11 @@ class OnlineTrainConfig:
     medium_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in ("budget", "n_parallel", "updates_per_block", "eval_episodes"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        counts = ("budget", "n_parallel", "updates_per_block", "eval_episodes")
+        check_types(self, counts, ())
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (np.isfinite(self.medium_fraction) and 0.0 < self.medium_fraction <= 1.0):
             raise ValueError(f"medium_fraction must be finite and in (0, 1], "
                              f"got {self.medium_fraction}")

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .core import Dataset, RngStream, empirical_behavior, greedy_policy_from_actions
+from .core import (Dataset, RngStream, check_types, empirical_behavior,
+                   greedy_policy_from_actions)
 from .divergence import kl_scores
 from .envs import make_env
 from .neural import HIDDEN, Adam, GroupedMlp, forward_in_blocks, softmax, train_bc
@@ -71,11 +72,8 @@ class TrainConfig:
     bc_steps: int = 3000
 
     def __post_init__(self):
-        for name in ("batch_size", "target_interval", "total_steps", "seed", "eval_episodes",
-                     "record_interval", "bc_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        check_types(self, ("batch_size", "target_interval", "total_steps", "seed",
+                           "eval_episodes", "record_interval", "bc_steps"), ())
         for name in ("batch_size", "target_interval", "total_steps", "eval_episodes",
                      "record_interval"):
             if getattr(self, name) < 1:
