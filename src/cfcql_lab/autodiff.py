@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The ops are the learner's: add, sub, mul, dense (an affine layer with an
-optional rectifier), tsum, tmean, logsumexp_t, gather_last, take_rows, reshape
-and swapaxes, reversed by ``backward``. Everything is float64; tapes are built
+The ops are the learner's: add, sub, dense (an affine layer with an optional
+rectifier), tsum, tmean, logsumexp_t, gather_last, take_rows, reshape and
+swapaxes, reversed by ``backward``. Everything is float64; tapes are built
 eagerly and freed after ``backward``.
 
 A loss term is one node: ``td_loss`` (the TD term), ``lse_minus_chosen`` (a
@@ -94,14 +94,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -130,17 +122,6 @@ def sub(a, b) -> Tensor:
                 _unbroadcast(-g, b.data.shape) if b.requires_grad else None)
 
     return Tensor(a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
-
-    return Tensor(out_data, (a, b), bwd)
 
 
 def dense(x, w, b, relu: bool) -> Tensor:

@@ -2,14 +2,18 @@
 
 A ``Dataset`` is one set of read-only numpy columns (states, actions, rewards,
 next_states, dones, trajectory starts; see its docstring for shapes and
-dtypes) from rollout to learner. On disk it is plain text: one JSON header
-line followed by one line per transition, so files can be diffed, inspected,
-and reloaded bit-exactly. Both directions are one vectorised pass over the
-columns. ``save_dataset`` formats each distinct value once and assembles the
-records as fixed-width byte columns. ``load_dataset`` checks the separators
-of all records at once, then parses them with one ``np.loadtxt`` call,
-reading integer fields as integers. A malformed or invalid file raises
-a ``ValueError`` naming the path and, for a malformed record, its line.
+dtypes) from rollout to learner. On disk it is one JSON header line, then the
+six columns' raw little-endian bytes in that order, each in C order: states
+and next states as int64 ids (discrete specs) or float64 positions (vector
+specs), actions and starts as int64, rewards as float64, and dones as one
+byte each, 0 or 1. The header holds the spec, the provenance and the counts
+``n_transitions`` and ``n_trajectories``, which fix every column's shape, so
+``load_dataset`` knows the body's exact length from the header alone and
+rejects a file of any other length before it makes an array. Reloads are
+bit-exact, and ``head -1`` shows a file's provenance. Checkpoints
+(``neural.save_params``) share this layout through ``write_header_file`` and
+``read_header_file``. A malformed or invalid file raises a ``ValueError``
+naming the path and the cause.
 
 A tabular policy, the behavior estimate ``empirical_behavior`` included, is
 a plain float64 (n, S, A) array, agent first: row ``[i, s]`` is agent i's
@@ -23,12 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 GENERATOR_VERSION = "0.1.0"
 
 class EnvId(str, Enum):
@@ -100,10 +105,11 @@ class DatasetHeader:
     seed: int
     n_trajectories: int
     generator_version: str = GENERATOR_VERSION
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        check_types(self, ("seed", "n_trajectories", "format_version"), ())
+        check_types(self, ("seed", "n_trajectories"), ())
+        if self.n_trajectories < 0:
+            raise ValueError(f"n_trajectories must be >= 0, got {self.n_trajectories}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,30 +273,13 @@ def _boundary_violations(dataset: Dataset) -> list:
         violations.append("trajectory boundaries do not start at 0")
     for k in np.flatnonzero(np.diff(starts) <= 0) + 1:
         violations.append(f"trajectory boundaries overlap at index {k}")
-    if len(starts) and starts[-1] >= n and n > 0:
+    if len(starts) and starts[-1] >= n:
         violations.append("trajectory boundary beyond last transition")
     if dataset.header.n_trajectories != len(starts):
         violations.append(
             f"header n_trajectories {dataset.header.n_trajectories} != {len(starts)} partitions"
         )
     return violations
-
-
-def _unique_ints(values: np.ndarray):
-    """``np.unique(values, return_inverse=True)`` of a 1-D int64 array.
-
-    When the range max - min + 1 is at most the length, the distinct values
-    are counted instead of sorted: offset by the minimum, ``np.bincount``
-    marks the present values in ascending order, and the running count of
-    present values maps each entry to its key. The count array is then never
-    larger than the array itself; a wider range, or an empty array, is sorted.
-    """
-    if not len(values) or int(values.max()) - int(values.min()) >= len(values):
-        return np.unique(values, return_inverse=True)
-    low = values.min()
-    offsets = values - low
-    present = np.bincount(offsets) > 0
-    return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
 
 
 def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> np.ndarray:
@@ -326,56 +315,65 @@ def empirical_behavior(dataset: Dataset, smoothing: float = 0.0) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file format: JSON header line + one CSV-ish record per transition,
-#   state,actions,reward,next_state,done,trajectory
-# with vector states as ";"-joined floats and actions space-joined. Floats
-# are written with repr() so reloads are bit-exact.
-#
-# The writer makes the records column by column. Each distinct value of a
-# column (distinct bit pattern for floats, so 0.0 and -0.0 stay apart) is
-# formatted once, with str for an int and repr for a float, and every entry
-# becomes a NUL-padded fixed-width byte column (_entry_texts). An int
-# column's distinct values are counted when its range fits its length (ids,
-# actions, flags), and sorted otherwise; a float column's are sorted by their
-# bits. Both give the keys in ascending order, so the bytes do not depend on
-# the path. Each entry is followed by its separator (_separators), a constant
-# column. One np.concatenate lays the columns side by side, and
-# bytes.translate deletes the padding, which leaves the records in file order.
-#
-# For a given spec every valid record has the same sequence of separators
-# ("," ";" " " and the newline), so the reader checks the structure of all
-# records in one pass: with every other character deleted, the body must
-# equal that sequence repeated once per record. This also catches a line on
-# which one field gains an entry and another loses one. It then maps ";" and
-# " " to "," and parses the body with one np.loadtxt call into a structured
-# array (_record_dtype); integer fields are read as int64, so "5.5" is not an
-# integer, and comments=None, so "#" is no comment. Only when a file fails
-# either step does _check_record walk its lines, to name the first bad one.
+# Files of one JSON header line + raw array bytes: datasets and checkpoints.
 # ---------------------------------------------------------------------------
 
-_N_FIELDS = 6
-_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",; \n")))
-_TO_COMMA = bytes.maketrans(b"; ", b",,")
+
+def write_header_file(path, header: dict, arrays) -> None:
+    """Write ``header`` as one sorted-key JSON line, then the raw bytes of each
+    of ``arrays`` in turn, in C order; ``read_header_file`` reads them back."""
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array))
 
 
-def _entry_texts(column: np.ndarray) -> list:
-    """The text of each entry of an (N,) or (N, k) int64 or float64 column,
-    as k (N, width) uint8 arrays.
+def read_header_file(path, layout) -> tuple:
+    """Read a file that ``write_header_file`` wrote: ``(parsed, arrays)``.
 
-    Texts are ASCII, NUL-padded on the right to the longest. Every distinct
-    value is formatted once, an int with str and a float with repr. Ints are
-    found by counting when their range fits the column, and sorted otherwise
-    (_unique_ints); floats are sorted by their bits, so 0.0 and -0.0 each get
-    their own text.
+    ``layout(header)`` takes the header's JSON object and returns what it
+    parsed from it together with the (dtype, shape) of each array of the
+    body, in file order; it raises a ValueError naming the cause when the
+    header is bad. The body must be exactly as long as those arrays, which is
+    checked before any array is made, so a header cannot make the reader
+    allocate more than the file holds. The arrays are read-only views of the
+    body. Every ValueError names ``path``.
     """
-    is_float = column.dtype == np.float64
-    flat = column.reshape(-1)  # 1-D, so return_inverse is 1-D on every numpy
-    keys, inverse = (np.unique(flat.view(np.int64), return_inverse=True) if is_float
-                     else _unique_ints(flat))
-    texts = np.array(list(map(repr, keys.view(np.float64).tolist())) if is_float
-                     else list(map(str, keys.tolist())), dtype=np.bytes_)
-    texts = texts[inverse].view(np.uint8).reshape(*column.shape, texts.itemsize)
-    return [texts] if column.ndim == 1 else list(np.moveaxis(texts, 1, 0))
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(first.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: line 1: not UTF-8: byte 0x{first[exc.start]:02x} "
+                         f"({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line 1: header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: line 1: header is not a JSON object")
+    try:
+        parsed, columns = layout(header)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    columns = [(np.dtype(dtype), shape, math.prod(shape)) for dtype, shape in columns]
+    expected = sum(dtype.itemsize * count for dtype, _, count in columns)
+    if len(body) != expected:
+        raise ValueError(f"{path}: body has {len(body)} bytes, expected {expected} "
+                         "from the header")
+    arrays, offset = [], 0
+    for dtype, shape, count in columns:
+        arrays.append(np.frombuffer(body, dtype, count, offset).reshape(shape))
+        offset += dtype.itemsize * count
+    return parsed, arrays
+
+
+def _columns(spec: EnvSpec, n_rows: int, n_trajectories: int) -> dict:
+    """The file dtype and shape of each Dataset column, in file order."""
+    state = (("<f8", (n_rows, spec.n_agents)) if spec.state_kind == "vector"
+             else ("<i8", (n_rows,)))
+    return {"states": state, "actions": ("<i8", (n_rows, spec.n_agents)),
+            "rewards": ("<f8", (n_rows,)), "next_states": state, "dones": ("u1", (n_rows,)),
+            "starts": ("<i8", (n_trajectories,))}
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -391,13 +389,14 @@ def save_dataset(dataset: Dataset, path) -> None:
     if not report.ok:
         raise ValueError(f"{path}: cannot save an invalid dataset:\n{report}")
     meta = {
-        "format_version": header.format_version,
+        "format_version": FORMAT_VERSION,
         "generator_version": header.generator_version,
         "env_id": spec.env_id.value,
         "n_agents": spec.n_agents,
         "n_actions": spec.n_actions,
         "tier": header.tier.value,
         "seed": header.seed,
+        "n_transitions": len(dataset),
         "n_trajectories": header.n_trajectories,
         "gamma": spec.gamma,
         "r_max": spec.r_max,
@@ -405,131 +404,19 @@ def save_dataset(dataset: Dataset, path) -> None:
         "state_kind": spec.state_kind,
         "state_codec": spec.state_codec,
     }
-    n_rows = len(dataset)
-    lengths = np.diff(np.append(dataset.starts, n_rows))
-    traj_ids = np.repeat(np.arange(len(lengths)), lengths)
-    # states and next states share one set of texts: most next states are
-    # the next row's state
-    both = _entry_texts(np.column_stack((dataset.states, dataset.next_states)))
-    k = len(both) // 2
-    entries = [*both[:k], *_entry_texts(dataset.actions), *_entry_texts(dataset.rewards),
-               *both[k:], *_entry_texts(dataset.dones.astype(np.int64)),
-               *_entry_texts(traj_ids)]
-    pieces = []
-    for entry, sep in zip(entries, _separators(spec), strict=True):
-        pieces += [entry, np.full((n_rows, 1), ord(sep), dtype=np.uint8)]
-    body = np.concatenate(pieces, axis=1).tobytes().translate(None, delete=b"\0")
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(body)
+    columns = _columns(spec, len(dataset), header.n_trajectories)
+    write_header_file(path, meta, [getattr(dataset, name).astype(dtype, copy=False)
+                                   for name, (dtype, _) in columns.items()])
 
 
-def _fields(spec: EnvSpec) -> list:
-    """(name, in-field separator, dtype) of each record field, in file order."""
-    state_sep, state_dtype = (";", np.float64) if spec.state_kind == "vector" else (None, np.int64)
-    return [("state", state_sep, state_dtype), ("joint action", " ", np.int64),
-            ("reward", None, np.float64), ("next state", state_sep, state_dtype),
-            ("done flag", None, np.int64), ("trajectory id", None, np.int64)]
-
-
-def _record_dtype(spec: EnvSpec) -> np.dtype:
-    """One record as a structured dtype; a ``sep``-joined field is a subarray."""
-    names = ("states", "actions", "rewards", "next_states", "dones", "traj")
-    return np.dtype([(name, dtype) if sep is None else (name, dtype, (spec.n_agents,))
-                     for name, (_, sep, dtype) in zip(names, _fields(spec))])
-
-
-def _separators(spec: EnvSpec) -> str:
-    """The separators of one valid record, in order, ending with its newline."""
-    return ",".join("" if sep is None else sep * (spec.n_agents - 1)
-                    for _, sep, _ in _fields(spec)) + "\n"
-
-
-def _is_entry(text: str, dtype) -> bool:
-    """True when the record parser reads ``text`` as one ``dtype`` value."""
-    if not text or ";" in text or " " in text:  # loadtxt skips an empty line
-        return False
-    try:
-        np.loadtxt([text], dtype=dtype, delimiter=",", comments=None)
-    except ValueError:
-        return False
-    return True
-
-
-def _check_record(path, line_no: int, line: str, spec: EnvSpec) -> None:
-    """Raise the ValueError naming ``line`` when the record on it is malformed."""
-    fields = line.split(",")
-    if len(fields) != _N_FIELDS:
-        raise ValueError(f"{path}: line {line_no}: expected {_N_FIELDS} comma-separated "
-                         f"fields, got {len(fields)}")
-    for text, (what, sep, dtype) in zip(fields, _fields(spec)):
-        if sep is not None and text.count(sep) != spec.n_agents - 1:
-            raise ValueError(f"{path}: line {line_no}: {what} {text!r} does not have "
-                             f"{spec.n_agents} {sep!r}-separated entries")
-        for entry in [text] if sep is None else text.split(sep):
-            if not _is_entry(entry, dtype):
-                kind = "an integer" if dtype is np.int64 else "a number"
-                raise ValueError(f"{path}: line {line_no}: {what} entry {entry!r} "
-                                 f"is not {kind}")
-
-
-def _read_records(path, body: str, spec: EnvSpec) -> np.ndarray:
-    """Parse a file's records (every line after the header) into a structured array.
-
-    A malformed record raises the ValueError of ``_check_record`` for the
-    first bad line.
-    """
-    dtype = _record_dtype(spec)
-    if not body:  # np.loadtxt warns on input with no data
-        return np.empty(0, dtype)
-    if not body.endswith("\n"):
-        body += "\n"
-    data = body.encode("utf-8")
-    separators = data.translate(None, delete=_NOT_SEPARATOR)
-    if separators == _separators(spec).encode("ascii") * data.count(b"\n"):
-        try:
-            # the lines as a list: an io.StringIO of the body would hold it as
-            # UCS4, four times its size, and split "\n" only, as split does
-            lines = data.translate(_TO_COMMA).decode("utf-8").split("\n")[:-1]
-            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            pass
-    for k, line in enumerate(body.split("\n")[:-1]):
-        _check_record(path, k + 2, line, spec)
-    raise AssertionError(f"{path}: records rejected, but no line is malformed")
-
-
-def _not_utf8(path) -> str:
-    """The error for a file that is not UTF-8, naming the line of its first bad byte."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end as the text reader ends them: at \n, \r\n or \r
-        before = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        line = before.count(b"\n") + 1
-        return f"{path}: line {line}: not UTF-8: byte 0x{raw[exc.start]:02x} ({exc.reason})"
-    raise AssertionError(f"{path}: decoding failed, but the bytes are UTF-8")
-
-
-def load_dataset(path) -> Dataset:
-    """Read a dataset file; a malformed or invalid file raises ValueError."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            body = fh.read()
-    except UnicodeDecodeError:
-        raise ValueError(_not_utf8(path)) from None
-    try:
-        meta = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line 1: header is not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path}: line 1: header is not a JSON object")
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: line 1: unknown format_version "
-                         f"{meta.get('format_version')!r} (expected {FORMAT_VERSION})")
+def _dataset_layout(meta: dict) -> tuple:
+    """The DatasetHeader of a dataset file's header, and its columns' layout."""
+    version = meta.get("format_version")
+    if version is not None and (isinstance(version, bool) or not isinstance(version, int)):
+        raise ValueError(f"line 1: format_version must be an integer, got {version!r}")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"line 1: unknown format_version {version!r} "
+                         f"(expected {FORMAT_VERSION})")
     try:
         spec = EnvSpec(
             env_id=EnvId(meta["env_id"]),
@@ -547,38 +434,27 @@ def load_dataset(path) -> Dataset:
             seed=meta["seed"],
             n_trajectories=meta["n_trajectories"],
             generator_version=meta["generator_version"],
-            format_version=meta["format_version"],
         )
+        n_rows = meta["n_transitions"]
     except KeyError as exc:
-        raise ValueError(f"{path}: line 1: header has no {exc.args[0]!r} key") from None
+        raise ValueError(f"line 1: header has no {exc.args[0]!r} key") from None
     except ValueError as exc:  # unknown env id or tier, or a spec field out of range
-        raise ValueError(f"{path}: line 1: {exc}") from None
-    records = _read_records(path, body, spec)
-    not_flag = np.flatnonzero((records["dones"] != 0) & (records["dones"] != 1))
+        raise ValueError(f"line 1: {exc}") from None
+    if isinstance(n_rows, bool) or not isinstance(n_rows, int) or n_rows < 0:
+        raise ValueError(f"line 1: n_transitions must be an integer >= 0, got {n_rows!r}")
+    return header, _columns(spec, n_rows, header.n_trajectories).values()
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset file; a malformed or invalid file raises ValueError."""
+    header, columns = read_header_file(path, _dataset_layout)
+    dones = columns[4]  # in Dataset field order, as _columns lists them
+    not_flag = np.flatnonzero(dones > 1)
     if len(not_flag):
         k = int(not_flag[0])
-        flag = body.split("\n")[k].split(",")[4]
-        raise ValueError(f"{path}: line {k + 2}: done flag {flag!r} is not 0 or 1")
-    traj = records["traj"]
-    starts = np.flatnonzero(np.diff(traj, prepend=traj[:1] - 1))
-    _, first_runs = np.unique(traj[starts], return_index=True)
-    if len(first_runs) != len(starts):
-        k = int(starts[np.setdiff1d(np.arange(len(starts)), first_runs)[0]])
-        raise ValueError(f"{path}: line {k + 2}: trajectory id {traj[k]} reappears "
-                         "after its run ended")
-    if header.n_trajectories != len(starts):
-        raise ValueError(f"{path}: line 1: n_trajectories {header.n_trajectories} != "
-                         f"{len(starts)} trajectories in the records")
-    dataset = Dataset(
-        header,
-        states=records["states"],
-        actions=records["actions"],
-        rewards=records["rewards"],
-        next_states=records["next_states"],
-        dones=records["dones"].astype(bool),
-        starts=starts,
-    )
-    report = validate_dataset(dataset, spec)
+        raise ValueError(f"{path}: transition {k}: done byte {dones[k]} is not 0 or 1")
+    dataset = Dataset(header, *columns)
+    report = validate_dataset(dataset, header.spec)
     if not report.ok:
         raise ValueError(f"{path}: invalid dataset:\n{report}")
     return dataset

@@ -20,13 +20,13 @@ about 4096 rows, so there only outputs of up to 4096 rows keep their bits.
 
 from __future__ import annotations
 
-import json
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .core import read_header_file, write_header_file
 
 CHECKPOINT_VERSION = 1
 HIDDEN = (64, 64)  # hidden layer sizes of every per-agent network the package trains
@@ -210,55 +210,43 @@ def save_params(path, model: GroupedMlp) -> None:
         "sizes": list(model.sizes),
         "dtype": "float64",
     }
-    flat = np.concatenate([p.data.ravel() for p in model.parameters()])
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(flat.tobytes())
+    write_header_file(path, header, [p.data.astype("<f8", copy=False)
+                                     for p in model.parameters()])
+
+
+def _checkpoint_layout(header: dict) -> tuple:
+    """(n_groups, sizes) of a checkpoint header, and the (dtype, shape) of
+    each parameter in ``GroupedMlp.parameters`` order."""
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unknown checkpoint version {header.get('version')!r} "
+                         f"(expected {CHECKPOINT_VERSION})")
+    if header.get("dtype") != "float64":
+        raise ValueError(f"parameter dtype {header.get('dtype')!r} is not float64")
+    if header.get("kind") != "grouped":
+        raise ValueError(f"unknown model kind {header.get('kind')!r}")
+    n_groups, sizes = header.get("n_groups"), header.get("sizes")
+    if not _is_count(n_groups):
+        raise ValueError(f"checkpoint field 'n_groups' must be an int >= 1, got {n_groups!r}")
+    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_count, sizes))):
+        raise ValueError(f"checkpoint field 'sizes' must be a list of at least two "
+                         f"ints >= 1, got {sizes!r}")
+    layers = list(zip(sizes, sizes[1:]))
+    shapes = ([(n_groups, d_in, d_out) for d_in, d_out in layers]
+              + [(n_groups, 1, d_out) for _, d_out in layers])
+    return (n_groups, sizes), [("<f8", shape) for shape in shapes]
 
 
 def load_params(path) -> GroupedMlp:
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(first.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"{path}: checkpoint header is not JSON: {exc}") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unknown checkpoint version {header.get('version')!r} "
-                         f"(expected {CHECKPOINT_VERSION})")
-    if header.get("dtype") != "float64":
-        raise ValueError(f"{path}: parameter dtype {header.get('dtype')!r} is not float64")
-    if header.get("kind") != "grouped":
-        raise ValueError(f"{path}: unknown model kind {header.get('kind')!r}")
-    n_groups, sizes = header.get("n_groups"), header.get("sizes")
-    if not _is_count(n_groups):
-        raise ValueError(f"{path}: checkpoint field 'n_groups' must be an int >= 1, "
-                         f"got {n_groups!r}")
-    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_is_count, sizes))):
-        raise ValueError(f"{path}: checkpoint field 'sizes' must be a list of at least two "
-                         f"ints >= 1, got {sizes!r}")
-    # sized from the header before any array is made, so a bad header cannot
-    # ask for more memory than the file holds
-    expected = 8 * n_groups * sum(d_in * d_out + d_out for d_in, d_out in zip(sizes, sizes[1:]))
-    if len(body) != expected:
-        raise ValueError(f"{path}: checkpoint has {len(body)} parameter bytes, expected "
-                         f"{expected} for {n_groups} groups of sizes {sizes}")
+    (n_groups, sizes), arrays = read_header_file(path, _checkpoint_layout)
     model = GroupedMlp(n_groups, sizes)
     layers = range(len(model.weights))
     names = [f"weights[{k}]" for k in layers] + [f"biases[{k}]" for k in layers]
-    flat = np.frombuffer(body, dtype=np.float64)
-    offset = 0
-    for name, p in zip(names, model.parameters()):
-        size = p.data.size
-        p.data = flat[offset:offset + size].reshape(p.data.shape).copy()
-        offset += size
-        if not np.isfinite(p.data).all():
-            bad = p.data[~np.isfinite(p.data)][0]
+    for name, p, values in zip(names, model.parameters(), arrays):
+        if not np.isfinite(values).all():
+            bad = values[~np.isfinite(values)][0]
             raise ValueError(f"{path}: checkpoint parameter {name} holds a non-finite "
                              f"value ({bad})")
+        p.data = values.astype(np.float64)
     return model
 
 

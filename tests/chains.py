@@ -5,7 +5,7 @@ each node to its chain's bits in value and gradient."""
 import numpy as np
 
 from cfcql_lab import autodiff as ad
-from cfcql_lab.autodiff import Tensor
+from cfcql_lab.autodiff import Tensor, _unbroadcast
 from cfcql_lab.learner import _uniform, td_targets
 
 
@@ -13,6 +13,18 @@ def square(x):
     """The deleted ``square`` op: ``x * x``, backward ``g * 2.0 * x``."""
     x = ad.as_tensor(x)
     return Tensor(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
+
+
+def mul(a, b):
+    """The deleted ``mul`` op: ``a * b``, backward ``g * b`` and ``g * a``,
+    each summed back to its operand's shape."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+
+    def bwd(g):
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+
+    return Tensor(a.data * b.data, (a, b), bwd)
 
 
 def lse_gap(x, index):
@@ -47,19 +59,19 @@ def q_tot_data(values, actions):
 
 def td_chain(q_data, y):
     """``0.5 * mean (q_data - y)**2`` op by op."""
-    return ad.mul(ad.tmean(square(q_data - y)), 0.5)
+    return mul(ad.tmean(square(q_data - y)), 0.5)
 
 
 def weighted_gap_chain(x, index, weights):
     """``sum(weights * gap)``: the penalty chain of both losses."""
-    return ad.tsum(ad.mul(weights, lse_gap(x, index)[0]))
+    return ad.tsum(mul(weights, lse_gap(x, index)[0]))
 
 
 def sampled_penalty_chain(values, q_data, joints, log_const, alpha):
     """macql's sampled penalty op by op, from (B, K, n) joints."""
     chosen = ad.gather_last(values, np.swapaxes(joints, 1, 2))
     est = ad.logsumexp_t(ad.tsum(chosen, axis=1), axis=-1) + log_const
-    return ad.mul(ad.tmean(est - q_data), alpha)
+    return mul(ad.tmean(est - q_data), alpha)
 
 
 def cfcql_loss(batch, q, q_target, lam, alpha, gamma):
@@ -71,7 +83,7 @@ def cfcql_loss(batch, q, q_target, lam, alpha, gamma):
         return td, {"td": float(td.data), "penalty": 0.0}
     gap, pi = lse_gap(values, batch.actions)
     weights = _uniform(batch, q) if lam is None else lam(pi)
-    penalty = ad.tsum(ad.mul(weights * (alpha / len(batch)), gap))
+    penalty = ad.tsum(mul(weights * (alpha / len(batch)), gap))
     return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
 
 
@@ -84,7 +96,7 @@ def macql_loss(batch, q, q_target, alpha, n_samples, rng, gamma):
         return td, {"td": float(td.data), "penalty": 0.0}
     b = len(batch)
     if n_samples >= q.n_actions**q.n_agents:
-        penalty = ad.tsum(ad.mul(lse_gap(values, batch.actions)[0], alpha / b))
+        penalty = ad.tsum(mul(lse_gap(values, batch.actions)[0], alpha / b))
     else:
         sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
         log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)

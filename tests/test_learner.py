@@ -395,7 +395,7 @@ def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
     q_data = chains.q_tot_data(values, batch.actions)
     td = chains.td_chain(q_data, td_targets(target, batch, gamma))
     lse = ad.logsumexp_t(counterfactual_rows(values, batch.actions), axis=-1)
-    return ad.mul(ad.tmean(ad.tsum(ad.mul(lam, lse), axis=1) - q_data), alpha) + td
+    return chains.mul(ad.tmean(ad.tsum(chains.mul(lam, lse), axis=1) - q_data), alpha) + td
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 4, 5])
