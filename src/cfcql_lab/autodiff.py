@@ -1,18 +1,23 @@
-"""Minimal reverse-mode automatic differentiation over numpy arrays.
+"""Minimal reverse-mode automatic differentiation over numpy arrays, and the
+learner's loss terms with their gradients written out.
 
-The ops are the learner's: add, sub, dense (an affine layer with an optional
-rectifier), tsum, tmean, logsumexp_t, gather_last, take_rows, reshape and
-swapaxes, reversed by ``backward``. Everything is float64; tapes are built
-eagerly and freed after ``backward``.
+The tape serves the networks: a ``GroupedMlp`` forward (``swapaxes``, one
+``dense`` per layer, ``swapaxes``) and behavior cloning's loss on top of it
+(``logsumexp_t``, ``gather_last``, ``reshape``, ``sub`` and ``tmean``);
+``tsum`` sums over agents. Everything is float64; tapes are built eagerly and
+freed after ``backward``, which a loss's gradient can seed at the network's
+output.
 
-A loss term is one node: ``td_loss`` (the TD term), ``lse_minus_chosen`` (a
-weighted logsumexp-minus-chosen penalty) and ``sampled_lse_td`` (a sampled
-joint logsumexp penalty together with the TD term it shares Q_tot with). Each
-computes its value and writes out its backward with the float ops, in the
-order, of the op chain it stands for, so values and gradients keep that
-chain's bits while a step tapes a few nodes instead of about twenty; a tape
-node costs microseconds to build and reverse, more than a small term's
-arithmetic.
+The learner's loss terms are plain functions, not tape nodes: ``td_loss``
+(the TD term, or ``td_loss_chosen`` from the chosen values alone),
+``lse_minus_chosen`` (a weighted logsumexp-minus-chosen penalty) and
+``sampled_lse_td`` (a sampled joint logsumexp penalty together with the TD
+term it shares Q_tot with). Each returns its value and its gradient as numpy
+arrays, with the float ops, in the order, of the op chain it stands for,
+seeded with 1.0, so both keep that chain's bits. The TD term's gradient is one
+number per row of Q_tot, which a tabular update scatters into the B * n
+chosen table entries alone (``learner.FactoredQ.backward``): a tape node
+costs microseconds to build and reverse, more than a small term's arithmetic.
 
 A result with no grad-requiring parent records no tape: its ``parents`` is
 empty, its ``bwd`` is None and its ``requires_grad`` is False. Inside
@@ -86,11 +91,6 @@ class Tensor:
 
     # -- operators -------------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -101,17 +101,6 @@ def as_tensor(x) -> Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-
-
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def bwd(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-
-    return Tensor(out_data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -224,98 +213,98 @@ def _scatter_add(flat: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
-def _td_rows(op: str, x: Tensor, index, y) -> tuple:
-    """Checked (B, n) ``index`` of a (B, n, A) ``x``, its flat positions, and
-    ``d = sum_i x[b, i, index[b, i]] - y[b]``, the TD term's per-row error."""
-    shape = x.data.shape
+def _td_rows(op: str, x: np.ndarray, index, y) -> tuple:
+    """For a (B, n, A) ``x``, its checked (B, n) ``index`` and (B,) targets
+    ``y``: ``q = sum_i x[b, i, index[b, i]]``, each row's Q_tot, and ``d = q -
+    y``, the TD term's per-row error."""
+    shape = x.shape
     if len(shape) != 3:
         raise ValueError(f"{op} expects (B, n, A) values, got shape {shape}")
     idx, flat = _index_of_rows(op, shape, index)
     if np.shape(y) != shape[:1]:
         raise ValueError(f"{op}: targets of shape {np.shape(y)} for {shape[0]} rows")
-    q = x.data.reshape(-1)[flat].reshape(idx.shape).sum(axis=-1)
-    return flat, q, q - y
+    q = x.reshape(-1)[flat].reshape(idx.shape).sum(axis=-1)
+    return q, q - y
 
 
-def _td_grad(g, d: np.ndarray, scale: float) -> np.ndarray:
-    """The TD term's gradient in each row's Q_tot, ``full(B, g * 0.5 * scale)
-    * 2.0 * d``: the backward of ``mul(0.5)``, ``tmean`` and the square in turn.
-    Doubling is exact, so the constant is doubled before the one pass over d."""
-    return d * (g * 0.5 * scale * 2.0)
-
-
-def td_loss(x, index, y) -> Tensor:
-    """``0.5 * mean_b (sum_i x[b, i, index[b, i]] - y[b])**2`` as one node, for
-    (B, n, A) ``x``, (B, n) ``index`` and (B,) targets ``y``.
-
-    The forward gathers, sums over agents, then takes ``d = q - y`` and
-    ``(d * d).sum() * (1 / B) * 0.5``; the backward is
-    ``full(B, g * 0.5 * (1 / B)) * 2.0 * d``, copied over the agents and
-    scattered as ``gather_last``'s backward scatters. These are the float ops
-    of gather_last, reshape, tsum, sub, a square (``x * x``, backward
-    ``g * 2.0 * x``), tmean and mul in turn, so the value and gradient have
-    that chain's bits.
-    """
-    x = as_tensor(x)
-    shape = x.data.shape
-    flat, _, d = _td_rows("td_loss", x, index, y)
+def _td_value_and_grad(d: np.ndarray) -> tuple:
+    """The TD term ``(d * d).sum() * (1 / B) * 0.5`` of the (B,) errors ``d``
+    and its gradient in each row's Q_tot, ``d * (1 / B)``."""
     scale = 1.0 / len(d)
-
-    def bwd(g):
-        return (_scatter_add(flat, np.repeat(_td_grad(g, d, scale), shape[1]), shape),)
-
-    return Tensor((d * d).sum() * scale * 0.5, (x,), bwd)
+    return float((d * d).sum() * scale * 0.5), d * scale
 
 
-def lse_minus_chosen(x, index: np.ndarray, weigh) -> Tensor:
-    """``sum(w * (logsumexp(x[..., :]) - x[..., index]))`` as one node, where
-    ``w = weigh(softmax)`` is computed from the softmax of ``x`` over its last
-    axis (a plain array) and broadcasts against ``index``.
+def td_loss(x: np.ndarray, index, y) -> tuple:
+    """``(loss, g)`` for the TD term ``0.5 * mean_b (sum_i x[b, i, index[b, i]]
+    - y[b])**2`` of (B, n, A) values ``x``, (B, n) ``index`` and (B,) targets
+    ``y``; ``g``, of shape (B,), is its gradient in each row's Q_tot.
+
+    The loss is ``(d * d).sum() * (1 / B) * 0.5`` with ``d = q - y``, and ``g``
+    is ``d * (1 / B)``. Those are the float ops of gather_last, reshape, tsum,
+    sub, a square (``x * x``, backward ``g * 2.0 * x``), tmean and mul(0.5) in
+    turn, seeded with 1.0, so both keep that chain's bits: the seed and the
+    constants 0.5 and 2.0 fold into 1 / B exactly.
+    """
+    _, d = _td_rows("td_loss", x, index, y)
+    return _td_value_and_grad(d)
+
+
+def td_loss_chosen(chosen: np.ndarray, y) -> tuple:
+    """``td_loss`` from ``chosen``, the (B, n) values ``x[b, i, index[b, i]]``
+    already gathered, with the same bits: for a caller that can read them
+    without the rest of x."""
+    if chosen.ndim != 2 or np.shape(y) != chosen.shape[:1]:
+        raise ValueError(f"td_loss_chosen: targets of shape {np.shape(y)} for chosen values "
+                         f"of shape {chosen.shape}")
+    return _td_value_and_grad(chosen.sum(axis=-1) - y)
+
+
+def lse_minus_chosen(x: np.ndarray, index: np.ndarray, weigh) -> tuple:
+    """``(loss, grad)`` for ``sum(w * (logsumexp(x[..., :]) - x[..., index]))``,
+    where ``w = weigh(softmax)`` is computed from the softmax of ``x`` over its
+    last axis and broadcasts against ``index``; ``grad``, of x's shape, is
+    ``w * (softmax - onehot(index))``.
 
     The max and the sum run over the leading axis of an (A, ...) copy, which
     numpy reduces several times faster than a short last axis. For A < 8 it
-    adds the terms in the same order, so the value has the bits of
-    ``tsum(mul(w, logsumexp_t(x) - gather_last(x, index[..., None])[..., 0]))``.
-    The backward is ``g * w * (softmax - onehot(index))``.
+    adds the terms in the same order, so the loss has the bits of
+    ``tsum(mul(w, logsumexp_t(x) - gather_last(x, index[..., None])[..., 0]))``
+    and the gradient those of its backward from 1.0.
     """
-    x = as_tensor(x)
-    shape = x.data.shape
+    shape = x.shape
     idx, flat = _index_of_rows("lse_minus_chosen", shape, index)
-    ndim = x.data.ndim
-    lead = x.data.transpose((ndim - 1, *range(ndim - 1))).copy()  # (A, ...)
+    ndim = x.ndim
+    lead = x.transpose((ndim - 1, *range(ndim - 1))).copy()  # (A, ...)
     m = lead.max(axis=0)
     shifted = np.exp(lead - m)
     total = shifted.sum(axis=0)
     soft = (shifted / total).transpose((*range(1, ndim), 0))  # (..., A), a view
-    gap = m + np.log(total) - x.data.reshape(-1)[flat].reshape(idx.shape)
+    gap = m + np.log(total) - x.reshape(-1)[flat].reshape(idx.shape)
     w = weigh(soft)
-
-    def bwd(g):
-        gw = np.broadcast_to(g * w, idx.shape)
-        grad = np.empty(shape)
-        np.multiply(soft, gw[..., None], out=grad)
-        grad.reshape(-1)[flat] -= gw.ravel()
-        return (grad,)
-
-    return Tensor((w * gap).sum(), (x,), bwd)
+    gw = np.broadcast_to(w, idx.shape)
+    grad = np.empty(shape)
+    np.multiply(soft, gw[..., None], out=grad)
+    grad.reshape(-1)[flat] -= gw.ravel()
+    return float((w * gap).sum()), grad
 
 
-def sampled_lse_td(x, index, y, joints, log_const: float, alpha: float):
-    """``alpha * mean_b (logsumexp_k sum_i x[b, i, joints[b, k, i]] + log_const
-    - q_b) + td_loss(x, index, y)`` as one node, with q_b the TD term's
-    ``sum_i x[b, i, index[b, i]]``; returns ``(loss, td, penalty)``, the last
-    two as floats. ``joints`` is (B, K, n), K joint actions per row.
+def sampled_lse_td(x: np.ndarray, index, y, joints, log_const: float, alpha: float) -> tuple:
+    """``(td, penalty, g, grad)`` for macql's sampled penalty ``alpha * mean_b
+    (logsumexp_k sum_i x[b, i, joints[b, k, i]] + log_const - q_b)`` and the TD
+    term ``td_loss(x, index, y)``, with q_b the TD term's ``sum_i x[b, i,
+    index[b, i]]``. ``joints`` is (B, K, n), K joint actions per row.
 
     Both terms take q_b, and the op chain sums their gradients in q_b before
-    one scatter into ``x``, so one node holds both: two nodes would scatter
-    twice and round differently. The float ops are those of gather_last,
+    one scatter into ``x``, so ``g``, of shape (B,), is that sum: the gradient
+    of both terms in each row's Q_tot. ``grad``, of x's shape, is the rest of
+    the penalty's, scattered from the joints in index order (duplicates
+    accumulate as in gather_last). The float ops are those of gather_last,
     tsum(axis=1), logsumexp_t, add, sub, tmean and mul for the penalty and of
-    ``td_loss`` for the TD term, so the loss and gradient have the chain's
-    bits; duplicate joints accumulate in index order.
+    ``td_loss`` for the TD term, seeded with 1.0, so the terms and gradients
+    keep the chain's bits.
     """
-    x = as_tensor(x)
-    shape = x.data.shape
-    flat, q, d = _td_rows("sampled_lse_td", x, index, y)
+    shape = x.shape
+    q, d = _td_rows("sampled_lse_td", x, index, y)
     joints = np.asarray(joints, dtype=np.int64)
     if joints.ndim != 3 or joints.shape[::2] != shape[:-1]:
         raise ValueError(f"joints shape {joints.shape} is not (B, K, n) for (B, n) = "
@@ -323,23 +312,17 @@ def sampled_lse_td(x, index, y, joints, log_const: float, alpha: float):
     picks = np.swapaxes(joints, 1, 2)  # (B, n, K)
     flat_joints = _flat_positions("sampled_lse_td", shape, picks)
     scale = 1.0 / len(d)
-    td = (d * d).sum() * scale * 0.5
-    joint_q = x.data.reshape(-1)[flat_joints].reshape(picks.shape).sum(axis=1)  # (B, K)
+    td, g_td = _td_value_and_grad(d)
+    joint_q = x.reshape(-1)[flat_joints].reshape(picks.shape).sum(axis=1)  # (B, K)
     m = np.max(joint_q, axis=-1, keepdims=True)
     shifted = np.exp(joint_q - m)
     total = shifted.sum(axis=-1, keepdims=True)
     est = (m + np.log(total)).squeeze(-1) + log_const
     penalty = (est - q).sum() * scale * alpha
-
-    def bwd(g):
-        g_est = np.full(d.shape, g * alpha * scale)
-        spread = np.empty(picks.shape)
-        spread[...] = (g_est.reshape(total.shape) * (shifted / total))[:, None, :]
-        g_q = -g_est + _td_grad(g, d, scale)
-        return (_scatter_add(flat_joints, spread, shape)
-                + _scatter_add(flat, np.repeat(g_q, shape[1]), shape),)
-
-    return Tensor(penalty + td, (x,), bwd), float(td), float(penalty)
+    g_est = alpha * scale  # the penalty's gradient in each row's estimate
+    spread = np.empty(picks.shape)
+    spread[...] = (g_est * (shifted / total))[:, None, :]
+    return td, float(penalty), g_td - g_est, _scatter_add(flat_joints, spread, shape)
 
 
 def gather_last(x, index: np.ndarray) -> Tensor:
@@ -355,22 +338,6 @@ def gather_last(x, index: np.ndarray) -> Tensor:
         return (_scatter_add(flat, g, shape),)
 
     return Tensor(x.data.reshape(-1)[flat].reshape(idx.shape), (x,), bwd)
-
-
-def take_rows(x, ids: np.ndarray) -> Tensor:
-    """Row gather out[k] = x[ids[k]]; duplicate ids accumulate in backward."""
-    x = as_tensor(x)
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and ids.min() < 0:
-        raise ValueError(f"take_rows: row id {ids[ids < 0][0]} is negative")
-    out_data = x.data[ids]
-
-    def bwd(g):
-        width = math.prod(x.data.shape[1:])
-        flat = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
-        return (_scatter_add(flat, g, x.data.shape),)
-
-    return Tensor(out_data, (x,), bwd)
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -393,13 +360,20 @@ def swapaxes(x, axis1: int, axis2: int) -> Tensor:
     return Tensor(np.ascontiguousarray(np.swapaxes(x.data, axis1, axis2)), (x,), bwd)
 
 
-def backward(loss: Tensor) -> None:
-    """Reverse-mode pass; accumulates into ``.grad`` of requires_grad leaves."""
-    if loss.data.size != 1:
-        raise ValueError("backward expects a scalar loss")
+def backward(root: Tensor, grad: Optional[np.ndarray] = None) -> None:
+    """Reverse-mode pass from ``root``, seeded with ``grad``, the gradient in
+    root of the same shape (1.0 when root is a scalar and ``grad`` is None);
+    accumulates into ``.grad`` of requires_grad leaves."""
+    if grad is None:
+        if root.data.size != 1:
+            raise ValueError("backward from a non-scalar root needs a seed gradient")
+        grad = np.ones(root.data.shape)
+    elif np.shape(grad) != root.data.shape:
+        raise ValueError(f"seed gradient of shape {np.shape(grad)} for a root of shape "
+                         f"{root.data.shape}")
     topo: list = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if id(node) in visited:
@@ -413,7 +387,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
-    grads = {id(loss): np.ones(loss.data.shape)}
+    grads = {id(root): grad}
     for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:

@@ -17,11 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff as ad
 from .core import (Dataset, DatasetHeader, EnvSpec, RngStream, Tier, check_types,
                    validate_dataset)
 from .learner import (Batch, FactoredQ, encode_states, encode_transitions, make_greedy_actor,
-                      td_targets)
+                      td_targets, td_term)
 from .neural import Adam
 from .rollouts import RandomActor, evaluate_actor, rollout_episodes
 
@@ -67,6 +66,11 @@ class OnlineTrainConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.budget <= self.updates_per_block:
+            # one block: its only checkpoint is the expert, so none can be medium
+            raise ValueError(f"budget ({self.budget}) must exceed updates_per_block "
+                             f"({self.updates_per_block}) so that a checkpoint comes before "
+                             f"the expert")
         if not (np.isfinite(self.medium_fraction) and 0.0 < self.medium_fraction <= 1.0):
             raise ValueError(f"medium_fraction must be finite and in (0, 1], "
                              f"got {self.medium_fraction}")
@@ -185,7 +189,9 @@ def train_online(env, budget: int, rng: RngStream,
         # per-update draws give). The updates up to the next target copy
         # share one target network, so their TD targets are computed first
         # (batch_targets). Each update is then cfcql_loss at alpha = 0 less
-        # its target pass: one TD node, its backward and an Adam step.
+        # its target pass: the TD term with its per-row gradient, which
+        # q.backward scatters into the B * n chosen table entries (or seeds a
+        # network's backward with), and an Adam step.
         n_updates = min(config.updates_per_block, budget - updates)
         block_rows = batch_rng.integers(0, filled, size=(n_updates, ONLINE_BATCH_SIZE))
         while len(block_rows):
@@ -193,7 +199,8 @@ def train_online(env, budget: int, rng: RngStream,
             rows, block_rows = block_rows[:shared], block_rows[shared:]
             for idx, y in zip(rows, batch_targets(rows)):
                 opt.zero_grad()
-                ad.backward(ad.td_loss(q.values(inputs[idx]), actions[idx], y))
+                _, grad = td_term(q, inputs[idx], actions[idx], y)
+                q.backward(grad)
                 opt.step()
                 updates += 1
             if updates % ONLINE_TARGET_INTERVAL == 0:

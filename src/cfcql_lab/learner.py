@@ -17,19 +17,27 @@ of that row is softmax(Q_i(s, ·)), agent i's counterfactual Boltzmann policy.
 Over every joint action, log sum_a exp sum_i Q_i(a_i) = sum_i lse Q_i, so
 macql's enumerated penalty is sum_i (lse Q_i - chosen_i).
 
-Each loss term is one autodiff node with a written-out backward: the TD term
-is ``td_loss``, both per-agent penalties are ``lse_minus_chosen`` with their
-weights, and sampled macql, whose penalty subtracts the TD term's Q_tot, is
-one ``sampled_lse_td`` node for both terms. A step tapes the per-agent values,
-at most two loss nodes and their sum, whatever n is, and each node repeats
-the float ops of the op chain it replaces, so training keeps its bits.
+The loss terms (``autodiff.td_loss``, ``lse_minus_chosen`` with each
+penalty's weights, and ``sampled_lse_td`` for sampled macql, whose penalty
+subtracts the TD term's Q_tot) return their values and gradients as numpy
+arrays, and a loss returns them as a ``ValuesGrad``: the part in each row's
+Q_tot, plus a (B, n, A) block for a penalty. ``FactoredQ.backward`` writes it
+into the parameters, so nothing but a network is taped:
+  - tabular TD alone (naive, and every ``datagen.train_online`` update) reads
+    the B * n table entries of the data's actions and scatters its gradient
+    into them with one ``bincount``;
+  - tabular with a penalty adds the TD part into the block at those entries,
+    then scatters the block's rows into the table with one ``bincount``;
+  - a network's backward is seeded with the block at its output.
+Each term repeats the float ops of the op chain it replaces, and each scatter
+adds in that chain's order, so training keeps its bits.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -126,9 +134,55 @@ class FactoredQ:
         return [self.table] if self.table is not None else self.net.parameters()
 
     def values(self, inputs) -> Tensor:
+        """(B, n, A) per-agent values: the table's rows, untaped, or the
+        network's forward, taped unless under ``no_grad``."""
         if self.mode == "tabular":
-            return ad.take_rows(self.table, inputs)
+            return Tensor(self.table.data[_state_ids(inputs, self.n_states)])
         return self.net.forward(inputs)
+
+    def chosen_entries(self, inputs, actions) -> np.ndarray:
+        """(B, n) positions in the table's ravel of each row's entries at
+        ``actions`` (tabular mode); a state id outside 0..S-1, an action
+        outside 0..A-1 or actions of the wrong shape raise."""
+        ids, actions = _state_ids(inputs, self.n_states), np.asarray(actions, dtype=np.int64)
+        if actions.shape != (len(ids), self.n_agents):
+            raise ValueError(f"actions of shape {actions.shape} for {len(ids)} rows of "
+                             f"{self.n_agents} agents")
+        # one reduction: viewed as unsigned, a negative action is at least 2**63
+        if actions.size and actions.view(np.uint64).max() >= self.n_actions:
+            bad = actions[(actions < 0) | (actions >= self.n_actions)][0]
+            raise ValueError(f"action {bad} is outside 0..{self.n_actions - 1}")
+        row = self.n_agents * self.n_actions
+        return ids[:, None] * row + (np.arange(0, row, self.n_actions) + actions)
+
+    def backward(self, grad: "ValuesGrad") -> None:
+        """Add a loss's gradient in the values into the parameters' ``.grad``.
+
+        Tabular TD alone scatters ``grad.g_tot`` into the B * n chosen table
+        entries (``grad.entries``), in row order, with one ``bincount``.
+        Otherwise the TD part is added into the block (in place) at the chosen
+        entries, and then the block's (B, n * A) rows are scattered in row
+        order, as a row gather's backward scatters them; a network's backward
+        is seeded with the block. Either way each entry sums its terms in the
+        op chain's order, so the gradients have its bits.
+        """
+        actions, block = grad.actions, grad.block
+        n, width = self.n_agents, self.n_actions
+        if self.mode == "tabular" and block is None:
+            flat = grad.entries.ravel()
+            weights = np.repeat(grad.g_tot, n)
+        else:
+            if block is None:
+                block = np.zeros((len(actions), n, width))
+            block[np.arange(len(actions))[:, None], np.arange(n), actions] += grad.g_tot[:, None]
+            if self.mode == "neural":
+                ad.backward(grad.values, block)
+                return
+            flat = (grad.inputs[:, None] * (n * width) + np.arange(n * width)).ravel()
+            weights = block.ravel()
+        table = self.table
+        g = np.bincount(flat, weights=weights, minlength=table.data.size).reshape(table.shape)
+        table.grad = g if table.grad is None else table.grad + g
 
     def mix(self, chosen: Tensor) -> Tensor:
         return ad.tsum(chosen, axis=-1)
@@ -146,6 +200,22 @@ class FactoredQ:
 # ---------------------------------------------------------------------------
 # Losses.
 # ---------------------------------------------------------------------------
+
+
+class ValuesGrad(NamedTuple):
+    """A loss's gradient in the per-agent values of its batch, for
+    ``FactoredQ.backward``: ``g_tot`` (B,) in each row's Q_tot at the batch's
+    ``actions``, and ``block`` (B, n, A) in the values themselves, or None
+    when the loss has no part outside Q_tot (TD alone)."""
+
+    inputs: np.ndarray  # the batch's state ids or features
+    actions: np.ndarray  # (B, n)
+    values: Optional[Tensor]  # the forward's (B, n, A) output, taped in neural mode
+    # a tabular TD term's (B, n) table positions of the entries it read in
+    # place of the rows (values is then None), where its gradient goes
+    entries: Optional[np.ndarray]
+    g_tot: np.ndarray
+    block: Optional[np.ndarray]
 
 
 @dataclass
@@ -170,9 +240,35 @@ def td_targets(q_target: FactoredQ, batch: Batch, gamma: float) -> np.ndarray:
     return batch.rewards + gamma * next_values.max(axis=0).sum(axis=-1)
 
 
+def _state_ids(inputs, n_states: int) -> np.ndarray:
+    """Tabular inputs as int64 state ids; one outside 0..S-1 raises."""
+    ids = np.asarray(inputs, dtype=np.int64)
+    # one reduction: viewed as unsigned, a negative id is at least 2**63
+    if ids.size and ids.view(np.uint64).max() >= n_states:
+        bad = ids[(ids < 0) | (ids >= n_states)][0]
+        raise ValueError(f"state id {bad} is outside 0..{n_states - 1}")
+    return ids
+
+
+def td_term(q: FactoredQ, inputs, actions: np.ndarray, y: np.ndarray) -> tuple:
+    """``(loss, grad)``: the TD term of Q's values at ``inputs`` against the
+    targets ``y``, and its ValuesGrad, with no penalty block. The term reads
+    only the B * n values of the data's actions, so tabular Q gives them
+    straight from the table, without the rest of the batch's rows."""
+    if q.mode == "tabular":
+        entries = q.chosen_entries(inputs, actions)
+        loss, g_tot = ad.td_loss_chosen(q.table.data.reshape(-1)[entries], y)
+        return loss, ValuesGrad(inputs, actions, None, entries, g_tot, None)
+    values = q.values(inputs)
+    loss, g_tot = ad.td_loss(values.data, actions, y)
+    return loss, ValuesGrad(inputs, actions, values, None, g_tot, None)
+
+
 def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
                lam: Optional[Callable[[np.ndarray], np.ndarray]], alpha: float, gamma: float):
     """Counterfactual conservative loss; ``alpha=0`` reduces to plain TD.
+    Returns ``(loss, grad, stats)``: the loss, its ValuesGrad for
+    ``q.backward`` and the TD and penalty terms.
 
     The other agents' actions in the penalty come from the sampled transition
     (one draw from the behavior policy). ``lam`` maps the (B, n, A)
@@ -181,10 +277,10 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
     uniformly. The penalty is alpha * mean_b sum_i lambda_i (lse Q_i - chosen_i)
     (module docstring).
     """
-    values = q.values(batch.inputs)
-    td = ad.td_loss(values, batch.actions, td_targets(q_target, batch, gamma))
+    y = td_targets(q_target, batch, gamma)
     if alpha == 0.0:
-        return td, {"td": float(td.data), "penalty": 0.0}
+        td, grad = td_term(q, batch.inputs, batch.actions, y)
+        return td, grad, {"td": td, "penalty": 0.0}
 
     scale = alpha / len(batch)
 
@@ -192,8 +288,17 @@ def cfcql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ,
         # alpha * mean_b sum_i lambda_i gap_i, as one weighted sum
         return (_uniform(batch, q) if lam is None else lam(pi)) * scale
 
-    penalty = ad.lse_minus_chosen(values, batch.actions, weigh)
-    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
+    return _penalised(batch, q, y, weigh)
+
+
+def _penalised(batch: Batch, q: FactoredQ, y: np.ndarray, weigh) -> tuple:
+    """``(loss, grad, stats)`` of the TD term plus the per-agent penalty
+    ``lse_minus_chosen`` with weights ``weigh(pi)``."""
+    values = q.values(batch.inputs)
+    td, g_tot = ad.td_loss(values.data, batch.actions, y)
+    penalty, block = ad.lse_minus_chosen(values.data, batch.actions, weigh)
+    grad = ValuesGrad(batch.inputs, batch.actions, values, None, g_tot, block)
+    return penalty + td, grad, {"td": td, "penalty": penalty}
 
 
 def _uniform(batch: Batch, q: FactoredQ) -> np.ndarray:
@@ -202,33 +307,34 @@ def _uniform(batch: Batch, q: FactoredQ) -> np.ndarray:
 
 def macql_loss(batch: Batch, q: FactoredQ, q_target: FactoredQ, alpha: float,
                n_samples: int, rng: Optional[np.random.Generator], gamma: float):
-    """Joint-ratio conservative loss with sampled-joint logsumexp.
+    """Joint-ratio conservative loss with sampled-joint logsumexp; returns
+    ``(loss, grad, stats)`` as ``cfcql_loss`` does.
 
     With ``n_samples >= |A|^n`` the joint space is enumerated exactly: the
     penalty is sum_i (lse Q_i - chosen_i) and no joint is built (module
     docstring). Otherwise the estimator is logsumexp over N uniform joints
     plus the importance constant log(|A|^n / N).
     """
-    values = q.values(batch.inputs)
     y = td_targets(q_target, batch, gamma)
     b = len(batch)
     if alpha != 0.0 and n_samples < q.n_actions**q.n_agents:
         if rng is None:
             raise ValueError("sampled joint actions need an rng")
+        values = q.values(batch.inputs)
         sampled = rng.integers(0, q.n_actions, size=(b, n_samples, q.n_agents))
         log_const = q.n_agents * np.log(q.n_actions) - np.log(n_samples)
-        # the penalty's -Q_tot(data) is the TD term's, so one node holds both
-        # terms (autodiff.sampled_lse_td says why)
-        loss, td, penalty = ad.sampled_lse_td(values, batch.actions, y, sampled, log_const,
-                                              alpha)
-        return loss, {"td": td, "penalty": penalty}
-    td = ad.td_loss(values, batch.actions, y)
+        # the penalty's -Q_tot(data) is the TD term's, so one function takes
+        # both terms (autodiff.sampled_lse_td says why)
+        td, penalty, g_tot, block = ad.sampled_lse_td(values.data, batch.actions, y, sampled,
+                                                      log_const, alpha)
+        grad = ValuesGrad(batch.inputs, batch.actions, values, None, g_tot, block)
+        return penalty + td, grad, {"td": td, "penalty": penalty}
     if alpha == 0.0:
-        return td, {"td": float(td.data), "penalty": 0.0}
+        td, grad = td_term(q, batch.inputs, batch.actions, y)
+        return td, grad, {"td": td, "penalty": 0.0}
     # alpha * mean_b sum_i gap_i, in cfcql's form: at n = 1 the two losses
     # are the same bits
-    penalty = ad.lse_minus_chosen(values, batch.actions, lambda pi: alpha / b)
-    return penalty + td, {"td": float(td.data), "penalty": float(penalty.data)}
+    return _penalised(batch, q, y, lambda pi: alpha / b)
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +493,24 @@ def train_offline(config: TrainConfig, dataset: Dataset, method: str,
         )
         opt.zero_grad()
         if method == "macql" and alpha > 0.0:
-            loss, _ = macql_loss(batch, q, target, alpha, CQL_JOINT_SAMPLES, penalty_rng,
-                                 spec.gamma)
+            loss, grad, _ = macql_loss(batch, q, target, alpha, CQL_JOINT_SAMPLES, penalty_rng,
+                                       spec.gamma)
         else:
             lam = (None if beta_probs is None
                    else functools.partial(batch_lambda, beta_probs=beta_probs[idx]))
-            loss, _ = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
-        if not np.isfinite(loss.data):
+            loss, grad, _ = cfcql_loss(batch, q, target, lam, alpha, spec.gamma)
+        if not np.isfinite(loss):
             raise FloatingPointError(f"training diverged at step {step}")
-        ad.backward(loss)
+        q.backward(grad)
         opt.step()
-        losses[step - 1] = float(loss.data)
+        losses[step - 1] = loss
 
         if step % config.target_interval == 0:
             target = q.copy()
 
         if step % config.record_interval == 0 or step == config.total_steps:
-            row = _record_metrics(q, env, inputs, actions, probe, step, float(loss.data),
-                                  config, root, refs)
+            row = _record_metrics(q, env, inputs, actions, probe, step, loss, config, root,
+                                  refs)
             metrics.append(row)
 
     policy = None

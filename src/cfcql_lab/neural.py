@@ -108,8 +108,8 @@ class Adam:
 
     ``m`` and ``v`` are updated in place through one scratch array per
     parameter, in the textbook operation order, so the steps have its bits.
-    The gradients are only read: ``add``'s backward can hand one array to two
-    parameters. Each step gives ``p.data`` a new array.
+    The gradients are only read, never written, so a backward may hand one
+    array to several parameters. Each step gives ``p.data`` a new array.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):

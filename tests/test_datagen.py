@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from cfcql_lab import autodiff as ad
 from cfcql_lab import datagen
 from cfcql_lab.core import RngStream, Tier, validate_dataset
 from cfcql_lab.datagen import (
@@ -17,7 +16,8 @@ from cfcql_lab.datagen import (
     train_online,
 )
 from cfcql_lab.envs import ToyMMDP
-from cfcql_lab.learner import Batch, td_targets
+from cfcql_lab.learner import Batch, FactoredQ, td_targets
+from cfcql_lab.neural import Adam
 
 import chains
 
@@ -123,25 +123,36 @@ def test_random_dataset_is_deterministic(env):
     assert not same_columns(a, c)
 
 
-def _recorded(td_loss, losses):
-    def loss(values, actions, y):
-        out = td_loss(values, actions, y)
-        losses.append(out.data.tobytes())
+def _recorded(td_term, losses):
+    def loss(q, inputs, actions, y):
+        out = td_term(q, inputs, actions, y)
+        losses.append(np.float64(out[0]).tobytes())
         return out
     return loss
+
+
+def _recorded_grads(monkeypatch):
+    """Every table gradient an Adam step reads, in order."""
+    grads, step = [], Adam.step
+
+    def recording(opt):
+        grads.append(opt.params[0].grad.tobytes())
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    return grads
 
 
 @pytest.mark.parametrize("per_block", [50, 70])
 def test_train_online_has_the_bits_of_per_batch_targets_and_op_chain_losses(env, monkeypatch,
                                                                              per_block):
     """train_online's updates, with one td_targets pass per shared target
-    network and the TD node, against targets taken batch by batch and the op
-    chain the node replaces (tests/chains.py): the same losses, checkpoints
-    and buffer, byte for byte. With 70 updates a block, target copies (every
-    200) fall inside blocks."""
+    network, the TD term and its B * n scatter into the table, against
+    targets taken batch by batch and the op chain the term replaces, reversed
+    on the tape through the table's rows (tests/chains.py): the same losses,
+    table gradients, checkpoints and buffer, byte for byte. With 70 updates a
+    block, target copies (every 200) fall inside blocks."""
     config = dataclasses.replace(ONLINE, updates_per_block=per_block)
-    def chain_td_loss(values, actions, y):
-        return chains.td_chain(chains.q_tot_data(values, actions), y)
 
     def per_batch_targets(q_target, batch, gamma):
         size = datagen.ONLINE_BATCH_SIZE
@@ -150,18 +161,27 @@ def test_train_online_has_the_bits_of_per_batch_targets_and_op_chain_losses(env,
                 batch.inputs, batch.actions, batch.rewards, batch.next_inputs))), gamma)
             for k in range(0, len(batch), size)])
 
-    got, want = [], []
-    monkeypatch.setattr(ad, "td_loss", _recorded(ad.td_loss, got))
-    nodes = train_online(env, config.budget, RngStream(2, "online"), config)
-    monkeypatch.setattr(ad, "td_loss", _recorded(chain_td_loss, want))
-    monkeypatch.setattr(datagen, "td_targets", per_batch_targets)
-    ops = train_online(env, config.budget, RngStream(2, "online"), config)
+    runs = []
+    for chain in (False, True):
+        with monkeypatch.context() as patch:
+            losses = []
+            if chain:
+                patch.setattr(datagen, "td_term", _recorded(chains.td_term, losses))
+                patch.setattr(FactoredQ, "backward", chains.backward)
+                patch.setattr(datagen, "td_targets", per_batch_targets)
+            else:
+                patch.setattr(datagen, "td_term", _recorded(datagen.td_term, losses))
+            grads = _recorded_grads(patch)
+            runs.append((train_online(env, config.budget, RngStream(2, "online"), config),
+                         losses, grads))
+    (terms, got, got_grads), (ops, want, want_grads) = runs
     assert len(got) == config.budget and got == want
-    assert [ck.q.table.data.tobytes() for ck in nodes.checkpoints] == \
+    assert len(got_grads) == config.budget and got_grads == want_grads
+    assert [ck.q.table.data.tobytes() for ck in terms.checkpoints] == \
         [ck.q.table.data.tobytes() for ck in ops.checkpoints]
-    assert [ck.eval_return for ck in nodes.checkpoints] == \
+    assert [ck.eval_return for ck in terms.checkpoints] == \
         [ck.eval_return for ck in ops.checkpoints]
-    assert nodes.states.tobytes() == ops.states.tobytes()
+    assert terms.states.tobytes() == ops.states.tobytes()
 
 
 @pytest.mark.parametrize("high", [7, 1000, 2**31 + 1])
@@ -193,6 +213,8 @@ def test_train_online_rejects_a_config_with_another_budget(env):
     ("medium_fraction", 0.0, "medium_fraction must be finite and in (0, 1], got 0.0"),
     ("medium_fraction", 1.5, "medium_fraction must be finite and in (0, 1], got 1.5"),
     ("medium_fraction", float("inf"), "medium_fraction must be finite and in (0, 1], got inf"),
+    # one block: its only checkpoint is the expert, so none could be medium
+    ("budget", 100, "budget (100) must exceed updates_per_block (100)"),
 ])
 def test_online_config_rejects_bad_values(field, value, message):
     # updates_per_block=0 used to divide by zero, n_parallel=0 to fail in

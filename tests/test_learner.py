@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cfcql_lab import autodiff as ad
 from cfcql_lab import learner
 from cfcql_lab.core import RngStream, Tier
-from cfcql_lab.datagen import random_dataset
+from cfcql_lab.datagen import OnlineTrainConfig, random_dataset, train_online
 from cfcql_lab.envs import EqualLine, ToyMMDP, all_joint_actions
 from cfcql_lab.learner import (
     METHODS,
@@ -74,7 +75,7 @@ def test_cfcql_loss_hand_case():
     target = q.copy()
     batch = make_batch([0], [[0, 1]], [0.3], [1])
     alpha, gamma = 0.7, 0.9
-    loss, stats = cfcql_loss(batch, q, target, None, alpha, gamma)
+    loss, _, stats = cfcql_loss(batch, q, target, None, alpha, gamma)
 
     q_data = 1.0 + (-1.0)
     lse0 = np.log(np.exp(1.0 + (-1.0)) + np.exp(2.0 + (-1.0)))
@@ -82,7 +83,7 @@ def test_cfcql_loss_hand_case():
     y = 0.3 + gamma * (0.0 + 0.0)
     td = 0.5 * (q_data - y) ** 2
     expected = alpha * (0.5 * (lse0 + lse1) - q_data) + td
-    assert loss.data == pytest.approx(expected, abs=1e-12)
+    assert loss == pytest.approx(expected, abs=1e-12)
     assert stats["td"] == pytest.approx(td, abs=1e-12)
 
 
@@ -92,11 +93,11 @@ def test_alpha_zero_is_pure_td(rng):
     ids = rng.integers(0, 9, size=16)
     batch = make_batch(ids, rng.integers(0, 3, size=(16, 2)), rng.normal(size=16),
                        rng.integers(0, 9, size=16))
-    loss, _ = cfcql_loss(batch, q, target, None, 0.0, 0.95)
+    loss, _, _ = cfcql_loss(batch, q, target, None, 0.0, 0.95)
     y = td_targets(target, batch, 0.95)
     vals = q.values(batch.inputs).data
     q_data = np.take_along_axis(vals, batch.actions[:, :, None], 2)[:, :, 0].sum(1)
-    assert loss.data == pytest.approx(0.5 * ((q_data - y) ** 2).mean(), abs=1e-12)
+    assert loss == pytest.approx(0.5 * ((q_data - y) ** 2).mean(), abs=1e-12)
 
 
 def test_macql_exhaustive_matches_joint_enumeration(rng):
@@ -106,7 +107,7 @@ def test_macql_exhaustive_matches_joint_enumeration(rng):
     ids = rng.integers(0, 5, size=8)
     batch = make_batch(ids, rng.integers(0, 3, size=(8, 2)), rng.normal(size=8),
                        rng.integers(0, 5, size=8))
-    loss, _ = macql_loss(batch, q, target, 1.3, 9, None, 0.9)
+    loss, _, _ = macql_loss(batch, q, target, 1.3, 9, None, 0.9)
 
     vals = q.values(batch.inputs).data
     joints = all_joint_actions(n_agents, n_actions)
@@ -118,7 +119,7 @@ def test_macql_exhaustive_matches_joint_enumeration(rng):
     q_data = np.take_along_axis(vals, batch.actions[:, :, None], 2)[:, :, 0].sum(1)
     y = td_targets(target, batch, 0.9)
     expected = 1.3 * (lse - q_data).mean() + 0.5 * ((q_data - y) ** 2).mean()
-    assert loss.data == pytest.approx(expected, abs=1e-9)
+    assert loss == pytest.approx(expected, abs=1e-9)
 
 
 def test_macql_sampling_constant(rng):
@@ -126,7 +127,7 @@ def test_macql_sampling_constant(rng):
     q = tabular_q(2, 3, 4, values=np.zeros((4, 6)))
     target = q.copy()
     batch = make_batch([0], [[0, 0]], [0.0], [1])
-    loss, stats = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
+    _, _, stats = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
     # all Q values are zero: lse over 4 samples = log 4; constant = log(9/4)
     assert stats["penalty"] == pytest.approx(np.log(4.0) + np.log(9.0 / 4.0), abs=1e-12)
 
@@ -162,12 +163,12 @@ def test_single_agent_losses_coincide(rng):
             rng.integers(0, n_states, size=b),
         )
         alpha = float(rng.uniform(0.1, 5.0))
-        cf, _ = cfcql_loss(batch, q, target, lambda _: np.ones((b, 1)), alpha, 0.9)
-        ma, _ = macql_loss(batch, q, target, alpha, n_actions, None, 0.9)
+        cf, _, _ = cfcql_loss(batch, q, target, lambda _: np.ones((b, 1)), alpha, 0.9)
+        ma, _, _ = macql_loss(batch, q, target, alpha, n_actions, None, 0.9)
         ref = reference_single_agent_cql_loss(table, target_table, batch, alpha, 0.9)
-        assert cf.data == pytest.approx(ref, abs=1e-9)
-        assert ma.data == pytest.approx(ref, abs=1e-9)
-        assert cf.data == ma.data  # identical computation path at n=1
+        assert cf == pytest.approx(ref, abs=1e-9)
+        assert ma == pytest.approx(ref, abs=1e-9)
+        assert cf == ma  # identical computation path at n=1
 
 
 def test_single_agent_training_bit_identical():
@@ -183,14 +184,16 @@ def test_single_agent_training_bit_identical():
     assert res_cf.metrics == res_ma.metrics
 
 
-# -- gradients through the full loss graph --------------------------------------
+# -- gradients of the full losses ----------------------------------------------
 
 
-def assert_gradients_match_finite_differences(params, loss_value):
-    """Backward through ``loss_value()``'s graph against central differences."""
+def assert_gradients_match_finite_differences(q, loss_of):
+    """``q.backward`` of the gradient ``loss_of()`` returns against central
+    differences of its loss."""
+    params = q.parameters()
     for p in params:
         p.zero_grad()
-    ad.backward(loss_value())
+    q.backward(loss_of()[1])
     analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
 
     h = 1e-6
@@ -199,9 +202,9 @@ def assert_gradients_match_finite_differences(params, loss_value):
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            up = float(loss_value().data)
+            up = loss_of()[0]
             flat[k] = orig - h
-            down = float(loss_value().data)
+            down = loss_of()[0]
             flat[k] = orig
             numeric = (up - down) / (2 * h)
             assert analytic[pi_].ravel()[k] == pytest.approx(numeric, abs=2e-6, rel=1e-4)
@@ -235,7 +238,7 @@ def test_cfcql_loss_gradients_match_finite_differences(mixer, rng):
     )
     lam = rng.dirichlet(np.ones(2), size=b)
     assert_gradients_match_finite_differences(
-        q.parameters(), lambda: cfcql_loss(batch, q, target, lambda _: lam, 0.8, 0.9)[0])
+        q, lambda: cfcql_loss(batch, q, target, lambda _: lam, 0.8, 0.9))
 
 
 @ADDITIVE
@@ -247,36 +250,86 @@ def test_macql_loss_gradients_match_finite_differences(mixer, n_agents, n_action
     the same 16 on every evaluation (a fresh generator of one seed)."""
     q, target, batch = random_q_and_batch(n_agents, n_actions, rng)
     assert_gradients_match_finite_differences(
-        q.parameters(),
-        lambda: macql_loss(batch, q, target, 0.8, n_samples, np.random.default_rng(5), 0.9)[0])
+        q, lambda: macql_loss(batch, q, target, 0.8, n_samples, np.random.default_rng(5), 0.9))
 
 
 def tape_nodes(root):
     """Every tensor reachable from ``root`` through ``parents``, root included."""
-    seen, todo = {id(root)}, [root]
+    seen, todo = {id(root): root}, [root]
     while todo:
         for parent in todo.pop().parents:
             if id(parent) not in seen:
-                seen.add(id(parent))
+                seen[id(parent)] = parent
                 todo.append(parent)
-    return len(seen)
+    return list(seen.values())
+
+
+def neural_q_and_batch(n_agents, rng, b=6, feature_dim=4):
+    q = FactoredQ(n_agents, 3, "neural", feature_dim=feature_dim, rng=rng)
+    batch = make_batch(rng.normal(size=(b, n_agents, feature_dim)),
+                       rng.integers(0, 3, size=(b, n_agents)), rng.normal(size=b),
+                       rng.normal(size=(b, n_agents, feature_dim)))
+    return q, q.copy(), batch
+
+
+def assert_only_the_network_is_taped(q, grad):
+    """The tape ``q.backward`` reverses is the network's forward: its L + 2
+    nodes (the L layers, the output swap and the untaped input swap) and its
+    2L parameters, with no loss node on it."""
+    nodes = tape_nodes(grad.values)
+    layers = len(q.net.weights)
+    assert len(nodes) == 3 * layers + 2
+    assert {id(p) for p in nodes if p.requires_grad and p.bwd is None} == {
+        id(p) for p in q.parameters()}
 
 
 @ADDITIVE
 def test_macql_tape_does_not_grow_with_agents(mixer, rng):
-    counts = []
+    """Tabular values tape nothing; a network's tape is its forward, at every n."""
     for n_agents in (2, 5):
         q, target, batch = random_q_and_batch(n_agents, 3, rng)
-        loss, _ = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
-        counts.append(tape_nodes(loss))
-    assert counts[0] == counts[1]
+        _, grad, _ = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
+        assert tape_nodes(grad.values) == [grad.values] and not grad.values.requires_grad
+        q, target, batch = neural_q_and_batch(n_agents, rng)
+        _, grad, _ = macql_loss(batch, q, target, 1.0, 4, np.random.default_rng(0), 0.9)
+        assert_only_the_network_is_taped(q, grad)
 
 
 def loss_and_table_grad(q, loss_of):
+    """The loss ``loss_of()`` returns and the table gradient of q.backward."""
     q.table.zero_grad()
-    loss = loss_of()
+    loss, grad, _ = loss_of()
+    q.backward(grad)
+    return loss, q.table.grad.copy()
+
+
+def chain_loss_and_table_grad(q, build):
+    """The loss tensor ``build()`` makes and the table gradient of its tape."""
+    q.table.zero_grad()
+    loss = build()
     ad.backward(loss)
     return float(loss.data), q.table.grad.copy()
+
+
+@pytest.mark.parametrize("penalty", [False, True], ids=["td_alone", "with_block"])
+def test_table_backward_matches_add_at_byte_for_byte(penalty, rng):
+    """Both tabular scatters of q.backward against np.add.at. TD alone adds
+    each row's g_tot at its B * n chosen entries; with a block, g_tot is added
+    into the block at the chosen entries and then the rows go in. States
+    repeat, so entries accumulate, in row order."""
+    n, n_actions, n_states, b = 3, 4, 5, 11
+    q = tabular_q(n, n_actions, n_states)
+    ids = rng.integers(0, n_states, size=b)
+    actions = rng.integers(0, n_actions, size=(b, n))
+    g_tot = rng.normal(size=b)
+    block = rng.normal(size=(b, n, n_actions)) if penalty else None
+    rows = np.zeros((b, n, n_actions)) if block is None else block.copy()
+    np.add.at(rows, (np.arange(b)[:, None], np.arange(n), actions), g_tot[:, None])
+    expected = np.zeros((n_states, n, n_actions))
+    np.add.at(expected, ids, rows)
+    entries = None if penalty else q.chosen_entries(ids, actions)
+    q.backward(learner.ValuesGrad(ids, actions, q.values(ids), entries, g_tot, block))
+    assert q.table.grad.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n_agents", [2, 3])
@@ -286,14 +339,36 @@ def test_additive_macql_is_cfcql_at_n_times_alpha(n_agents, rng):
     q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=5, b=12)
     alpha, n_joint = 0.7, q.n_actions**n_agents
     macql, macql_grad = loss_and_table_grad(
-        q, lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9)[0])
+        q, lambda: macql_loss(batch, q, target, alpha, n_joint, None, 0.9))
     cfcql, cfcql_grad = loss_and_table_grad(
-        q, lambda: cfcql_loss(batch, q, target, None, n_agents * alpha, 0.9)[0])
+        q, lambda: cfcql_loss(batch, q, target, None, n_agents * alpha, 0.9))
     assert macql == pytest.approx(cfcql, rel=1e-12)
     np.testing.assert_allclose(macql_grad, cfcql_grad, rtol=0, atol=1e-12)
 
 
 # -- structural properties -------------------------------------------------------
+
+
+def test_chosen_entries_hold_the_rows_values_and_reject_bad_inputs(rng):
+    """The table entries a tabular TD term reads are those of the gathered
+    rows at the data's actions, byte for byte; a bad state id, action or
+    shape raises."""
+    q = tabular_q(3, 4, 7, values=rng.normal(size=(7, 12)))
+    ids = rng.integers(0, 7, size=9)
+    actions = rng.integers(0, 4, size=(9, 3))
+    want = np.take_along_axis(q.values(ids).data, actions[:, :, None], axis=2)[:, :, 0]
+    got = q.table.data.reshape(-1)[q.chosen_entries(ids, actions)]
+    assert got.tobytes() == want.tobytes()
+    for bad in (4, -1):
+        bad_actions = actions.copy()
+        bad_actions[5, 2] = bad
+        with pytest.raises(ValueError, match=f"^action {bad} is outside 0..3$"):
+            q.chosen_entries(ids, bad_actions)
+    for bad in (7, -2):
+        with pytest.raises(ValueError, match=f"^state id {bad} is outside 0..6$"):
+            q.chosen_entries(np.r_[ids[:8], bad], actions)
+    with pytest.raises(ValueError, match=r"actions of shape \(9, 2\) for 9 rows of 3 agents"):
+        q.chosen_entries(ids, actions[:, :2])
 
 
 @ADDITIVE
@@ -343,6 +418,7 @@ def test_neural_init_draws_only_the_per_agent_networks():
 
 @ADDITIVE
 def test_values_and_mix_are_the_same_bytes_under_no_grad(mixer, rng):
+    """Only a network's values are taped: tabular ones never need a tape."""
     for q, inputs in ((tabular_q(3, 4, 7, values=rng.normal(size=(7, 12))),
                        rng.integers(0, 7, size=9)),
                       (neural_q(rng), rng.normal(size=(9, 3, 5)))):
@@ -351,7 +427,7 @@ def test_values_and_mix_are_the_same_bytes_under_no_grad(mixer, rng):
         with ad.no_grad():
             values_ng = q.values(inputs)
             mixed_ng = q.mix(values_ng.data.max(axis=2))
-        assert values.requires_grad and not values_ng.requires_grad
+        assert values.requires_grad == (q.mode == "neural") and not values_ng.requires_grad
         assert values.data.tobytes() == values_ng.data.tobytes()
         assert mixed.data.tobytes() == mixed_ng.data.tobytes()
 
@@ -360,7 +436,8 @@ def counterfactual_rows(values, actions):
     """(B, n, A) Q_tot rows: row (b, i) varies agent i's action, the others
     held at ``actions``."""
     chosen = ad.gather_last(values, actions[:, :, None])  # (B, n, 1)
-    return values + (ad.reshape(ad.tsum(chosen, axis=1), (len(actions), 1, 1)) - chosen)
+    return chains.add(values,
+                      ad.reshape(ad.tsum(chosen, axis=1), (len(actions), 1, 1)) - chosen)
 
 
 @ADDITIVE
@@ -369,7 +446,7 @@ def test_counterfactual_rows_match_bruteforce(mixer, rng):
     # quarter-integer values: the sums are exact in any order
     q = tabular_q(n, n_actions, n_states,
                   values=rng.integers(-40, 40, size=(n_states, n * n_actions)) / 4.0)
-    values = q.values(rng.integers(0, n_states, size=b))
+    values = chains.taped_values(q, rng.integers(0, n_states, size=b))
     actions = rng.integers(0, n_actions, size=(b, n))
     expected = np.empty((b, n, n_actions))
     for i in range(n):
@@ -391,11 +468,12 @@ def boltzmann(q, batch):
 
 def reference_cfcql_loss(batch, q, target, lam, alpha, gamma):
     """The penalty built from the (B, n, A) counterfactual rows of Q_tot."""
-    values = q.values(batch.inputs)
+    values = chains.taped_values(q, batch.inputs)
     q_data = chains.q_tot_data(values, batch.actions)
     td = chains.td_chain(q_data, td_targets(target, batch, gamma))
     lse = ad.logsumexp_t(counterfactual_rows(values, batch.actions), axis=-1)
-    return chains.mul(ad.tmean(ad.tsum(chains.mul(lam, lse), axis=1) - q_data), alpha) + td
+    penalty = chains.mul(ad.tmean(ad.tsum(chains.mul(lam, lse), axis=1) - q_data), alpha)
+    return chains.add(penalty, td)
 
 
 @pytest.mark.parametrize("n_agents", [2, 3, 4, 5])
@@ -413,8 +491,8 @@ def test_additive_cfcql_loss_matches_the_counterfactual_rows(n_agents, mode, rng
         lam = np.full((16, n_agents), 1.0 / n_agents)
     got_loss, got_grad = loss_and_table_grad(
         q, lambda: cfcql_loss(batch, q, target, None if mode == "uniform" else lambda _: lam,
-                              0.8, 0.9)[0])
-    want_loss, want_grad = loss_and_table_grad(
+                              0.8, 0.9))
+    want_loss, want_grad = chain_loss_and_table_grad(
         q, lambda: reference_cfcql_loss(batch, q, target, lam, 0.8, 0.9))
     assert got_loss == pytest.approx(want_loss, rel=1e-12)
     np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12,
@@ -469,7 +547,7 @@ def test_enumerated_additive_macql_matches_joint_bruteforce(n_agents, rng):
     q, target, batch = random_q_and_batch(n_agents, 3, rng, n_states=5, b=10)
     alpha, gamma, b = 1.3, 0.9, 10
     loss, grad = loss_and_table_grad(
-        q, lambda: macql_loss(batch, q, target, alpha, 3**n_agents, None, gamma)[0])
+        q, lambda: macql_loss(batch, q, target, alpha, 3**n_agents, None, gamma))
 
     values = q.table.data[batch.inputs]
     excess, d_excess = joint_bruteforce(values, batch.actions)
@@ -486,50 +564,120 @@ def test_enumerated_additive_macql_matches_joint_bruteforce(n_agents, rng):
 
 
 def test_additive_cfcql_tape_does_not_grow_with_agents(rng):
-    counts = []
+    """Tabular values tape nothing; a network's tape is its forward, at every n."""
     for n_agents in (2, 5):
-        q, target, batch = random_q_and_batch(n_agents, 3, rng)
-        beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
-        lam = functools.partial(batch_lambda, beta_probs=beta)
-        counts.append(tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]))
-    assert counts[0] == counts[1] == 5
+        for q, target, batch in (random_q_and_batch(n_agents, 3, rng),
+                                 neural_q_and_batch(n_agents, rng)):
+            beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
+            lam = functools.partial(batch_lambda, beta_probs=beta)
+            _, grad, _ = cfcql_loss(batch, q, target, lam, 1.0, 0.9)
+            if q.mode == "tabular":
+                assert tape_nodes(grad.values) == [grad.values]
+                assert not grad.values.requires_grad
+            else:
+                assert_only_the_network_is_taped(q, grad)
 
 
 @pytest.mark.parametrize("n_agents", [1, 2, 4, 5])
-def test_a_loss_term_is_one_tape_node(n_agents, rng):
-    """The table, its rows, the TD node, one penalty node and their sum: TD
-    alone tapes 3 nodes, a penalised loss 5, and sampled macql's one node for
-    both terms 3, at every n."""
-    q, target, batch = random_q_and_batch(n_agents, 3, rng)
-    beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
-    lam = functools.partial(batch_lambda, beta_probs=beta)
-    sampler = np.random.default_rng(0)
-    assert tape_nodes(cfcql_loss(batch, q, target, None, 0.0, 0.9)[0]) == 3
-    assert tape_nodes(cfcql_loss(batch, q, target, lam, 1.0, 0.9)[0]) == 5
-    assert tape_nodes(macql_loss(batch, q, target, 1.0, 3**n_agents, None, 0.9)[0]) == 5
-    assert tape_nodes(macql_loss(batch, q, target, 1.0, 2, sampler, 0.9)[0]) == 3
+def test_a_loss_term_tapes_nothing(n_agents, rng):
+    """TD alone, penalised cfcql, and enumerated and sampled macql each return
+    a float loss and numpy gradients: the TD part (B,) and a (B, n, A)
+    penalty block, or None for TD alone. No loss node is taped: tabular
+    values have no tape, and a network's is its forward alone."""
+    for q, target, batch in (random_q_and_batch(n_agents, 3, rng),
+                             neural_q_and_batch(n_agents, rng)):
+        beta = rng.dirichlet(np.ones(3), size=(len(batch), n_agents))
+        lam = functools.partial(batch_lambda, beta_probs=beta)
+        sampler = np.random.default_rng(0)
+        results = [cfcql_loss(batch, q, target, None, 0.0, 0.9),
+                   cfcql_loss(batch, q, target, lam, 1.0, 0.9),
+                   macql_loss(batch, q, target, 1.0, 3**n_agents, None, 0.9),
+                   macql_loss(batch, q, target, 1.0, 2, sampler, 0.9)]
+        for k, (loss, grad, _) in enumerate(results):
+            assert type(loss) is float
+            assert type(grad.g_tot) is np.ndarray and grad.g_tot.shape == (len(batch),)
+            if k == 0:
+                assert grad.block is None
+            else:
+                assert type(grad.block) is np.ndarray
+                assert grad.block.shape == (len(batch), n_agents, 3)
+            if q.mode == "neural":
+                assert_only_the_network_is_taped(q, grad)
+            elif k == 0:  # TD alone reads the picked table entries, not the rows
+                assert grad.values is None
+            else:
+                assert grad.values.parents == () and not grad.values.requires_grad
 
 
-@pytest.mark.parametrize("make_env", [lambda: ToyMMDP(2), lambda: ToyMMDP(4),
-                                      lambda: EqualLine(2, episode_limit=5)],
-                         ids=["toy-n2", "toy-n4", "line-n2"])
+def test_tabular_training_reverses_no_tape(monkeypatch):
+    """With autodiff.backward made to raise, train_online and all three
+    methods of train_offline still run on toy n = 2."""
+    def no_tape(*args):
+        raise AssertionError("a tabular update reversed a tape")
+
+    monkeypatch.setattr(ad, "backward", no_tape)
+    env = ToyMMDP(2)
+    config = OnlineTrainConfig(budget=600, n_parallel=4, updates_per_block=50,
+                               eval_episodes=16, medium_fraction=0.9)
+    online = train_online(env, config.budget, RngStream(2, "online"), config)
+    assert online.expert.training_steps == config.budget
+    d = random_dataset(env, 12, RngStream(4, "data"))
+    cfg = TrainConfig(alpha=0.7, total_steps=40, batch_size=16, target_interval=20,
+                      record_interval=40, eval_episodes=2, seed=5)
+    for method in METHODS:
+        assert np.isfinite(train_offline(cfg, d, method).losses).all()
+
+
+def recorded_steps(monkeypatch):
+    """Digests of every parameter gradient each Adam step reads, in order."""
+    steps, step = [], Adam.step
+
+    def recording(opt):
+        steps.append([None if p.grad is None else hashlib.sha256(p.grad.tobytes()).hexdigest()
+                      for p in opt.params])
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    return steps
+
+
+# (method, lambda_mode) runs: cfcql with both weightings, macql and naive
+CHAIN_RUNS = [("cfcql", "softmax"), ("cfcql", "uniform"), ("macql", "softmax"),
+              ("naive", "softmax")]
+
+
+@pytest.mark.parametrize("make_env", [lambda: ToyMMDP(2), lambda: ToyMMDP(3),
+                                      lambda: ToyMMDP(4), lambda: EqualLine(2, episode_limit=5)],
+                         ids=["toy-n2", "toy-n3", "toy-n4", "line-n2"])
 def test_training_has_the_bits_of_the_op_chain_losses(make_env, monkeypatch):
-    """train_offline with the loss nodes and with the op chains they replace
-    (tests/chains.py) gives the same losses and parameters, byte for byte,
-    for every method; toy n = 4 samples macql's joints (81 > 32)."""
+    """train_offline with the loss terms and q.backward, and with the op chains
+    they replace reversed on the tape (tests/chains.py), gives the same
+    losses, gradients at every step, parameters and metrics, byte for byte.
+    Toy n = 2 and 3 enumerate macql's joints and toy n = 4 samples them
+    (81 > 32); on the line the block seeds the network's backward."""
     env = make_env()
     d = random_dataset(env, 12, RngStream(4, "data"))
-    cfg = TrainConfig(alpha=0.7, total_steps=60, batch_size=16, target_interval=20,
-                      record_interval=60, eval_episodes=2, bc_steps=20, seed=5)
-    for method in METHODS:
-        got = train_offline(cfg, d, method)
-        with monkeypatch.context() as patch:
-            patch.setattr(learner, "cfcql_loss", chains.cfcql_loss)
-            patch.setattr(learner, "macql_loss", chains.macql_loss)
-            want = train_offline(cfg, d, method)
-        assert got.losses.tobytes() == want.losses.tobytes(), method
+    for method, lambda_mode in CHAIN_RUNS:
+        cfg = TrainConfig(alpha=0.7, total_steps=60, batch_size=16, target_interval=20,
+                          record_interval=30, eval_episodes=2, bc_steps=20, seed=5,
+                          lambda_mode=lambda_mode)
+        runs = []
+        for chain in (False, True):
+            with monkeypatch.context() as patch:
+                if chain:
+                    patch.setattr(learner, "cfcql_loss", chains.cfcql_loss)
+                    patch.setattr(learner, "macql_loss", chains.macql_loss)
+                    patch.setattr(FactoredQ, "backward", chains.backward)
+                grads = recorded_steps(patch)
+                runs.append((train_offline(cfg, d, method), grads))
+        (got, got_grads), (want, want_grads) = runs
+        case = (method, lambda_mode)
+        assert got.losses.tobytes() == want.losses.tobytes(), case
+        # behavior cloning's Adam steps come first where softmax lambda needs them
+        assert len(got_grads) >= cfg.total_steps and got_grads == want_grads, case
         for p, r in zip(got.q.parameters(), want.q.parameters(), strict=True):
-            assert p.data.tobytes() == r.data.tobytes(), method
+            assert p.data.tobytes() == r.data.tobytes(), case
+        assert got.metrics == want.metrics, case
 
 
 def test_lambda_mode_changes_penalty_not_td(rng):
@@ -539,8 +687,8 @@ def test_lambda_mode_changes_penalty_not_td(rng):
     beta = rng.dirichlet(np.ones(3), size=(b, 3))
     batch = make_batch(rng.integers(0, 5, size=b), rng.integers(0, 3, size=(b, 3)),
                        rng.normal(size=b), rng.integers(0, 5, size=b))
-    _, s1 = cfcql_loss(batch, q, target, None, 1.0, 0.9)
-    _, s2 = cfcql_loss(batch, q, target, lambda pi: batch_lambda(pi, beta), 1.0, 0.9)
+    _, _, s1 = cfcql_loss(batch, q, target, None, 1.0, 0.9)
+    _, _, s2 = cfcql_loss(batch, q, target, lambda pi: batch_lambda(pi, beta), 1.0, 0.9)
     assert s1["td"] == s2["td"]
     assert s1["penalty"] != s2["penalty"]
 
@@ -623,8 +771,8 @@ def test_cfcql_loss_gradient_vanishes_at_learner_fixed_point(alpha, rng):
     d = random_toy_dataset(rng, n_agents=2, n_transitions=600, episodes=30)
     table, _ = learner_fixed_point(d, alpha)
     q = tabular_q(2, 3, table.shape[0], values=table)
-    loss, _ = cfcql_loss(full_batch(d), q, q.copy(), None, alpha, d.header.spec.gamma)
-    ad.backward(loss)
+    _, grad, _ = cfcql_loss(full_batch(d), q, q.copy(), None, alpha, d.header.spec.gamma)
+    q.backward(grad)
     assert np.max(np.abs(q.table.grad)) <= 10 * DEFAULT_TOL
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcql_lab import autodiff as ad
+from cfcql_lab.learner import FactoredQ, ValuesGrad
 from cfcql_lab.neural import (
     HIDDEN,
     Adam,
@@ -227,7 +228,8 @@ def test_grad_matches_finite_differences_random_nets(seed):
         p.zero_grad()
     out = net.forward(x)
     err = out - w
-    ad.backward(ad.tmean(chains.mul(err, err)) + ad.tmean(ad.logsumexp_t(out, axis=-1)))
+    ad.backward(chains.add(ad.tmean(chains.mul(err, err)),
+                           ad.tmean(ad.logsumexp_t(out, axis=-1))))
     analytic = [p.grad.copy() for p in net.parameters()]
 
     def loss_value():
@@ -249,7 +251,7 @@ def test_gather_stack_broadcast_gradients():
         # both copies of the gather side by side, the second one doubled
         pair = ad.reshape(ad.gather_last(x, np.concatenate([idx, idx], axis=1)), (4, 2, 3))
         st_ = chains.mul(pair, np.array([[1.0], [2.0]]))
-        b = ad.tsum(st_, axis=1) + ad.reshape(ad.tsum(x, axis=1), (4, 1))  # (4, 3) + (4, 1)
+        b = chains.add(ad.tsum(st_, axis=1), ad.reshape(ad.tsum(x, axis=1), (4, 1)))  # (4, 3) + (4, 1)
         return ad.tsum(chains.mul(b, b))
 
     loss = build()
@@ -277,6 +279,8 @@ def test_results_of_constants_record_no_tape():
 
 
 def test_scatter_backward_matches_add_at_byte_for_byte():
+    """gather_last's backward; learner's test_table_backward_matches_add_at_byte_for_byte
+    holds the table scatters to np.add.at."""
     rng = np.random.default_rng(6)
     x = ad.parameter(rng.normal(size=(5, 4, 3)))
     idx = rng.integers(0, 3, size=(5, 4, 7))  # 7 picks of 3 columns: duplicates
@@ -286,21 +290,15 @@ def test_scatter_backward_matches_add_at_byte_for_byte():
     np.add.at(expected, (np.arange(20)[:, None], idx.reshape(20, 7)), g.reshape(20, 7))
     assert x.grad.tobytes() == expected.reshape(x.shape).tobytes()
 
-    ids = rng.integers(0, 5, size=11)  # 11 picks of 5 rows: duplicates
-    g = rng.normal(size=(11, 4, 3))
-    x.zero_grad()
-    ad.backward(ad.tsum(chains.mul(ad.take_rows(x, ids), g)))
-    expected = np.zeros(x.shape)
-    np.add.at(expected, ids, g)
-    assert x.grad.tobytes() == expected.tobytes()
-
 
 def test_gathers_reject_out_of_range_indices():
     table = ad.parameter(np.arange(6.0).reshape(3, 2))
-    with pytest.raises(ValueError, match="take_rows: row id -1 is negative"):
-        ad.take_rows(table, np.array([0, -1, 2]))
-    with ad.no_grad(), pytest.raises(ValueError, match="row id -3 is negative"):
-        ad.take_rows(table, np.array([-3]))
+    q = FactoredQ(1, 2, "tabular", n_states=3)  # tabular values are a gather of table rows
+    with pytest.raises(ValueError, match="state id -1 is outside 0..2"):
+        q.values(np.array([0, -1, 2]))
+    for bad in (-3, 3):
+        with ad.no_grad(), pytest.raises(ValueError, match=f"state id {bad} is outside 0..2"):
+            q.values(np.array([bad]))
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"gather_last index {bad} is outside 0..1"):
             ad.gather_last(table, np.array([[0], [bad], [1]]))
@@ -316,7 +314,7 @@ def test_sub_swapaxes_tmean_match_finite_differences():
         d = ad.swapaxes(a - b, 0, 1)  # (4, 3, 2)
         m = ad.reshape(ad.tsum(chains.mul(d, w), axis=1), (4, 1, 2))
         e = m - 0.3
-        return ad.tmean(chains.mul(e, e)) + ad.tmean(ad.sub(1.0, b))
+        return chains.add(ad.tmean(chains.mul(e, e)), ad.tmean(ad.sub(1.0, b)))
 
     loss = build()
     assert ad.tmean(a).parents == (a,) and (a - b).parents == (a, b)
@@ -389,8 +387,8 @@ def test_dense_matches_finite_differences(case):
         x.data = rng.normal(size=x_shape)
     c = rng.normal(size=np.matmul(x.data, w.data).shape)
     h = ad.dense(x, w, b, relu=True)
-    ad.backward(ad.tsum(chains.mul(h, h)) +
-                ad.tsum(chains.mul(ad.dense(x, w, b, relu=False), c)))
+    ad.backward(chains.add(ad.tsum(chains.mul(h, h)),
+                           ad.tsum(chains.mul(ad.dense(x, w, b, relu=False), c))))
     analytic = [p.grad.copy() for p in (x, w, b)]
 
     def loss_value():
@@ -485,20 +483,16 @@ def test_lse_minus_chosen_is_logsumexp_minus_the_gather(shape, offset):
     idx = rng.integers(0, shape[-1], size=shape[:-1])
     idx.ravel()[::2] = 1  # half the rows choose a tied entry
     w, seen = rng.normal(size=idx.shape), []
-    penalty = ad.lse_minus_chosen(x, idx, _weights_of(w, seen))
+    penalty, grad = ad.lse_minus_chosen(x.data, idx, _weights_of(w, seen))
     two_node = ad.logsumexp_t(x, axis=-1) - ad.reshape(ad.gather_last(x, idx[..., None]),
                                                         idx.shape)
     chain = ad.tsum(chains.mul(w, two_node))
-    assert penalty.data.tobytes() == chain.data.tobytes()
+    assert np.float64(penalty).tobytes() == chain.data.tobytes()
     assert len(seen) == 1 and seen[0].shape == shape
     np.testing.assert_array_equal(seen[0], softmax(x.data))
 
-    x.zero_grad()
-    ad.backward(penalty)
-    fused = x.grad.copy()
-    x.zero_grad()
     ad.backward(chain)
-    np.testing.assert_allclose(fused, x.grad, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(grad, x.grad, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("offset", [0.0, 50.0])
@@ -507,8 +501,7 @@ def test_lse_minus_chosen_matches_finite_differences(offset):
     x = ad.parameter(_with_ties(rng, (4, 3, 3), offset))
     idx = rng.integers(0, 3, size=(4, 3))
     w = rng.normal(size=(4, 3))
-    x.zero_grad()
-    ad.backward(ad.lse_minus_chosen(x, idx, lambda soft: w))
+    _, grad = ad.lse_minus_chosen(x.data, idx, lambda soft: w)
 
     def loss_value():
         chosen = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
@@ -516,11 +509,11 @@ def test_lse_minus_chosen_matches_finite_differences(offset):
         lse = m + np.log(np.exp(x.data - m[..., None]).sum(axis=-1))
         return float(((lse - chosen) * w).sum())
 
-    assert_grads_close([x.grad], finite_difference(loss_value, [x]))
+    assert_grads_close([grad], finite_difference(loss_value, [x]))
 
 
 def test_lse_minus_chosen_rejects_bad_indices():
-    x = ad.parameter(np.zeros((3, 2)))
+    x = np.zeros((3, 2))
     for bad in (2, -1):
         with pytest.raises(ValueError, match=f"lse_minus_chosen index {bad} is outside 0..1"):
             ad.lse_minus_chosen(x, np.array([0, bad, 1]), lambda soft: 1.0)
@@ -528,7 +521,7 @@ def test_lse_minus_chosen_rejects_bad_indices():
         ad.lse_minus_chosen(x, np.zeros((3, 1), dtype=np.int64), lambda soft: 1.0)
 
 
-# -- loss nodes against the op chains they replace -------------------------------
+# -- loss terms against the op chains they replace -------------------------------
 
 # (n agents, A actions): one agent, the toy's 3 actions, and 11 (A >= 8, where
 # the leading-axis reduction of lse_minus_chosen need not add in the last
@@ -537,84 +530,100 @@ LOSS_SHAPES = [(1, 3), (2, 3), (4, 3), (3, 11)]
 
 
 def _loss_inputs(seed, n, n_actions, b=12, n_states=5):
-    """A table, the batch's rows of it with duplicate state ids (so gradients
-    of repeated rows accumulate), the data's actions and TD targets."""
+    """A tabular Q, the batch's state ids with duplicates (so gradients of
+    repeated rows accumulate), the data's actions and TD targets."""
     rng = np.random.default_rng(seed)
-    table = ad.parameter(rng.normal(size=(n_states, n, n_actions)))
+    q = FactoredQ(n, n_actions, "tabular", n_states=n_states)
+    q.table.data = rng.normal(size=(n_states, n, n_actions))
     ids = rng.integers(0, n_states, size=b)
     ids[:3] = ids[3]  # four rows of one state
-    return rng, table, ids, rng.integers(0, n_actions, size=(b, n)), rng.normal(size=b)
+    return rng, q, ids, rng.integers(0, n_actions, size=(b, n)), rng.normal(size=b)
 
 
-def _value_and_grad(table, build):
-    """The loss ``build()`` makes and the table gradient of its backward."""
-    table.zero_grad()
-    loss = build()
+def _term_and_grad(q, ids, actions, term):
+    """The loss ``term(values)`` gives on Q's values at ``ids`` and the table
+    gradient ``q.backward`` writes from the ``(loss, g_tot, block)`` it returns."""
+    q.table.zero_grad()
+    values = q.values(ids)
+    loss, g_tot, block = term(values.data)
+    entries = q.chosen_entries(ids, actions) if block is None else None
+    q.backward(ValuesGrad(ids, actions, values, entries, g_tot, block))
+    return np.float64(loss).tobytes(), q.table.grad.tobytes()
+
+
+def _chain_and_grad(q, ids, chain):
+    """The loss tensor ``chain(values)`` makes on the table's rows, taped as
+    ``take_rows``, and the table gradient of its backward."""
+    q.table.zero_grad()
+    loss = chain(chains.take_rows(q.table, ids))
     ad.backward(loss)
-    return loss.data.tobytes(), table.grad.tobytes()
+    return loss.data.tobytes(), q.table.grad.tobytes()
 
 
 @pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
 def test_td_loss_has_the_op_chain_bits(n, n_actions):
-    _, table, ids, actions, y = _loss_inputs(21, n, n_actions)
-    node = _value_and_grad(table, lambda: ad.td_loss(ad.take_rows(table, ids), actions, y))
-    chain = _value_and_grad(table, lambda: chains.td_chain(
-        chains.q_tot_data(ad.take_rows(table, ids), actions), y))
-    assert node == chain
+    """TD alone goes into the B * n chosen table entries straight, with the
+    bits of the chain's scatter into the rows and then into the table, from
+    the gathered rows or from the chosen entries read alone."""
+    _, q, ids, actions, y = _loss_inputs(21, n, n_actions)
+    term = _term_and_grad(q, ids, actions, lambda x: (*ad.td_loss(x, actions, y), None))
+    entries = q.chosen_entries(ids, actions)
+    chosen = _term_and_grad(q, ids, actions, lambda x: (
+        *ad.td_loss_chosen(q.table.data.reshape(-1)[entries], y), None))
+    chain = _chain_and_grad(q, ids, lambda values: chains.td_chain(
+        chains.q_tot_data(values, actions), y))
+    assert term == chosen == chain
 
 
 @pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
 @pytest.mark.parametrize("weights", ["per_row", "constant"])
 def test_lse_minus_chosen_with_td_has_the_op_chain_bits(n, n_actions, weights):
-    """The penalty node plus the TD node against the losses' chains: cfcql's
+    """The penalty term plus the TD term against the losses' chains: cfcql's
     ``tsum(mul(w, gap))`` with per-row weights, macql's ``tsum(mul(gap, c))``
     with a constant."""
-    rng, table, ids, actions, y = _loss_inputs(22, n, n_actions)
+    rng, q, ids, actions, y = _loss_inputs(22, n, n_actions)
     w = rng.dirichlet(np.ones(n), size=len(ids)) * 0.05 if weights == "per_row" else 0.05
 
-    def node():
-        values = ad.take_rows(table, ids)
-        return (ad.lse_minus_chosen(values, actions, lambda soft: w)
-                + ad.td_loss(values, actions, y))
+    def term(x):
+        penalty, block = ad.lse_minus_chosen(x, actions, lambda soft: w)
+        td, g_tot = ad.td_loss(x, actions, y)
+        return penalty + td, g_tot, block
 
-    def chain():
-        values = ad.take_rows(table, ids)
+    def chain(values):
         gap = chains.lse_gap(values, actions)[0]
         penalty = ad.tsum(chains.mul(w, gap) if weights == "per_row" else chains.mul(gap, w))
-        return penalty + chains.td_chain(chains.q_tot_data(values, actions), y)
+        return chains.add(penalty, chains.td_chain(chains.q_tot_data(values, actions), y))
 
-    assert _value_and_grad(table, node) == _value_and_grad(table, chain)
+    assert _term_and_grad(q, ids, actions, term) == _chain_and_grad(q, ids, chain)
 
 
 @pytest.mark.parametrize("n, n_actions", LOSS_SHAPES)
 def test_sampled_lse_td_has_the_op_chain_bits(n, n_actions):
     """K = 40 joints per row: many repeat, and their gradients accumulate in
     index order as gather_last's do."""
-    rng, table, ids, actions, y = _loss_inputs(23, n, n_actions)
+    rng, q, ids, actions, y = _loss_inputs(23, n, n_actions)
     joints = rng.integers(0, n_actions, size=(len(ids), 40, n))
     log_const, alpha, terms = n * np.log(n_actions) - np.log(40), 0.7, []
 
-    def node():
-        loss, td, penalty = ad.sampled_lse_td(ad.take_rows(table, ids), actions, y, joints,
-                                              log_const, alpha)
+    def term(x):
+        td, penalty, g_tot, block = ad.sampled_lse_td(x, actions, y, joints, log_const, alpha)
         terms.append((td, penalty))
-        return loss
+        return penalty + td, g_tot, block
 
-    def chain():
-        values = ad.take_rows(table, ids)
+    def chain(values):
         q_data = chains.q_tot_data(values, actions)
         td = chains.td_chain(q_data, y)
         penalty = chains.sampled_penalty_chain(values, q_data, joints, log_const, alpha)
         terms.append((float(td.data), float(penalty.data)))
-        return penalty + td
+        return chains.add(penalty, td)
 
-    assert _value_and_grad(table, node) == _value_and_grad(table, chain)
+    assert _term_and_grad(q, ids, actions, term) == _chain_and_grad(q, ids, chain)
     assert terms[0] == terms[1]
 
 
 def test_loss_nodes_reject_bad_indices():
-    """Each node names a bad action index as gather_last does, and a bad shape."""
-    x = ad.parameter(np.zeros((3, 2, 2)))
+    """Each term names a bad action index as gather_last does, and a bad shape."""
+    x = np.zeros((3, 2, 2))
     y = np.zeros(3)
     joints = np.zeros((3, 4, 2), dtype=np.int64)
     for bad in (2, -1):
@@ -633,6 +642,8 @@ def test_loss_nodes_reject_bad_indices():
         ad.td_loss(x, np.zeros((3, 2), dtype=np.int64), np.zeros((3, 1)))
     with pytest.raises(ValueError, match=r"expects \(B, n, A\) values, got shape \(3, 2\)"):
         ad.td_loss(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), y)
+    with pytest.raises(ValueError, match=r"targets of shape \(3, 1\) for chosen values of shape"):
+        ad.td_loss_chosen(np.zeros((3, 2)), np.zeros((3, 1)))
     with pytest.raises(ValueError, match=r"joints shape \(3, 4, 3\) is not \(B, K, n\)"):
         ad.sampled_lse_td(x, np.zeros((3, 2), dtype=np.int64), y,
                           np.zeros((3, 4, 3), dtype=np.int64), 0.0, 1.0)
